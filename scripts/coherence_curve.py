@@ -8,26 +8,25 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
-from magictrap import TrapCoefficients, TrapFieldConfig, coherence_vs_depth, magic_depth
+from magictrap import TrapFieldConfig, coherence_vs_depth, magic_depth
+from magictrap.acceptance import MEASURED_COEFFS, WORKING_B_FIELD
 from magictrap.datafiles import write_table
 from magictrap.svg import line_plot
-
-MEASURED = TrapCoefficients(beta1=3.47e-4, beta2=-0.99e-4, beta4=4.6e-12)
 
 
 def main():
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--outdir", default="out", type=Path)
     parser.add_argument("--temp-uk", type=float, default=17.0)
-    parser.add_argument("--b-field", type=float, default=3.115)
+    parser.add_argument("--b-field", type=float, default=WORKING_B_FIELD)
     parser.add_argument("--t1", type=float, default=4.0)
     parser.add_argument("--t2prime", type=float, default=0.3)
     args = parser.parse_args()
     args.outdir.mkdir(parents=True, exist_ok=True)
 
     base = TrapFieldConfig(
-        coeffs=MEASURED, b_field_gauss=args.b_field,
-        mean_depth_hz=magic_depth(MEASURED, args.b_field),
+        coeffs=MEASURED_COEFFS, b_field_gauss=args.b_field,
+        mean_depth_hz=magic_depth(MEASURED_COEFFS, args.b_field),
         temperature_k=args.temp_uk * 1e-6)
     ratios = [k / 100.0 for k in range(50, 151, 5)]
     curve = coherence_vs_depth(base, ratios, args.t1, args.t2prime)

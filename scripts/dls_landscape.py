@@ -10,18 +10,17 @@ import numpy as np
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
-from magictrap import TrapCoefficients, dls, dls_minimum, magic_depth
+from magictrap import dls, dls_minimum, magic_depth
+from magictrap.acceptance import MEASURED_COEFFS, WORKING_B_FIELD
 from magictrap.datafiles import depth_hz_from_mk, mk_from_depth_hz, write_table
 from magictrap.svg import line_plot
-
-MEASURED = TrapCoefficients(beta1=3.47e-4, beta2=-0.99e-4, beta4=4.6e-12)
 
 
 def main():
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--outdir", default="out", type=Path)
     parser.add_argument("--fields", type=float, nargs="+",
-                        default=[2.7, 2.9, 3.115, 3.3])
+                        default=[2.7, 2.9, WORKING_B_FIELD, 3.3])
     parser.add_argument("--depth-mk-max", type=float, default=0.5)
     parser.add_argument("--points", type=int, default=101)
     args = parser.parse_args()
@@ -31,14 +30,14 @@ def main():
     series = []
     rows = []
     for b_field in args.fields:
-        shifts = [dls(MEASURED, b_field, depth_hz_from_mk(d))
+        shifts = [dls(MEASURED_COEFFS, b_field, depth_hz_from_mk(d))
                   for d in depths_mk]
         series.append((f"B = {b_field:g} G", list(depths_mk), shifts))
         rows += [(b_field, float(d), float(s))
                  for d, s in zip(depths_mk, shifts)]
-        u_magic = magic_depth(MEASURED, b_field)
+        u_magic = magic_depth(MEASURED_COEFFS, b_field)
         print(f"B = {b_field:.3f} G: magic depth {mk_from_depth_hz(u_magic):.4f} mK, "
-              f"shift minimum {dls_minimum(MEASURED, b_field):+.2f} Hz")
+              f"shift minimum {dls_minimum(MEASURED_COEFFS, b_field):+.2f} Hz")
 
     csv_path = args.outdir / "dls_landscape.csv"
     svg_path = args.outdir / "dls_landscape.svg"

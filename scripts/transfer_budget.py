@@ -3,38 +3,14 @@
 overlap with the mobile trap, 2 ms of transport, return to the register.
 Also emits template input files for the `magictrap transfer` subcommand."""
 import argparse
-import json
 import sys
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
-from magictrap import (
-    Phase,
-    TransferSegment,
-    TransferTimeline,
-    TrapCoefficients,
-    TrapFieldConfig,
-    coherence_budget,
-    hz_from_kelvin,
-    magic_depth,
-)
-from magictrap.datafiles import write_coefficients, write_table
-
-MEASURED = TrapCoefficients(beta1=3.47e-4, beta2=-0.99e-4, beta4=4.6e-12)
-B0 = 3.115
-
-
-def build_timeline():
-    static = TrapFieldConfig(MEASURED, B0, magic_depth(MEASURED, B0), 8e-6)
-    mover = TrapFieldConfig(MEASURED, B0, -hz_from_kelvin(0.2e-3), 14e-6)
-    overlap = TrapFieldConfig(MEASURED, B0, -hz_from_kelvin(0.37e-3), 14e-6)
-    return TransferTimeline((
-        TransferSegment(Phase.OVERLAP, 1e-4, overlap, t2_override_s=0.025),
-        TransferSegment(Phase.MOVE, 2e-3, mover),
-        TransferSegment(Phase.RETURN, 1e-4, mover),
-        TransferSegment(Phase.HOLD, 0.0, static),
-    ), t1_s=4.0, t2prime_s=0.3)
+from magictrap import coherence_budget
+from magictrap.acceptance import MEASURED_COEFFS, reference_transfer_timeline
+from magictrap.datafiles import write_coefficients, write_table, write_timeline
 
 
 def print_report(tag, report):
@@ -61,7 +37,7 @@ def main():
     args = parser.parse_args()
     args.outdir.mkdir(parents=True, exist_ok=True)
 
-    timeline = build_timeline()
+    timeline = reference_transfer_timeline()
     measured = coherence_budget(timeline, args.post_temp_uk * 1e-6,
                                 t2star_static_s=6.6, t2star_mobile_s=1.9)
     model = coherence_budget(timeline, args.post_temp_uk * 1e-6)
@@ -75,24 +51,8 @@ def main():
                 ("phase", "duration_s", "t2_used_s", "t2_model_s",
                  "amplitude_factor", "used_override"), rows)
 
-    write_coefficients(args.outdir / "measured_coeffs.toml", MEASURED)
-    doc = {
-        "t1_s": 4.0,
-        "t2prime_s": 0.3,
-        "segments": [
-            {"phase": "Overlap", "duration_s": 1e-4, "depth_mk": 0.37,
-             "temperature_uk": 14.0, "b_field_gauss": B0,
-             "t2_override_s": 0.025},
-            {"phase": "Move", "duration_s": 2e-3, "depth_mk": 0.2,
-             "temperature_uk": 14.0, "b_field_gauss": B0},
-            {"phase": "Return", "duration_s": 1e-4, "depth_mk": 0.2,
-             "temperature_uk": 14.0, "b_field_gauss": B0},
-            {"phase": "Hold", "duration_s": 0.0, "depth_mk": 0.2014,
-             "temperature_uk": 8.0, "b_field_gauss": B0},
-        ],
-    }
-    (args.outdir / "transfer_timeline.json").write_text(
-        json.dumps(doc, indent=2) + "\n")
+    write_coefficients(args.outdir / "measured_coeffs.toml", MEASURED_COEFFS)
+    write_timeline(args.outdir / "transfer_timeline.json", timeline)
     print(f"wrote {args.outdir}/transfer_budget.csv and template inputs")
 
 

@@ -90,13 +90,9 @@ def _cmd_beff(args):
     return 0
 
 
-def _cmd_fit_dls(args):
-    datasets = datafiles.read_dls_csv(args.input)
-    result = fit_dls_global(datasets, beta1_fixed=args.beta1,
-                            free_beta1=args.free_beta1)
-    pairs = [("n_datasets", len(datasets)),
-             ("n_points", sum(len(ds.points) for ds in datasets)),
-             ("beta1_fixed", args.beta1 if not args.free_beta1 else "free")]
+def _fit_pairs(result):
+    """Each parameter with its stderr, then chi^2, dof and the covariance."""
+    pairs = []
     for name in result.names:
         pairs.append((name, result.parameters[name]))
         pairs.append((f"{name}_stderr", result.stderr(name)))
@@ -105,6 +101,17 @@ def _cmd_fit_dls(args):
         for j, col_name in enumerate(result.names):
             pairs.append((f"cov_{row_name}_{col_name}",
                           float(result.covariance[i, j])))
+    return pairs
+
+
+def _cmd_fit_dls(args):
+    datasets = datafiles.read_dls_csv(args.input)
+    result = fit_dls_global(datasets, beta1_fixed=args.beta1,
+                            free_beta1=args.free_beta1)
+    pairs = [("n_datasets", len(datasets)),
+             ("n_points", sum(len(ds.points) for ds in datasets)),
+             ("beta1_fixed", args.beta1 if not args.free_beta1 else "free")]
+    pairs += _fit_pairs(result)
     beta1 = (result.parameters.get("beta1", args.beta1))
     for ds in datasets:
         u_magic = -(beta1 + result.parameters["beta2"] * ds.b_field_gauss) / (
@@ -199,16 +206,7 @@ def _cmd_coherence_curve(args):
 def _cmd_fit_ramsey(args):
     samples = datafiles.read_ramsey_csv(args.input)
     result = fit_damped_sinusoid(samples)
-    pairs = []
-    for name in result.names:
-        pairs.append((name, result.parameters[name]))
-        pairs.append((f"{name}_stderr", result.stderr(name)))
-    pairs += [("chi_square", result.chi_square), ("dof", result.dof)]
-    for i, row_name in enumerate(result.names):
-        for j, col_name in enumerate(result.names):
-            pairs.append((f"cov_{row_name}_{col_name}",
-                          float(result.covariance[i, j])))
-    _emit(args, pairs)
+    _emit(args, _fit_pairs(result))
     if args.plot:
         t_data = [row[0] for row in samples]
         p_data = [row[1] for row in samples]

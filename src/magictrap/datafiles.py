@@ -138,6 +138,23 @@ def read_ramsey_csv(path):
     return [(r[0], r[1]) for r in rows]
 
 
+def write_timeline(path, tl: TransferTimeline):
+    """Write the JSON timeline document that read_timeline reads. The
+    coefficients are not part of it; write_coefficients stores them."""
+    segments = []
+    for seg in tl.segments:
+        entry = {"phase": seg.phase.value, "duration_s": seg.duration_s,
+                 "depth_mk": mk_from_depth_hz(seg.config.mean_depth_hz),
+                 "temperature_uk": seg.config.temperature_k * 1e6,
+                 "b_field_gauss": seg.config.b_field_gauss}
+        if seg.t2_override_s is not None:
+            entry["t2_override_s"] = seg.t2_override_s
+        segments.append(entry)
+    doc = {"t1_s": tl.t1_s, "t2prime_s": tl.t2prime_s, "segments": segments}
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(json.dumps(doc, indent=2) + "\n")
+
+
 def read_timeline(path, coeffs: TrapCoefficients):
     """Read the JSON timeline document: t1_s, t2prime_s, and an ordered
     array of segments with phase, duration_s, depth_mk, temperature_uk,

@@ -16,7 +16,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import least_squares
 
 from .dls import TrapCoefficients, dls
 from .errors import (
@@ -29,6 +28,13 @@ from .errors import (
 )
 
 _MAX_CONDITION = 1e12
+
+
+# scipy.optimize loads on the first fit; the name stays module-level
+# because the benchmark's traced run patches fitting.least_squares
+def least_squares(*args, **kwargs):
+    from scipy.optimize import least_squares as solve
+    return solve(*args, **kwargs)
 
 
 @dataclass(frozen=True)

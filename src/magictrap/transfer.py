@@ -153,7 +153,6 @@ def coherence_budget(tl: TransferTimeline, post_transfer_temperature_k: float,
     if not verdict.ok:
         raise TimelineError(f"{verdict.code}: {verdict.message}")
     per_segment = []
-    notes = []
     for seg in tl.segments:
         model_t2 = t2_star(seg.config)
         used = seg.t2_override_s if seg.t2_override_s is not None else model_t2
@@ -161,11 +160,12 @@ def coherence_budget(tl: TransferTimeline, post_transfer_temperature_k: float,
         per_segment.append(SegmentBudget(seg.phase, seg.duration_s, used,
                                          model_t2, factor,
                                          seg.t2_override_s is not None))
-        if seg.phase == Phase.MOVE and seg.t2_override_s is None:
-            notes.append(
-                "Move-segment T2* uses the static-trap shift coefficients; "
-                "the moving trap's own magic point is not modeled"
-            )
+    notes = ()
+    # once per report, so splitting a Move segment leaves the notes alone
+    if any(seg.phase == Phase.MOVE and seg.t2_override_s is None
+           for seg in tl.segments):
+        notes = ("Move-segment T2* uses the static-trap shift coefficients; "
+                 "the moving trap's own magic point is not modeled",)
     retained = 1.0
     for entry in per_segment:
         retained *= entry.amplitude_factor
@@ -185,4 +185,4 @@ def coherence_budget(tl: TransferTimeline, post_transfer_temperature_k: float,
     tau_mobile = combine_coherence(tl.t1_s, tl.t2prime_s, ts_mobile)
     loss = 1.0 - tau_mobile / tau_static
     return BudgetReport(tuple(per_segment), retained, tau_static, tau_mobile,
-                        loss, ts_static, ts_mobile, tuple(notes))
+                        loss, ts_static, ts_mobile, notes)

@@ -4,6 +4,7 @@ import math
 import pytest
 
 from magictrap import datafiles
+from magictrap.acceptance import MEASURED_COEFFS, reference_transfer_timeline
 from magictrap.constants import hz_from_kelvin
 from magictrap.dls import TrapCoefficients
 from magictrap.errors import InvalidArgumentError
@@ -142,6 +143,22 @@ class TestTimeline:
         assert timeline.segments[1].t2_override_s is None
         assert timeline.segments[1].config.temperature_k == pytest.approx(14e-6)
         assert timeline.t1_s == 4.0
+
+    def test_write_round_trip(self, tmp_path):
+        timeline = reference_transfer_timeline()
+        path = tmp_path / "timeline.json"
+        datafiles.write_timeline(path, timeline)
+        back = datafiles.read_timeline(path, MEASURED_COEFFS)
+        assert (back.t1_s, back.t2prime_s) == (timeline.t1_s, timeline.t2prime_s)
+        for seg, got in zip(timeline.segments, back.segments, strict=True):
+            assert (got.phase, got.duration_s, got.t2_override_s) == (
+                seg.phase, seg.duration_s, seg.t2_override_s)
+            for name in ("mean_depth_hz", "temperature_k", "b_field_gauss"):
+                assert getattr(got.config, name) == pytest.approx(
+                    getattr(seg.config, name), rel=1e-14)
+        # the register holds at the exact magic depth, not a rounded one
+        assert json.loads(path.read_text())["segments"][-1]["depth_mk"] == (
+            pytest.approx(0.20143779486743102, rel=1e-14))
 
     def test_missing_key(self, tmp_path):
         doc = self.timeline_doc()

@@ -1,4 +1,8 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -185,6 +189,27 @@ class TestDampedSinusoidFit:
         slow = 0.5 + 0.4 * np.cos(2 * np.pi * 1.0 * t)  # 0.4 of a period
         with pytest.raises(FrequencyAmbiguityError):
             fit_damped_sinusoid(list(zip(t, slow)))
+
+
+def test_scipy_is_imported_by_the_first_fit():
+    code = (
+        "import sys\n"
+        "import numpy as np\n"
+        "import magictrap.cli\n"
+        "assert not [m for m in sys.modules if m.startswith('scipy')]\n"
+        "from magictrap.fitting import fit_damped_sinusoid\n"
+        "t = np.linspace(0.0, 0.4, 100)\n"
+        "p = 0.5 + 0.5 * np.exp(-t / 0.206) * np.cos(2 * np.pi * 50.0 * t)\n"
+        "fit = fit_damped_sinusoid(list(zip(t, p)))\n"
+        "assert abs(fit.parameters['delta'] - 50.0) < 1e-6\n"
+        "assert 'scipy.optimize' in sys.modules\n"
+    )
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
 
 
 class TestEnvelopeFit:

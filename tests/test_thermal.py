@@ -10,6 +10,7 @@ from magictrap.constants import hz_from_kelvin
 from magictrap.errors import InvalidArgumentError
 from magictrap.thermal import (
     ThermalEnsemble,
+    _gamma_p,
     cdf,
     mean_energy,
     pdf,
@@ -100,6 +101,43 @@ class TestTruncationMass:
         trunc = 5.0 * THETA17
         assert (truncation_mass(ThermalEnsemble(cold, trunc))
                 >= truncation_mass(ThermalEnsemble(hot, trunc)))
+
+
+class TestIncompleteGamma:
+    # log-spaced over [1e-8, 200], plus both sides of the x = 2 branch switch
+    GRID = np.concatenate([np.geomspace(1e-8, 200.0, 400),
+                           np.linspace(1.5, 2.5, 101),
+                           [np.nextafter(2.0, 0.0), 2.0]])
+
+    @pytest.mark.parametrize("a", [3, 4])
+    def test_matches_mpmath(self, a):
+        mpmath = pytest.importorskip("mpmath")
+        with mpmath.workdps(40):
+            ref = np.array([float(mpmath.gammainc(a, 0, mpmath.mpf(float(x)),
+                                                  regularized=True))
+                            for x in self.GRID])
+        rel = np.abs(_gamma_p(a, self.GRID) - ref) / ref
+        assert rel.max() <= 1e-14
+
+    @pytest.mark.parametrize("a", [3, 4])
+    def test_matches_scipy(self, a):
+        # scipy's own gammainc is off by up to 1.4e-14 from mpmath below
+        # x ~ 1e-7, so this comparison carries that much on top of 1e-14
+        from scipy.special import gammainc
+        ref = gammainc(a, self.GRID)
+        rel = np.abs(_gamma_p(a, self.GRID) - ref) / ref
+        assert rel.max() <= 2e-14
+
+    @pytest.mark.parametrize("a", [3, 4])
+    def test_endpoints(self, a):
+        assert _gamma_p(a, 0.0) == 0.0
+        assert _gamma_p(a, 1e3) == 1.0
+        assert _gamma_p(a, math.inf) == 1.0
+
+    def test_cdf_of_infinite_truncation(self):
+        ens = ThermalEnsemble(T17)
+        assert cdf(ens, 0.0) == 0.0
+        assert cdf(ens, math.inf) == 1.0
 
 
 class TestMeanEnergy:

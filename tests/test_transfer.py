@@ -3,7 +3,9 @@ from dataclasses import replace
 
 import pytest
 
+from magictrap.cli import main
 from magictrap.constants import hz_from_kelvin
+from magictrap.datafiles import write_coefficients, write_timeline
 from magictrap.dls import TrapCoefficients, magic_depth
 from magictrap.errors import (
     InvalidArgumentError,
@@ -214,6 +216,8 @@ class TestBudget:
                              t2star_mobile_s=1.9)
         assert b.retained_coherence == pytest.approx(a.retained_coherence,
                                                      rel=1e-12)
+        assert len(a.notes) == 1
+        assert b.notes == a.notes
 
     def test_invalid_timeline_rejected(self):
         broken = TransferTimeline((segment(Phase.MOVE, 1e-3, MOVER),), 4.0, 0.3)
@@ -223,3 +227,32 @@ class TestBudget:
     def test_cooling_rejected(self):
         with pytest.raises(UnphysicalConfigurationError):
             coherence_budget(reference_timeline(), 4e-6)
+
+
+
+def transfer_stdout(capsys, tmp_path, timeline):
+    coeffs = tmp_path / "coeffs.toml"
+    write_coefficients(coeffs, MEASURED)
+    path = tmp_path / "timeline.json"
+    write_timeline(path, timeline)
+    code = main(["transfer", "--coeffs", str(coeffs), "--timeline", str(path),
+                 "--post-temp-uk", "16", "--t2star-static", "6.6",
+                 "--t2star-mobile", "1.9"])
+    assert code == 0
+    return capsys.readouterr().out
+
+
+def test_split_move_keeps_cli_note_lines(capsys, tmp_path):
+    base = reference_timeline()
+    move = base.segments[1]
+    half = replace(move, duration_s=0.5 * move.duration_s)
+    split = TransferTimeline((base.segments[0], half, half) + base.segments[2:],
+                             base.t1_s, base.t2prime_s)
+    whole = transfer_stdout(capsys, tmp_path, base)
+    halves = transfer_stdout(capsys, tmp_path, split)
+    loss = float(whole.split("fractional_tau_loss = ")[1].split()[0])
+    assert loss == pytest.approx(0.0912, abs=2e-4)
+    notes = [line for line in whole.splitlines() if line.startswith("note_")]
+    assert len(notes) == 1
+    assert [line for line in halves.splitlines()
+            if line.startswith("note_")] == notes
