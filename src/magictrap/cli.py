@@ -437,6 +437,8 @@ def main(argv=None) -> int:
         return 1
     except MagicTrapError as exc:
         sys.stderr.write(f"error: {exc.code}: {exc}\n")
+        for key, value in exc.diagnostics.items():
+            sys.stderr.write(f"{key} = {value}\n")
         return 1
 
 

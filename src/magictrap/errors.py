@@ -1,11 +1,20 @@
 """Exception hierarchy. Every error carries a stable machine-readable code
-that the CLI prints as ``error: <code>: <message>`` before exiting 1."""
+that the CLI prints as ``error: <code>: <message>``, followed by one
+``<key> = <value>`` line per diagnostics entry, before exiting 1."""
 
 
 class MagicTrapError(Exception):
-    """Base class for all domain errors raised by this package."""
+    """Base class for all domain errors raised by this package.
+
+    ``diagnostics`` holds the numbers behind the failure (iteration counts,
+    residuals, condition numbers); the CLI prints them after the error
+    line."""
 
     code = "domain-error"
+
+    def __init__(self, message, diagnostics=None):
+        super().__init__(message)
+        self.diagnostics = dict(diagnostics or {})
 
 
 class InvalidArgumentError(MagicTrapError):
@@ -44,10 +53,6 @@ class NumericalFailureError(MagicTrapError):
 
     code = "numerical-failure"
 
-    def __init__(self, message, diagnostics=None):
-        super().__init__(message)
-        self.diagnostics = dict(diagnostics or {})
-
 
 class RankDeficiencyError(MagicTrapError):
     code = "rank-deficient"
@@ -57,16 +62,14 @@ class ConditioningError(MagicTrapError):
     code = "ill-conditioned"
 
     def __init__(self, message, condition_number=None):
-        super().__init__(message)
+        diagnostics = ({} if condition_number is None
+                       else {"condition_number": condition_number})
+        super().__init__(message, diagnostics)
         self.condition_number = condition_number
 
 
 class FitFailureError(MagicTrapError):
     code = "fit-failure"
-
-    def __init__(self, message, diagnostics=None):
-        super().__init__(message)
-        self.diagnostics = dict(diagnostics or {})
 
 
 class FrequencyAmbiguityError(MagicTrapError):

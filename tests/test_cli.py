@@ -147,6 +147,7 @@ class TestScalars:
         code, out, err = run(capsys, ["beff", "--depth-mk", "-0.6"])
         assert code == 1
         assert err.startswith("error: invalid-argument:")
+        assert len(err.splitlines()) == 1      # no diagnostics to print
 
     def test_convert(self, capsys):
         code, out, err = run(capsys, ["convert", "--mk", "0.2"])
@@ -214,6 +215,49 @@ class TestFits:
         assert float(doc["delta"]) == pytest.approx(50.0, rel=1e-5)
         assert "cov_tau_tau" in doc
         assert plot.exists()
+
+
+class TestErrorDiagnostics:
+    def test_ill_conditioned_fit_prints_condition_number(self, capsys, tmp_path):
+        # two fields 1e-10 G apart make the U and B*U columns collinear
+        path = tmp_path / "dls.csv"
+        lines = ["b_field_gauss,depth_mk,dls_hz"]
+        for b in ("3.0", "3.0000000001"):
+            for depth_mk in (0.05, 0.1, 0.15, 0.2, 0.25, 0.3):
+                lines.append(f"{b},{depth_mk},{-100.0 * depth_mk}")
+        path.write_text("\n".join(lines) + "\n")
+        code, out, err = run(capsys, ["fit-dls", "--input", str(path),
+                                      "--beta1", "3.47e-4", "--free-beta1"])
+        assert code == 1
+        assert out == ""
+        first, *rest = err.splitlines()
+        assert first.startswith("error: ill-conditioned:")
+        assert len(rest) == 1
+        key, _, value = rest[0].partition(" = ")
+        assert key == "condition_number"
+        assert float(value) > 1e12
+
+    def test_numerical_failure_prints_each_entry(self, capsys, monkeypatch,
+                                                 coeffs_file):
+        from magictrap import cli
+        from magictrap.errors import NumericalFailureError
+
+        def failing(*args, **kwargs):
+            raise NumericalFailureError(
+                "root bracket lost",
+                diagnostics={"iterations": 7, "last_t_s": 0.25})
+
+        monkeypatch.setattr(cli, "t2_star", failing)
+        code, out, err = run(capsys, [
+            "t2star", "--coeffs", coeffs_file, "--b-field", "3.115",
+            "--depth-mk", "0.201", "--temp-uk", "17"])
+        assert code == 1
+        assert out == ""
+        assert err.splitlines() == [
+            "error: numerical-failure: root bracket lost",
+            "iterations = 7",
+            "last_t_s = 0.25",
+        ]
 
 
 class TestSelftestPlumbing:

@@ -1,3 +1,4 @@
+import cmath
 import math
 import os
 import subprocess
@@ -16,6 +17,7 @@ from magictrap.errors import (
     InvalidArgumentError,
     RankDeficiencyError,
 )
+from magictrap import fitting
 from magictrap.fitting import (
     fit_damped_sinusoid,
     fit_dls_global,
@@ -79,6 +81,8 @@ class TestDlsFit:
         with pytest.raises(ConditioningError) as info:
             fit_dls_global(datasets, beta1_fixed=0.0, free_beta1=True)
         assert info.value.condition_number > 1e12
+        assert info.value.diagnostics == {
+            "condition_number": info.value.condition_number}
 
     def test_covariance_scales_with_noise(self):
         # with known per-point sigmas the covariance is (A' W A)^-1, so
@@ -124,8 +128,12 @@ class TestDampedSinusoidFit:
         assert abs(fit.parameters["phi"]) < 1e-6
         assert fit.parameters["offset"] == pytest.approx(0.5, rel=1e-6)
 
-    def test_noiseless_recovery_general_phase(self):
-        t = np.linspace(0.0, 0.42, 120)
+    @pytest.mark.parametrize("grid", ["uniform", "irregular"])
+    def test_noiseless_recovery_general_phase(self, grid):
+        if grid == "uniform":
+            t = np.linspace(0.0, 0.42, 120)
+        else:
+            t = np.sort(np.random.default_rng(37).uniform(0.0, 0.42, 120))
         clean = sinusoid(t, v0=0.9, tau=0.205, delta=37.0, phi=0.7, offset=0.48)
         fit = fit_damped_sinusoid(list(zip(t, clean)))
         assert fit.parameters["tau"] == pytest.approx(0.205, rel=1e-6)
@@ -189,6 +197,83 @@ class TestDampedSinusoidFit:
         slow = 0.5 + 0.4 * np.cos(2 * np.pi * 1.0 * t)  # 0.4 of a period
         with pytest.raises(FrequencyAmbiguityError):
             fit_damped_sinusoid(list(zip(t, slow)))
+
+
+def direct_spectrum_peak(t, y):
+    """The spectrum estimate as a direct 4096 x N DFT: the oracle for the
+    factored kernel in fitting._spectrum_peak."""
+    span = t[-1] - t[0]
+    dt = float(np.median(np.diff(t)))
+    freqs = np.linspace(0.5 / span, 0.5 / dt, 4096)
+    power = np.abs(np.exp(-2j * np.pi * np.outer(freqs, t)) @ y)
+    k = int(np.argmax(power))
+    if 0 < k < freqs.size - 1:
+        p_m, p_0, p_p = power[k - 1], power[k], power[k + 1]
+        denom = p_m - 2 * p_0 + p_p
+        shift = 0.0 if denom == 0 else 0.5 * (p_m - p_p) / denom
+        f0 = freqs[k] + shift * (freqs[1] - freqs[0])
+    else:
+        f0 = freqs[k]
+    peak = np.exp(-2j * np.pi * f0 * t) @ y
+    return float(f0), float(cmath.phase(peak))
+
+
+def sample_times(n, grid, seed):
+    if grid == "uniform":
+        return np.linspace(0.0, 0.4, n)
+    return np.sort(np.random.default_rng(seed).uniform(0.0, 0.4, n))
+
+
+def phase_difference(a, b):
+    return abs(math.remainder(a - b, 2 * math.pi))
+
+
+class TestSpectrumPeak:
+    @pytest.mark.parametrize("grid", ["uniform", "irregular"])
+    @pytest.mark.parametrize("n", [10, 100, 1000])
+    def test_matches_direct_dft(self, n, grid):
+        t = sample_times(n, grid, seed=n)
+        rng = np.random.default_rng(1000 + n)
+        # a fringe inside the band of every grid (f_hi >= 11 Hz at n = 10)
+        y = sinusoid(t, delta=8.0 if n == 10 else 37.0, phi=0.7) - 0.5
+        y = y + rng.normal(0.0, 0.05, n)
+        f0, phi = fitting._spectrum_peak(t, y)
+        f_ref, phi_ref = direct_spectrum_peak(t, y)
+        assert f0 == pytest.approx(f_ref, rel=1e-12, abs=0)
+        assert phase_difference(phi, phi_ref) <= 1e-10
+
+    def test_peak_on_first_grid_point(self):
+        # a non-oscillating decay: the power falls from the lowest grid
+        # frequency up, so there is no parabolic refinement
+        t = np.linspace(0.0, 0.4, 100)
+        y = np.exp(-t / 0.3)
+        f0, phi = fitting._spectrum_peak(t, y)
+        f_ref, phi_ref = direct_spectrum_peak(t, y)
+        assert f_ref == 0.5 / 0.4
+        assert f0 == f_ref
+        assert phase_difference(phi, phi_ref) <= 1e-10
+
+
+@pytest.mark.parametrize("n, grid", [(100, "uniform"), (400, "uniform"),
+                                     (700, "uniform"), (1000, "uniform"),
+                                     (400, "irregular")])
+def test_fit_agrees_with_direct_dft_start(n, grid, monkeypatch):
+    # the factored spectrum moves the start point by rounding only, so LM
+    # lands in the same minimum; stdout may differ in the last digits
+    t = sample_times(n, grid, seed=4 * n)
+    rng = np.random.default_rng(9000 + n)
+    data = sinusoid(t, v0=0.9, tau=0.205, delta=37.0, phi=0.7, offset=0.48)
+    data = data + rng.normal(0.0, 0.03, n)
+    samples = [(ti, pi, 0.03) for ti, pi in zip(t, data)]
+    fit = fit_damped_sinusoid(samples)
+    monkeypatch.setattr(fitting, "_spectrum_peak", direct_spectrum_peak)
+    ref = fit_damped_sinusoid(samples)
+    assert fit.chi_square == pytest.approx(ref.chi_square, rel=1e-12, abs=0)
+    for name in ref.names:
+        diff = fit.parameters[name] - ref.parameters[name]
+        if name == "phi":
+            diff = math.remainder(diff, 2 * math.pi)
+        assert abs(diff) <= 1e-4 * ref.stderr(name), name
 
 
 def test_scipy_is_imported_by_the_first_fit():
