@@ -16,6 +16,7 @@ from .dls import dls, dls_minimum, effective_field, magic_depth, zero_crossing_f
 from .errors import InvalidArgumentError, MagicTrapError
 from .fitting import fit_damped_sinusoid, fit_dls_global, magic_depth_sigma
 from .ramsey import (
+    DEFAULT_HORIZON_S,
     TrapFieldConfig,
     coherence_vs_depth,
     ramsey_trace,
@@ -334,7 +335,7 @@ def build_parser():
 
     p = sub.add_parser("beff", parents=[common],
                        help="vector-shift effective field at a depth")
-    p.add_argument("--ratio", type=float, default=0.2518,
+    p.add_argument("--ratio", type=float, default=acceptance.VECTOR_TO_SCALAR_RATIO,
                    help="vector-to-scalar polarizability ratio")
     p.add_argument("--depth-mk", type=float, required=True)
     p.set_defaults(handler=_cmd_beff)
@@ -368,7 +369,7 @@ def build_parser():
 
     p = sub.add_parser("t2star", parents=[common, coeffs_arg, field_args],
                        help="1/e decay time of the envelope")
-    p.add_argument("--horizon", type=float, default=1e4,
+    p.add_argument("--horizon", type=float, default=DEFAULT_HORIZON_S,
                    help="give up and report inf beyond this time (s)")
     p.set_defaults(handler=_cmd_t2star)
 

@@ -1,28 +1,6 @@
-"""Bounded, order-preserving parallel map for grid sweeps.
-
-The worker count comes from the MAGICTRAP_THREADS environment variable and
-defaults to the machine parallelism. Results are collected in input order,
-so output is independent of scheduling.
-"""
-import os
-from concurrent.futures import ThreadPoolExecutor
-
-
-def thread_count() -> int:
-    raw = os.environ.get("MAGICTRAP_THREADS", "")
-    try:
-        n = int(raw)
-    except ValueError:
-        n = 0
-    if n < 1:
-        n = os.cpu_count() or 1
-    return n
+"""Serial, order-preserving map for grid sweeps; the name stays only because
+the benchmark's tracer pins ``magictrap.parallel.ordered_map``."""
 
 
 def ordered_map(fn, items):
-    items = list(items)
-    workers = min(thread_count(), len(items)) or 1
-    if workers == 1 or len(items) <= 1:
-        return [fn(item) for item in items]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, items))
+    return [fn(item) for item in items]

@@ -28,9 +28,10 @@ _WG_POS = np.array([
 NODES = np.concatenate([-_XK_POS[:-1], _XK_POS[::-1]])       # 15, ascending
 KRONROD_WEIGHTS = np.concatenate([_WK_POS[:-1], _WK_POS[::-1]])
 GAUSS_WEIGHTS = np.concatenate([_WG_POS[:-1], _WG_POS[::-1]])  # on NODES[1::2]
+INITIAL_INTERVALS = 16  # equal intervals of the starting partition
 
 
-def integrate(f, a, b, rtol=1e-8, atol=0.0, max_intervals=8192, initial_intervals=16):
+def integrate(f, a, b, rtol=1e-8, atol=0.0, max_intervals=8192):
     """Integrate a stacked vector integrand over [a, b].
 
     Returns (values, errors) as 1-D arrays over components. Raises
@@ -43,7 +44,7 @@ def integrate(f, a, b, rtol=1e-8, atol=0.0, max_intervals=8192, initial_interval
         probe = np.atleast_2d(f(np.array([a])))
         return np.zeros(probe.shape[0], dtype=probe.dtype), np.zeros(probe.shape[0])
 
-    edges = np.linspace(a, b, initial_intervals + 1)
+    edges = np.linspace(a, b, INITIAL_INTERVALS + 1)
     lo = edges[:-1]
     hi = edges[1:]
 

@@ -29,6 +29,8 @@ from .thermal import ThermalEnsemble, truncation_mass
 
 #: root-finding horizon for t2_star before returning the infinity sentinel
 DEFAULT_HORIZON_S = 1e4
+#: relative width of the final t2_star bracket
+T2_STAR_REL_TOL = 1e-4
 
 
 @dataclass(frozen=True)
@@ -166,24 +168,23 @@ def visibility(config: TrapFieldConfig, t_s: float,
     return float(min(1.0, abs(num) / den)) * scale
 
 
-def t2_star(config: TrapFieldConfig, horizon_s: float = DEFAULT_HORIZON_S,
-            rel_tol: float = 1e-4, renormalize: bool = True) -> float:
+def t2_star(config: TrapFieldConfig, horizon_s: float = DEFAULT_HORIZON_S) -> float:
     """First time the visibility envelope falls to 1/e of its t=0 value,
-    by bracket doubling then bisection. Returns math.inf if the envelope
-    stays above 1/e out to the horizon."""
-    target = visibility(config, 0.0, renormalize) / math.e
+    by bracket doubling then bisection to T2_STAR_REL_TOL. Returns math.inf
+    if the envelope stays above 1/e out to the horizon."""
+    target = visibility(config, 0.0) / math.e
     lo = 0.0
     hi = 1e-4
-    while visibility(config, hi, renormalize) > target:
+    while visibility(config, hi) > target:
         lo = hi
         hi *= 2.0
         if hi > horizon_s:
             return math.inf
     for _ in range(200):
-        if hi - lo <= rel_tol * hi:
+        if hi - lo <= T2_STAR_REL_TOL * hi:
             break
         mid = 0.5 * (lo + hi)
-        if visibility(config, mid, renormalize) > target:
+        if visibility(config, mid) > target:
             lo = mid
         else:
             hi = mid
@@ -207,7 +208,7 @@ def combine_coherence(t1_s: float, t2_prime_s: float, t2_star_s: float) -> float
 
 
 def coherence_vs_depth(base: TrapFieldConfig, ratios, t1_s: float,
-                       t2_prime_s: float, horizon_s: float = DEFAULT_HORIZON_S):
+                       t2_prime_s: float):
     """Coherence time tau versus depth ratio U_a/U_M at fixed field and
     temperature. Returns [(ratio, tau_s), ...] in input order."""
     ratios = [float(r) for r in ratios]
@@ -219,8 +220,7 @@ def coherence_vs_depth(base: TrapFieldConfig, ratios, t1_s: float,
 
     def one(ratio):
         cfg = replace(base, mean_depth_hz=ratio * u_magic)
-        return ratio, combine_coherence(t1_s, t2_prime_s,
-                                        t2_star(cfg, horizon_s=horizon_s))
+        return ratio, combine_coherence(t1_s, t2_prime_s, t2_star(cfg))
 
     return ordered_map(one, ratios)
 

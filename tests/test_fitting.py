@@ -282,6 +282,7 @@ def test_scipy_is_imported_by_the_first_fit():
         "import numpy as np\n"
         "import magictrap.cli\n"
         "assert not [m for m in sys.modules if m.startswith('scipy')]\n"
+        "assert 'concurrent.futures' not in sys.modules\n"
         "from magictrap.fitting import fit_damped_sinusoid\n"
         "t = np.linspace(0.0, 0.4, 100)\n"
         "p = 0.5 + 0.5 * np.exp(-t / 0.206) * np.cos(2 * np.pi * 50.0 * t)\n"

@@ -240,13 +240,23 @@ class TestCoherenceCurve:
         assert curve[0][0] == 1.0
         assert curve[0][1] == pytest.approx(0.2303, rel=2e-3)
 
-    def test_deterministic_and_thread_independent(self, monkeypatch):
-        ratios = [0.8, 1.0, 1.2]
-        monkeypatch.setenv("MAGICTRAP_THREADS", "1")
-        serial = coherence_vs_depth(config(17e-6), ratios, 4.0, 0.3)
-        monkeypatch.setenv("MAGICTRAP_THREADS", "4")
-        threaded = coherence_vs_depth(config(17e-6), ratios, 4.0, 0.3)
-        assert serial == threaded
+    def test_sweeps_equal_their_scalar_calls(self):
+        # unsorted inputs, so a reordered sweep cannot pass
+        cfg = config(17e-6, ratio=0.8, detuning_hz=50.0)
+        times = [0.3, 0.0, 1.7, 0.05, 0.3]
+        for renormalize in (True, False):
+            trace = ramsey_trace(cfg, times, renormalize)
+            assert trace.times_s == tuple(times)
+            assert trace.population == tuple(
+                ramsey_population(cfg, t, renormalize) for t in times)
+            curve = visibility_curve(cfg, times, renormalize)
+            assert curve.times_s == tuple(times)
+            assert curve.visibility == tuple(
+                visibility(cfg, t, renormalize) for t in times)
+        ratios = [1.2, 0.8, 1.0]
+        assert coherence_vs_depth(config(17e-6), ratios, 4.0, 0.3) == [
+            (r, combine_coherence(4.0, 0.3, t2_star(config(17e-6, ratio=r))))
+            for r in ratios]
 
     def test_coarse_grid_peaks_at_magic(self):
         # grid step far above the thermal-skew shift: vertex wins
