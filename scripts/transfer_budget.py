@@ -10,7 +10,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
 from magictrap import coherence_budget
 from magictrap.acceptance import MEASURED_COEFFS, reference_transfer_timeline
-from magictrap.datafiles import write_coefficients, write_table, write_timeline
+from magictrap.datafiles import write_budget, write_coefficients, write_timeline
 
 
 def print_report(tag, report):
@@ -44,12 +44,7 @@ def main():
     print_report("measured T2* endpoints (6.6 s -> 1.9 s)", measured)
     print_report("model T2* endpoints", model)
 
-    rows = [(e.phase.value, e.duration_s, e.t2_used_s, e.t2_model_s,
-             e.amplitude_factor, int(e.used_override))
-            for e in measured.per_segment]
-    write_table(args.outdir / "transfer_budget.csv",
-                ("phase", "duration_s", "t2_used_s", "t2_model_s",
-                 "amplitude_factor", "used_override"), rows)
+    write_budget(args.outdir / "transfer_budget.csv", measured)
 
     write_coefficients(args.outdir / "measured_coeffs.toml", MEASURED_COEFFS)
     write_timeline(args.outdir / "transfer_timeline.json", timeline)

@@ -186,6 +186,11 @@ def _cmd_coherence_curve(args):
     ratios = [args.ratio_min + k * args.ratio_step for k in range(n_steps + 1)]
     curve = coherence_vs_depth(base, ratios, args.t1, args.t2prime)
     peak_ratio, peak_tau = max(curve, key=lambda item: item[1])
+    # every tau can be infinite: plot first, so a failed plot prints nothing
+    if args.plot:
+        svg.line_plot(args.plot,
+                      [("tau", [r for r, _ in curve], [t for _, t in curve])],
+                      "depth ratio U_a/U_M", "coherence time (s)")
     _emit(args, [
         ("b_field_gauss", args.b_field),
         ("temp_uk", args.temp_uk),
@@ -197,10 +202,6 @@ def _cmd_coherence_curve(args):
     ])
     if args.out:
         datafiles.write_table(args.out, ("ratio", "tau_s"), curve)
-    if args.plot:
-        svg.line_plot(args.plot,
-                      [("tau", [r for r, _ in curve], [t for _, t in curve])],
-                      "depth ratio U_a/U_M", "coherence time (s)")
     return 0
 
 
@@ -248,14 +249,7 @@ def _cmd_transfer(args):
         pairs.append((f"note_{i}", note))
     _emit(args, pairs)
     if args.out:
-        rows = [(entry.phase.value, entry.duration_s, entry.t2_used_s,
-                 entry.t2_model_s, entry.amplitude_factor,
-                 int(entry.used_override)) for entry in report.per_segment]
-        datafiles.write_table(
-            args.out,
-            ("phase", "duration_s", "t2_used_s", "t2_model_s",
-             "amplitude_factor", "used_override"),
-            rows)
+        datafiles.write_budget(args.out, report)
     return 0
 
 
@@ -429,6 +423,8 @@ def main(argv=None) -> int:
     if args.command is None:
         parser.error("a subcommand is required (see --help)")
     try:
+        if args.precision < 1:
+            raise InvalidArgumentError("--precision must be >= 1")
         return args.handler(args)
     except FileNotFoundError as exc:
         sys.stderr.write(f"error: file-not-found: {exc.filename}\n")

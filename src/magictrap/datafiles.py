@@ -89,6 +89,15 @@ def write_table(path, header, rows):
                              for v in row])
 
 
+def write_budget(path, report):
+    """CSV of a coherence budget, one row per transfer segment."""
+    write_table(path, ("phase", "duration_s", "t2_used_s", "t2_model_s",
+                       "amplitude_factor", "used_override"),
+                [(e.phase.value, e.duration_s, e.t2_used_s, e.t2_model_s,
+                  e.amplitude_factor, int(e.used_override))
+                 for e in report.per_segment])
+
+
 def _read_csv_rows(path, minimum_columns):
     with open(path, "r", encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)

@@ -31,6 +31,10 @@ from .thermal import ThermalEnsemble, truncation_mass
 DEFAULT_HORIZON_S = 1e4
 #: relative width of the final t2_star bracket
 T2_STAR_REL_TOL = 1e-4
+#: upper end of x = E/theta; the Gamma(3) mass beyond it is about 7e-12
+X_CUT = 32.0
+#: phase (rad) the thermal-average phasor may turn across one panel
+PANEL_PHASE = 3.0
 
 
 @dataclass(frozen=True)
@@ -119,16 +123,26 @@ def _raw_integrals(config: TrapFieldConfig, t_s: float):
     """Return (integral of p*exp(2j*pi*shift*t), integral of p) over the
     allowed energies, both un-renormalized, on one shared partition.
 
-    Substitution x = E/theta conditions the domain; with the positive
-    Kronrod weights the phasor integral can never exceed the density
-    integral, so derived populations stay in [0, 1] exactly.
+    Substitution x = E/theta conditions the domain and makes the phase a
+    quadratic in x, which sizes the partition; with positive weights the
+    phasor integral never exceeds the density integral, so derived
+    populations stay in [0, 1] exactly.
     """
+    if not 0 <= t_s < math.inf:
+        raise InvalidArgumentError("time must be finite and >= 0")
     theta = hz_from_kelvin(config.temperature_k)
     u0 = config.bottom_depth_hz
-    xmax = abs(u0) / theta
+    x_end = min(abs(u0) / theta, X_CUT)
     c = config.coeffs
     linear = c.beta1 + c.beta2 * config.b_field_gauss
     two_pi_t = 2.0 * math.pi * t_s
+    # shift' = linear + 2*beta4*u is linear in u: its largest modulus sits
+    # at one end, and bounds the phase the partition has to resolve
+    slope = max(abs(linear + 2.0 * c.beta4 * u)
+                for u in (u0, u0 + 0.5 * theta * x_end))
+    # capped so that a phase past float range still reaches the panel cap
+    phase = min(two_pi_t * slope * 0.5 * theta * x_end, 1e300)
+    panels = max(16, math.ceil(phase / PANEL_PHASE))
 
     def integrand(x):
         u = u0 + 0.5 * theta * x
@@ -137,15 +151,14 @@ def _raw_integrals(config: TrapFieldConfig, t_s: float):
         return np.stack([weight * np.exp(1j * two_pi_t * shift),
                          weight.astype(complex)])
 
-    (num, den), _ = integrate(integrand, 0.0, xmax, rtol=1e-8, atol=1e-13)
+    # den <= 1, so atol is in visibility units: rtol*|num| alone goes to 0
+    (num, den), _ = integrate(integrand, 0.0, x_end, atol=1e-10, panels=panels)
     return num, den.real
 
 
 def ramsey_population(config: TrapFieldConfig, t_s: float,
                       renormalize: bool = True) -> float:
     """Thermally averaged Ramsey population at free-evolution time t."""
-    if t_s < 0:
-        raise InvalidArgumentError("time must be >= 0")
     num, den = _raw_integrals(config, t_s)
     carrier = np.exp(2j * math.pi * config.detuning_hz * t_s)
     if renormalize:
@@ -161,8 +174,6 @@ def visibility(config: TrapFieldConfig, t_s: float,
                renormalize: bool = True) -> float:
     """Ramsey fringe envelope: modulus of the thermal dephasing
     characteristic function. The detuning drops out exactly."""
-    if t_s < 0:
-        raise InvalidArgumentError("time must be >= 0")
     num, den = _raw_integrals(config, t_s)
     scale = 1.0 if renormalize else truncation_mass(config.ensemble)
     return float(min(1.0, abs(num) / den)) * scale

@@ -2,6 +2,8 @@
 dependency. Output is deterministic for identical inputs."""
 import math
 
+from .errors import InvalidArgumentError
+
 _MARGIN_L, _MARGIN_R, _MARGIN_T, _MARGIN_B = 64.0, 16.0, 28.0, 44.0
 _WIDTH, _HEIGHT = 640.0, 420.0
 _COLORS = ("#1f5fa8", "#c04a28", "#3a8a3f", "#7b4aa8", "#a88a1f", "#2898a8")
@@ -36,7 +38,7 @@ def line_plot(path, series, x_label, y_label, title=""):
     xs_all = [x for _, xs, _ in series for x in xs]
     ys_all = [y for _, _, ys in series for y in ys if math.isfinite(y)]
     if not xs_all or not ys_all:
-        raise ValueError("nothing to plot")
+        raise InvalidArgumentError("nothing finite to plot")
     x_lo, x_hi = min(xs_all), max(xs_all)
     y_lo, y_hi = min(ys_all), max(ys_all)
     if x_hi == x_lo:

@@ -152,9 +152,16 @@ def coherence_budget(tl: TransferTimeline, post_transfer_temperature_k: float,
     verdict = validate_timeline(tl)
     if not verdict.ok:
         raise TimelineError(f"{verdict.code}: {verdict.message}")
+    solved = {}
+
+    def model_t2_star(cfg):
+        if cfg not in solved:  # configs are frozen: one solve per trap
+            solved[cfg] = t2_star(cfg)
+        return solved[cfg]
+
     per_segment = []
     for seg in tl.segments:
-        model_t2 = t2_star(seg.config)
+        model_t2 = model_t2_star(seg.config)
         used = seg.t2_override_s if seg.t2_override_s is not None else model_t2
         factor = math.exp(-seg.duration_s / used) if seg.duration_s > 0 else 1.0
         per_segment.append(SegmentBudget(seg.phase, seg.duration_s, used,
@@ -177,10 +184,10 @@ def coherence_budget(tl: TransferTimeline, post_transfer_temperature_k: float,
             "temperature; the loss fraction is defined for heating only"
         )
     ts_static = (t2star_static_s if t2star_static_s is not None
-                 else t2_star(static))
+                 else model_t2_star(static))
     mobile_cfg = replace(static, temperature_k=post_transfer_temperature_k)
     ts_mobile = (t2star_mobile_s if t2star_mobile_s is not None
-                 else t2_star(mobile_cfg))
+                 else model_t2_star(mobile_cfg))
     tau_static = combine_coherence(tl.t1_s, tl.t2prime_s, ts_static)
     tau_mobile = combine_coherence(tl.t1_s, tl.t2prime_s, ts_mobile)
     loss = 1.0 - tau_mobile / tau_static

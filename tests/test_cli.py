@@ -115,6 +115,29 @@ class TestCurves:
         first = float(lines[1].split(",")[1])
         assert first == 1.0
 
+    def test_long_time_envelope_converges(self, capsys, coeffs_file):
+        # once the ensemble has dephased the envelope sits far below the
+        # relative tolerance of its own integral
+        code, out, err = run(capsys, [
+            "visibility", "--coeffs", coeffs_file, "--b-field", "3.115",
+            "--depth-mk", "0.12", "--temp-uk", "17", "--t-max", "30",
+            "--points", "31"])
+        assert (code, err) == (0, "")
+        assert 0.0 <= float(parse_doc(out)["visibility_final"]) < 1e-4
+
+    def test_plot_with_nothing_finite_is_a_domain_error(self, capsys,
+                                                        coeffs_file, tmp_path):
+        # at 1 nK on the magic depth with T1 = T2' = inf every tau is inf
+        out_svg = tmp_path / "tau.svg"
+        code, out, err = run(capsys, [
+            "coherence-curve", "--coeffs", coeffs_file, "--b-field", "3.115",
+            "--temp-uk", "0.001", "--t1", "inf", "--t2prime", "inf",
+            "--ratio-min", "1", "--ratio-max", "1", "--plot", str(out_svg)])
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: invalid-argument:")
+        assert not out_svg.exists()
+
     def test_coherence_curve(self, capsys, coeffs_file, tmp_path):
         out_csv = tmp_path / "tau.csv"
         code, out, err = run(capsys, [
@@ -153,6 +176,23 @@ class TestScalars:
         code, out, err = run(capsys, ["convert", "--mk", "0.2"])
         assert code == 0
         assert float(parse_doc(out)["depth_hz_signed"]) < 0
+
+    @pytest.mark.parametrize("precision", ["0", "-1"])
+    def test_precision_below_one_rejected(self, capsys, monkeypatch,
+                                          coeffs_file, precision):
+        from magictrap import cli
+
+        def no_work(*args, **kwargs):
+            raise AssertionError("work done before the argument check")
+
+        monkeypatch.setattr(cli, "t2_star", no_work)
+        for argv in (["convert", "--mk", "0.2"],
+                     ["t2star", "--coeffs", coeffs_file, "--b-field", "3.115",
+                      "--depth-mk", "0.201", "--temp-uk", "17"]):
+            code, out, err = run(capsys, argv + ["--precision", precision])
+            assert code == 1
+            assert out == ""
+            assert err.startswith("error: invalid-argument:")
 
     def test_convert_needs_input(self, capsys):
         code, out, err = run(capsys, ["convert"])

@@ -1,9 +1,11 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from scipy.special import gammainc
 
+from magictrap import quadrature
 from magictrap.errors import NumericalFailureError
 from magictrap.quadrature import GAUSS_WEIGHTS, KRONROD_WEIGHTS, NODES, integrate
 
@@ -70,10 +72,43 @@ def test_degenerate_interval():
     assert errors[0] == 0.0
 
 
-def test_nonconvergence_reports_diagnostics():
+def test_nonconvergence_reports_diagnostics(monkeypatch):
     def nasty(x):
         return np.cos(5e4 * x)[None, :]
 
+    monkeypatch.setattr(quadrature, "MAX_PANELS", 32)
     with pytest.raises(NumericalFailureError) as info:
-        integrate(nasty, 0.0, 10.0, rtol=1e-12, atol=1e-16, max_intervals=32)
-    assert "intervals" in info.value.diagnostics
+        integrate(nasty, 0.0, 10.0, rtol=1e-12, atol=1e-16)
+    diagnostics = info.value.diagnostics
+    assert diagnostics["panels"] > diagnostics["max_panels"] == 32
+    assert diagnostics["error"][0] > diagnostics["tolerance"][0]
+
+
+def test_start_past_the_cap_evaluates_nothing():
+    calls = []
+
+    def f(x):
+        calls.append(x.size)
+        return x[None, :]
+
+    with pytest.raises(NumericalFailureError) as info:
+        integrate(f, 0.0, 1.0, panels=quadrature.MAX_PANELS + 1)
+    assert calls == []
+    assert info.value.diagnostics["panels"] == quadrature.MAX_PANELS + 1
+
+
+def test_memory_stays_bounded_at_large_panel_counts():
+    # one array over all 2**18 panels of a two-component complex integrand
+    # would take 126 MB
+    def stacked(x):
+        return np.stack([np.exp(1j * x), np.exp(-x).astype(complex)])
+
+    tracemalloc.start()
+    try:
+        (num, den), _ = integrate(stacked, 0.0, 1.0, panels=2**18)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 32 * 2**20
+    assert abs(num - (np.exp(1j) - 1.0) / 1j) < 1e-12
+    assert den.real == pytest.approx(1.0 - math.exp(-1.0), rel=1e-12)

@@ -8,6 +8,7 @@ from magictrap.dls import TrapCoefficients, dls, dls_minimum, magic_depth
 from magictrap.errors import (
     ConventionViolationError,
     InvalidArgumentError,
+    NumericalFailureError,
     OutOfRangeError,
     UnphysicalConfigurationError,
 )
@@ -41,7 +42,7 @@ def config(temperature_k, ratio=1.0, detuning_hz=0.0, coeffs=MEASURED):
 
 def trapezoid_population(cfg, t, n=300_000):
     """Dense-grid oracle for the thermal average, independent of the
-    adaptive quadrature."""
+    Gauss-Kronrod quadrature."""
     theta = hz_from_kelvin(cfg.temperature_k)
     u0 = cfg.mean_depth_hz - 1.5 * theta
     xmax = min(abs(u0) / theta, 60.0)
@@ -286,6 +287,95 @@ class TestCoherenceCurve:
     def test_bad_ratio_rejected(self):
         with pytest.raises(InvalidArgumentError):
             coherence_vs_depth(config(17e-6), [0.0, 1.0], 4.0, 0.3)
+
+
+class TestLongTimes:
+    """Once the ensemble has dephased the envelope is far below the
+    relative tolerance of its own integral; it must still converge."""
+
+    @pytest.mark.parametrize("temperature_uk", [2, 8, 17, 40])
+    def test_sweep_stays_in_range(self, temperature_uk):
+        points = [(ratio, t) for ratio in (0.3, 0.5, 1.0, 1.5, 2.0)
+                  for t in (1.0, 10.0, 100.0)]
+        points += [(0.5, 1000.0), (1.0, 1000.0)]
+        for ratio, t in points:
+            cfg = config(temperature_uk * 1e-6, ratio=ratio)
+            assert 0.0 <= visibility(cfg, t) <= 1.0
+
+    @pytest.mark.parametrize("temperature_uk", [2, 8, 17])
+    def test_linear_shift_matches_gamma_characteristic_function(
+            self, temperature_uk):
+        # beta4 = 0: the phase is omega*x with x ~ Gamma(3), so the envelope
+        # is |(1 - i*omega)**-3| (Kuhr et al., PRA 72, 023406 (2005)); the
+        # 1 mK trap puts the truncation far beyond the density
+        coeffs = TrapCoefficients(MEASURED.beta1, MEASURED.beta2, 0.0)
+        cfg = TrapFieldConfig(coeffs=coeffs, b_field_gauss=B0,
+                              mean_depth_hz=-hz_from_kelvin(1e-3),
+                              temperature_k=temperature_uk * 1e-6)
+        linear = coeffs.beta1 + coeffs.beta2 * B0
+        theta = hz_from_kelvin(cfg.temperature_k)
+        for t in (0.01, 0.1, 1.0, 10.0, 100.0):
+            omega = math.pi * t * linear * theta
+            assert visibility(cfg, t) == pytest.approx(
+                (1.0 + omega * omega) ** -1.5, abs=1e-10)
+
+    @pytest.mark.parametrize("temperature_uk,ratio,t", [
+        (17, 1.0, 1.0), (40, 0.5, 1.0), (2, 1.5, 3.0), (25, 1.2, 0.3),
+        (8, 0.6, 1.0)])
+    def test_against_mpmath(self, temperature_uk, ratio, t):
+        mp = pytest.importorskip("mpmath")
+        cfg = config(temperature_uk * 1e-6, ratio=ratio, detuning_hz=30.0)
+        with mp.workdps(20):
+            theta = mp.mpf(hz_from_kelvin(cfg.temperature_k))
+            u0 = mp.mpf(cfg.bottom_depth_hz)
+            xmax = abs(u0) / theta
+            linear = mp.mpf(MEASURED.beta1) + mp.mpf(MEASURED.beta2) * mp.mpf(B0)
+
+            def phase(x):
+                u = u0 + theta * x / 2
+                return 2 * mp.pi * t * (linear + mp.mpf(MEASURED.beta4) * u) * u
+
+            # Gauss-Legendre panels of about 2 rad each, up to xmax
+            n = int(abs(phase(xmax) - phase(0))
+                    + abs(phase(xmax / 2) - phase(0))) // 2 + 8
+            edges = [xmax * k / n for k in range(n + 1)]
+            num = mp.quad(lambda x: x * x * mp.exp(-x) * mp.expj(phase(x)),
+                          edges, method="gauss-legendre")
+            den = mp.quad(lambda x: x * x * mp.exp(-x), [0, xmax])
+            ratio_mp = num / den
+            pop = (1 + mp.re(mp.expj(2 * mp.pi * 30 * t) * ratio_mp)) / 2
+            assert visibility(cfg, t) == pytest.approx(float(abs(ratio_mp)),
+                                                       abs=1e-10)
+            assert ramsey_population(cfg, t) == pytest.approx(float(pop),
+                                                              abs=1e-10)
+
+    def test_t2_star_is_unchanged(self):
+        # values of the adaptive interval splitter this partition replaced
+        frozen = {(2, 0.5): 0.3888125, (8, 1.0): 5.950200000000001,
+                  (8, 1.5): 0.092878125, (17, 0.7): 0.088234375,
+                  (40, 0.3): 0.031860937500000006,
+                  (40, 2.0): 0.008873046875000002}
+        for (temperature_uk, ratio), value in frozen.items():
+            assert t2_star(config(temperature_uk * 1e-6, ratio=ratio)) == (
+                pytest.approx(value, rel=1e-9))
+
+    @pytest.mark.parametrize("t", [1000.0, 1e308])
+    def test_phase_past_the_panel_cap_is_a_coded_failure(self, t):
+        # a linear shift in a 5 mK trap at 40 uK turns through about 3.2e6
+        # rad over the density, past 2**20 panels of 3 rad each
+        cfg = TrapFieldConfig(
+            coeffs=TrapCoefficients(MEASURED.beta1, MEASURED.beta2, 0.0),
+            b_field_gauss=B0, mean_depth_hz=-hz_from_kelvin(5e-3),
+            temperature_k=40e-6)
+        with pytest.raises(NumericalFailureError) as info:
+            visibility(cfg, t)
+        diagnostics = info.value.diagnostics
+        assert diagnostics["panels"] > diagnostics["max_panels"]
+
+    def test_non_finite_time_rejected(self):
+        for t in (math.inf, math.nan):
+            with pytest.raises(InvalidArgumentError):
+                visibility(config(17e-6), t)
 
 
 class TestTraceContainers:

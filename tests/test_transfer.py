@@ -153,6 +153,29 @@ class TestBudget:
         assert overlap_entry.t2_model_s > 0
         assert any("Move" in note for note in report.notes)
 
+    @pytest.mark.parametrize("post_uk,solves", [(16.0, 4), (8.0, 3)])
+    def test_one_root_solve_per_distinct_trap(self, monkeypatch, post_uk,
+                                              solves):
+        # Move and Return share the mover; the Hold segment is the static
+        # trap; at 8 uK the post-transfer trap is the static one as well
+        from magictrap import ramsey, transfer
+
+        calls = []
+
+        def counted(cfg):
+            calls.append(cfg)
+            return ramsey.t2_star(cfg)
+
+        monkeypatch.setattr(transfer, "t2_star", counted)
+        timeline = reference_timeline()
+        report = coherence_budget(timeline, post_uk * 1e-6)
+        assert len(calls) == solves
+        assert [entry.t2_model_s for entry in report.per_segment] == [
+            ramsey.t2_star(seg.config) for seg in timeline.segments]
+        assert report.t2star_static_s == ramsey.t2_star(STATIC)
+        assert report.t2star_mobile_s == ramsey.t2_star(
+            replace(STATIC, temperature_k=post_uk * 1e-6))
+
     def test_overlap_amplitude_cost(self):
         report = coherence_budget(reference_timeline(), 16e-6,
                                   t2star_static_s=6.6, t2star_mobile_s=1.9)
