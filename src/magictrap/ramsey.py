@@ -10,6 +10,7 @@ over the truncated thermal density gives the inhomogeneous signal; the
 modulus of the same average with the bare phasor exp(2j*pi*shift*t) is the
 fringe visibility envelope, whose first 1/e crossing defines T2*.
 """
+import cmath
 import math
 from dataclasses import dataclass, replace
 
@@ -25,7 +26,7 @@ from .errors import (
 )
 from .parallel import ordered_map
 from .quadrature import integrate
-from .thermal import ThermalEnsemble, truncation_mass
+from .thermal import ThermalEnsemble
 
 #: root-finding horizon for t2_star before returning the infinity sentinel
 DEFAULT_HORIZON_S = 1e4
@@ -138,18 +139,19 @@ def _raw_integrals(config: TrapFieldConfig, t_s: float):
     two_pi_t = 2.0 * math.pi * t_s
     # shift' = linear + 2*beta4*u is linear in u: its largest modulus sits
     # at one end, and bounds the phase the partition has to resolve
-    slope = max(abs(linear + 2.0 * c.beta4 * u)
-                for u in (u0, u0 + 0.5 * theta * x_end))
+    slope = max(abs(linear + 2.0 * c.beta4 * u0),
+                abs(linear + 2.0 * c.beta4 * (u0 + 0.5 * theta * x_end)))
     # capped so that a phase past float range still reaches the panel cap
     phase = min(two_pi_t * slope * 0.5 * theta * x_end, 1e300)
     panels = max(16, math.ceil(phase / PANEL_PHASE))
 
     def integrand(x):
         u = u0 + 0.5 * theta * x
-        shift = (linear + c.beta4 * u) * u
-        weight = 0.5 * x * x * np.exp(-x)
-        return np.stack([weight * np.exp(1j * two_pi_t * shift),
-                         weight.astype(complex)])
+        rows = np.empty((2, x.size), complex)  # phasor row, density row
+        rows[1] = 0.5 * x * x * np.exp(-x)
+        np.exp(1j * two_pi_t * ((linear + c.beta4 * u) * u), out=rows[0])
+        rows[0] *= rows[1]
+        return rows
 
     # den <= 1, so atol is in visibility units: rtol*|num| alone goes to 0
     (num, den), _ = integrate(integrand, 0.0, x_end, atol=1e-10, panels=panels)
@@ -160,12 +162,11 @@ def ramsey_population(config: TrapFieldConfig, t_s: float,
                       renormalize: bool = True) -> float:
     """Thermally averaged Ramsey population at free-evolution time t."""
     num, den = _raw_integrals(config, t_s)
-    carrier = np.exp(2j * math.pi * config.detuning_hz * t_s)
-    if renormalize:
-        value = 0.5 * (1.0 + (carrier * num).real / den)
-    else:
-        mass = truncation_mass(config.ensemble)
-        value = mass * 0.5 * (1.0 + (carrier * num).real / den)
+    carrier = cmath.exp(2j * math.pi * config.detuning_hz * t_s)
+    # den is the mass of the raw density on the nodes: the literal average
+    # over them is the renormalized one scaled by it
+    mixed = (carrier * num).real
+    value = 0.5 * (1.0 + mixed / den) if renormalize else 0.5 * (den + mixed)
     # |num| <= den holds exactly (positive weights); clip only round-off
     return float(min(1.0, max(0.0, value)))
 
@@ -175,8 +176,7 @@ def visibility(config: TrapFieldConfig, t_s: float,
     """Ramsey fringe envelope: modulus of the thermal dephasing
     characteristic function. The detuning drops out exactly."""
     num, den = _raw_integrals(config, t_s)
-    scale = 1.0 if renormalize else truncation_mass(config.ensemble)
-    return float(min(1.0, abs(num) / den)) * scale
+    return float(min(1.0, abs(num) / den) if renormalize else min(abs(num), den))
 
 
 def t2_star(config: TrapFieldConfig, horizon_s: float = DEFAULT_HORIZON_S) -> float:
@@ -225,6 +225,7 @@ def coherence_vs_depth(base: TrapFieldConfig, ratios, t1_s: float,
     ratios = [float(r) for r in ratios]
     if any(r <= 0 for r in ratios):
         raise InvalidArgumentError("depth ratios must be positive")
+    combine_coherence(t1_s, t2_prime_s, math.inf)  # checks T1, T2' before any solve
     u_magic = magic_depth(base.coeffs, base.b_field_gauss)
     if u_magic >= 0:
         raise UnphysicalConfigurationError("magic depth is not a trap at this field")

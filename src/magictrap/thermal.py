@@ -114,16 +114,3 @@ def sample(ens: ThermalEnsemble, n: int, seed: int) -> np.ndarray:
         raise InvalidArgumentError("sampler failed to fill request")
     return out * theta
 
-
-def cdf(ens: ThermalEnsemble, energy_hz):
-    """CDF of the truncated density (used by distribution-level tests)."""
-    e = np.asarray(energy_hz, dtype=float)
-    if np.any(e < 0):
-        raise InvalidArgumentError("energy must be >= 0")
-    mass = truncation_mass(ens)
-    if mass <= 0:
-        raise InvalidArgumentError("zero-mass ensemble: truncation too small")
-    val = _gamma_p(3, np.minimum(e, ens.truncation_hz) / ens.theta_hz) / mass
-    if np.isscalar(energy_hz):
-        return float(val)
-    return val

@@ -152,6 +152,12 @@ def coherence_budget(tl: TransferTimeline, post_transfer_temperature_k: float,
     verdict = validate_timeline(tl)
     if not verdict.ok:
         raise TimelineError(f"{verdict.code}: {verdict.message}")
+    static = _static_config(tl)
+    if not post_transfer_temperature_k >= static.temperature_k:
+        raise UnphysicalConfigurationError(
+            "post-transfer temperature below the pre-transfer register "
+            "temperature; the loss fraction is defined for heating only"
+        )
     solved = {}
 
     def model_t2_star(cfg):
@@ -177,12 +183,6 @@ def coherence_budget(tl: TransferTimeline, post_transfer_temperature_k: float,
     for entry in per_segment:
         retained *= entry.amplitude_factor
 
-    static = _static_config(tl)
-    if not post_transfer_temperature_k >= static.temperature_k:
-        raise UnphysicalConfigurationError(
-            "post-transfer temperature below the pre-transfer register "
-            "temperature; the loss fraction is defined for heating only"
-        )
     ts_static = (t2star_static_s if t2star_static_s is not None
                  else model_t2_star(static))
     mobile_cfg = replace(static, temperature_k=post_transfer_temperature_k)

@@ -138,6 +138,19 @@ class TestCurves:
         assert err.startswith("error: invalid-argument:")
         assert not out_svg.exists()
 
+    def test_coherence_curve_rejects_t1_before_any_solve(
+            self, capsys, coeffs_file, monkeypatch):
+        from magictrap import ramsey
+        calls = []
+        monkeypatch.setattr(ramsey, "t2_star", lambda cfg: calls.append(cfg))
+        code, out, err = run(capsys, [
+            "coherence-curve", "--coeffs", coeffs_file, "--b-field", "3.115",
+            "--temp-uk", "17", "--t1", "0", "--t2prime", "0.3"])
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: invalid-argument: t1_s must be positive")
+        assert calls == []
+
     def test_coherence_curve(self, capsys, coeffs_file, tmp_path):
         out_csv = tmp_path / "tau.csv"
         code, out, err = run(capsys, [

@@ -169,6 +169,25 @@ class TestRamseyPopulation:
         assert ramsey_population(cfg, 0.0, renormalize=False) == (
             pytest.approx(mass, rel=1e-9))
 
+    @pytest.mark.parametrize("temperature_uk,ratio", [
+        (40, 0.6), (17, 1.0), (2, 1.0), (8, 1.5)])
+    def test_literal_average_matches_mass_scaled_form(self, temperature_uk,
+                                                     ratio):
+        # the raw density's own mass on the nodes stands in for the closed
+        # form P(3, xmax); they differ by the Gamma(3) tail beyond X_CUT
+        from magictrap.ramsey import _raw_integrals
+        cfg = config(temperature_uk * 1e-6, ratio=ratio, detuning_hz=30.0)
+        mass = truncation_mass(cfg.ensemble)
+        for t in (0.0, 0.01, 0.3, 2.0, 30.0):
+            num, den = _raw_integrals(cfg, t)
+            carrier = np.exp(2j * math.pi * cfg.detuning_hz * t)
+            population = mass * 0.5 * (1.0 + (carrier * num).real / den)
+            envelope = mass * min(1.0, abs(num) / den)
+            assert ramsey_population(cfg, t, renormalize=False) == (
+                pytest.approx(population, abs=1e-10))
+            assert visibility(cfg, t, renormalize=False) == (
+                pytest.approx(envelope, abs=1e-10))
+
     def test_negative_time_rejected(self):
         with pytest.raises(InvalidArgumentError):
             ramsey_population(config(17e-6), -0.1)
@@ -287,6 +306,18 @@ class TestCoherenceCurve:
     def test_bad_ratio_rejected(self):
         with pytest.raises(InvalidArgumentError):
             coherence_vs_depth(config(17e-6), [0.0, 1.0], 4.0, 0.3)
+
+    @pytest.mark.parametrize("t1_s,t2_prime_s", [
+        (0.0, 0.3), (4.0, -1.0), (math.nan, 0.3)])
+    def test_bad_coherence_times_rejected_before_any_solve(
+            self, monkeypatch, t1_s, t2_prime_s):
+        from magictrap import ramsey
+        calls = []
+        monkeypatch.setattr(ramsey, "t2_star", lambda cfg: calls.append(cfg))
+        with pytest.raises(InvalidArgumentError) as info:
+            coherence_vs_depth(config(17e-6), [0.5, 1.0, 1.5], t1_s, t2_prime_s)
+        assert info.value.code == "invalid-argument"
+        assert calls == []
 
 
 class TestLongTimes:

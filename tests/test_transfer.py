@@ -251,6 +251,15 @@ class TestBudget:
         with pytest.raises(UnphysicalConfigurationError):
             coherence_budget(reference_timeline(), 4e-6)
 
+    def test_cooling_rejected_before_any_solve(self, monkeypatch):
+        from magictrap import transfer
+        calls = []
+        monkeypatch.setattr(transfer, "t2_star", lambda cfg: calls.append(cfg))
+        with pytest.raises(UnphysicalConfigurationError) as info:
+            coherence_budget(reference_timeline(), 4e-6)
+        assert info.value.code == "unphysical-configuration"
+        assert calls == []
+
 
 
 def transfer_stdout(capsys, tmp_path, timeline):
