@@ -30,11 +30,76 @@ from .errors import (
 _MAX_CONDITION = 1e12
 
 
-# scipy.optimize loads on the first fit; the name stays module-level
-# because the benchmark's traced run patches fitting.least_squares
-def least_squares(*args, **kwargs):
-    from scipy.optimize import least_squares as solve
-    return solve(*args, **kwargs)
+@dataclass(frozen=True)
+class LeastSquaresResult:
+    """Where `least_squares` stopped: the point, its residuals and
+    Jacobian, cost = |residuals|^2 / 2, the number of evaluations of `fun`,
+    and status 1 (gtol), 2 (ftol) or 3 (xtol), or 0 if `max_nfev` ran out."""
+
+    x: np.ndarray
+    fun: np.ndarray
+    jac: np.ndarray
+    cost: float
+    nfev: int
+    status: int
+
+
+# module-level, and called through the module global, so that tests and the
+# benchmark's traced run can substitute it
+def least_squares(fun, x0, xtol=1e-12, ftol=1e-14, gtol=1e-14, max_nfev=None):
+    """Levenberg-Marquardt minimization of |r(x)|^2 / 2, where fun(x)
+    returns the residuals r and their Jacobian J.
+
+    Each trial step solves (J'J + mu D) h = -J'r. D is Moré's scaling,
+    the running maximum of diag(J'J) (LNM 630, 1978). The damping mu
+    follows Nielsen (IMM-REP-1999-05): a step with gain ratio rho > 0 is
+    taken and mu shrinks by max(1/3, 1 - (2 rho - 1)^3); otherwise mu
+    grows by nu and nu doubles. The tolerances mean what they mean in
+    MINPACK: gtol bounds the largest cosine between r and a column of J,
+    ftol the actual and the predicted relative cost reduction of a trial
+    step, and xtol its D-scaled length relative to the D-scaled x.
+    `max_nfev` defaults to 200 (n + 1) evaluations.
+    """
+    x = np.array(x0, dtype=float)
+    if max_nfev is None:
+        max_nfev = 200 * (x.size + 1)
+    r, jac = fun(x)
+    nfev, status = 1, 0
+    cost = 0.5 * float(r @ r)
+    jtj, grad = jac.T @ jac, jac.T @ r
+    diag = np.diag(jtj)
+    scale = np.where(diag > 0, diag, 1.0)  # MINPACK's unit scale for a zero column
+    mu, nu = 1e-3, 2.0
+    while True:
+        # a zero column, or r = 0, has grad = 0 and passes
+        if np.all(np.abs(grad) <= gtol * np.sqrt(np.diag(jtj) * (2.0 * cost))):
+            status = 1
+            break
+        if nfev >= max_nfev:
+            break
+        step = np.linalg.solve(jtj + np.diag(mu * scale), -grad)
+        r_new, jac_new = fun(x + step)
+        nfev += 1
+        cost_new = 0.5 * float(r_new @ r_new)
+        actual = cost - cost_new
+        predicted = 0.5 * float((mu * scale * step - grad) @ step)
+        rho = actual / predicted if predicted > 0 else 0.0
+        if abs(actual) <= ftol * cost and predicted <= ftol * cost and rho <= 2.0:
+            status = 2
+        elif scale @ step**2 <= xtol**2 * (scale @ x**2):
+            status = 3
+        if rho > 0:  # a non-finite trial cost makes rho NaN: rejected
+            x, r, jac, cost = x + step, r_new, jac_new, cost_new
+            jtj, grad = jac.T @ jac, jac.T @ r
+            scale = np.maximum(scale, np.diag(jtj))
+            mu *= max(1.0 / 3.0, 1.0 - (2.0 * rho - 1.0) ** 3)
+            nu = 2.0
+        else:
+            mu *= nu
+            nu *= 2.0
+        if status:
+            break
+    return LeastSquaresResult(x, r, jac, cost, nfev, status)
 
 
 @dataclass(frozen=True)
@@ -198,10 +263,12 @@ def _spectrum_peak(t, y):
     with parabolic peak refinement.
 
     The spectrum is sum_n y_n exp(-2 pi i f_j t_n) on 4096 evenly spaced
-    frequencies. Writing j = 64 a + b gives f_j = f_{64a} + b df, so the
-    kernel factors as exp(-2 pi i f_{64a} t) * exp(-2 pi i b df t) and the
-    whole spectrum is one product of two 64 x N matrices: 128 N complex
-    exponentials instead of 4096 N, for any sample times."""
+    frequencies. Writing j = 64 a + b gives f_j = f_0 + 64 a df + b df, so
+    the kernel factors as exp(-2 pi i f_0 t) w64^a * w^b with
+    w = exp(-2 pi i df t) and w64 = exp(-2 pi i 64 df t), and the whole
+    spectrum is one product of two 64 x N matrices whose rows are filled
+    by running products: 3 N complex exponentials instead of 4096 N, for
+    any sample times."""
     span = t[-1] - t[0]
     dt = float(np.median(np.diff(t)))
     if span <= 0 or dt <= 0:
@@ -212,8 +279,15 @@ def _spectrum_peak(t, y):
         raise FrequencyAmbiguityError("time grid too coarse to resolve a period")
     freqs = np.linspace(f_lo, f_hi, 4096)
     step = freqs[1] - freqs[0]
-    head = np.exp(-2j * np.pi * np.outer(freqs[::64], t)) * y
-    tail = np.exp(-2j * np.pi * np.outer(step * np.arange(64), t))
+    turn = -2j * np.pi * t
+    head = np.empty((64, t.size), dtype=complex)
+    head[0] = y * np.exp(turn * f_lo)
+    head[1:] = np.exp(turn * (64 * step))
+    tail = np.empty_like(head)
+    tail[0] = 1.0
+    tail[1:] = np.exp(turn * step)
+    np.cumprod(head, axis=0, out=head)
+    np.cumprod(tail, axis=0, out=tail)
     power = np.abs((head @ tail.T).ravel())
     k = int(np.argmax(power))
     if 0 < k < freqs.size - 1:
@@ -248,6 +322,26 @@ def _envelope_init(t, y, f0):
     return v0, tau0
 
 
+def _damped_sinusoid(x, t, p, sig):
+    """Weighted residuals (model - p) / sig of
+    model = offset + (V0/2) exp(-t/tau) cos(2 pi delta t + phi), x being
+    (V0, tau, delta, phi, offset), and their exact N x 5 Jacobian, from
+    one exp, cos and sin pass. Complex x is allowed (complex-step checks)."""
+    amp, tau, delta, phi, off = x
+    decay = 0.5 * np.exp(-t / tau)
+    arg = 2 * np.pi * delta * t + phi
+    wave = decay * np.cos(arg)
+    resid = (off + amp * wave - p) / sig
+    jac = np.empty((5, t.size), dtype=resid.dtype)
+    jac[0] = wave
+    jac[1] = amp * wave * t / tau**2
+    jac[3] = -amp * decay * np.sin(arg)
+    jac[2] = 2 * np.pi * t * jac[3]
+    jac[4] = 1.0
+    jac /= sig
+    return resid, jac.T
+
+
 def fit_damped_sinusoid(samples) -> FitResult:
     """Nonlinear least squares of
     p(t) = offset + (V0/2) * exp(-t/tau) * cos(2*pi*delta*t + phi).
@@ -268,14 +362,7 @@ def fit_damped_sinusoid(samples) -> FitResult:
     v0, tau0 = _envelope_init(t, y, f0)
     x0 = np.array([v0, tau0, f0, phi0, offset0])
 
-    def residuals(x):
-        amp, tau, delta, phi, off = x
-        model = off + 0.5 * amp * np.exp(-t / tau) * np.cos(
-            2 * np.pi * delta * t + phi)
-        return (model - p) / sig
-
-    result = least_squares(residuals, x0, method="lm", xtol=1e-12,
-                           ftol=1e-14, gtol=1e-14, max_nfev=200 * (x0.size + 1))
+    result = least_squares(lambda x: _damped_sinusoid(x, t, p, sig), x0)
     if result.status <= 0:
         raise FitFailureError(
             "damped-sinusoid fit did not converge",
@@ -294,7 +381,8 @@ def fit_damped_sinusoid(samples) -> FitResult:
     if delta < 0:
         delta, phi = -delta, -phi
     phi = math.remainder(phi, 2 * math.pi)
-    jac = result.jac
+    # the covariance belongs to the reported parameters, not the solver's
+    _, jac = _damped_sinusoid(np.array([amp, tau, delta, phi, off]), t, p, sig)
     jtj = jac.T @ jac
     cond = np.linalg.cond(jtj)
     if cond > _MAX_CONDITION:

@@ -158,6 +158,9 @@ def coherence_budget(tl: TransferTimeline, post_transfer_temperature_k: float,
             "post-transfer temperature below the pre-transfer register "
             "temperature; the loss fraction is defined for heating only"
         )
+    for measured in (t2star_static_s, t2star_mobile_s):
+        if measured is not None:  # checked before any root solve
+            combine_coherence(tl.t1_s, tl.t2prime_s, measured)
     solved = {}
 
     def model_t2_star(cfg):

@@ -364,6 +364,20 @@ class TestTransferCommand:
         assert lines[0].startswith("phase,duration_s,t2_used_s")
         assert len(lines) == 5
 
+    def test_negative_measured_t2star_rejected_before_any_solve(
+            self, capsys, coeffs_file, tmp_path, monkeypatch):
+        from magictrap import transfer
+        calls = []
+        monkeypatch.setattr(transfer, "t2_star", lambda cfg: calls.append(cfg))
+        timeline = self.write_inputs(tmp_path, coeffs_file)
+        code, out, err = run(capsys, [
+            "transfer", "--coeffs", coeffs_file, "--timeline", timeline,
+            "--post-temp-uk", "16", "--t2star-static", "-1"])
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: invalid-argument:")
+        assert calls == []
+
     def test_validate_only_rejects_broken(self, capsys, coeffs_file, tmp_path):
         doc = {"t1_s": 4.0, "t2prime_s": 0.3, "segments": [
             {"phase": "Move", "duration_s": 1e-3, "depth_mk": 0.2,

@@ -1,3 +1,4 @@
+import ast
 import cmath
 import math
 import os
@@ -242,6 +243,20 @@ class TestSpectrumPeak:
         assert f0 == pytest.approx(f_ref, rel=1e-12, abs=0)
         assert phase_difference(phi, phi_ref) <= 1e-10
 
+    def test_matches_direct_dft_on_late_bursts(self):
+        # 1000 times in 10 short bursts starting at 5 s: large phases and a
+        # median spacing far below the mean, for the running products
+        rng = np.random.default_rng(1000)
+        starts = np.sort(rng.uniform(0.0, 0.4, 10))
+        t = 5.0 + np.sort((starts[:, None]
+                           + rng.uniform(0.0, 0.01, (10, 100))).ravel())
+        y = sinusoid(t - 5.0, delta=37.0, phi=0.7) - 0.5
+        y = y + rng.normal(0.0, 0.05, t.size)
+        f0, phi = fitting._spectrum_peak(t, y)
+        f_ref, phi_ref = direct_spectrum_peak(t, y)
+        assert f0 == pytest.approx(f_ref, rel=1e-12, abs=0)
+        assert phase_difference(phi, phi_ref) <= 1e-10
+
     def test_peak_on_first_grid_point(self):
         # a non-oscillating decay: the power falls from the lowest grid
         # frequency up, so there is no parabolic refinement
@@ -256,7 +271,7 @@ class TestSpectrumPeak:
 
 @pytest.mark.parametrize("n, grid", [(100, "uniform"), (400, "uniform"),
                                      (700, "uniform"), (1000, "uniform"),
-                                     (400, "irregular")])
+                                     (400, "irregular"), (1000, "irregular")])
 def test_fit_agrees_with_direct_dft_start(n, grid, monkeypatch):
     # the factored spectrum moves the start point by rounding only, so LM
     # lands in the same minimum; stdout may differ in the last digits
@@ -276,26 +291,157 @@ def test_fit_agrees_with_direct_dft_start(n, grid, monkeypatch):
         assert abs(diff) <= 1e-4 * ref.stderr(name), name
 
 
-def test_scipy_is_imported_by_the_first_fit():
+def scipy_lm(fun, x0, xtol=1e-12, ftol=1e-14, gtol=1e-14, max_nfev=None):
+    """The oracle for fitting.least_squares: MINPACK's lm through scipy,
+    given the same residuals and analytic Jacobian."""
+    from scipy.optimize import least_squares
+    return least_squares(lambda x: fun(x)[0], x0, jac=lambda x: fun(x)[1],
+                         method="lm", xtol=xtol, ftol=ftol, gtol=gtol,
+                         max_nfev=max_nfev)
+
+
+def seeded_fringe(seed, n, grid):
+    t = sample_times(n, grid, seed=10007 * seed + n)
+    rng = np.random.default_rng([seed, n])
+    data = sinusoid(t, v0=0.9, tau=0.205, delta=37.0, phi=0.7, offset=0.48)
+    return [(ti, pi, 0.03) for ti, pi in zip(t, data + rng.normal(0.0, 0.03, n))]
+
+
+class TestLevenbergMarquardt:
+    def test_jacobian_matches_complex_step(self):
+        rng = np.random.default_rng(11)
+        for n, grid in [(100, "uniform"), (400, "irregular"), (1000, "irregular")]:
+            t = sample_times(n, grid, seed=n)
+            p = rng.uniform(0.0, 1.0, n)
+            sig = rng.uniform(0.01, 0.1, n)
+            x = np.array([rng.uniform(-1.0, 1.0), rng.uniform(0.05, 0.5),
+                          rng.uniform(5.0, 80.0), rng.uniform(-4.0, 4.0),
+                          rng.uniform(0.4, 0.6)])
+            _, jac = fitting._damped_sinusoid(x, t, p, sig)
+            for k in range(x.size):
+                h = 1e-20 * max(1.0, abs(x[k]))
+                shifted = x.astype(complex)
+                shifted[k] += 1j * h
+                column = fitting._damped_sinusoid(shifted, t, p, sig)[0].imag / h
+                assert (np.linalg.norm(jac[:, k] - column)
+                        <= 1e-10 * np.linalg.norm(column)), (n, k)
+
+    @pytest.mark.parametrize("seed", range(1, 11))
+    def test_fits_match_scipy_lm(self, seed, monkeypatch):
+        # same start, residuals and Jacobian; only the solver differs
+        for n in (100, 400, 700, 1000):
+            for grid in ("uniform", "irregular"):
+                samples = seeded_fringe(seed, n, grid)
+                fit = fit_damped_sinusoid(samples)
+                with monkeypatch.context() as patch:
+                    patch.setattr(fitting, "least_squares", scipy_lm)
+                    ref = fit_damped_sinusoid(samples)
+                assert fit.chi_square == pytest.approx(ref.chi_square,
+                                                       rel=1e-12, abs=0)
+                for name in ref.names:
+                    diff = fit.parameters[name] - ref.parameters[name]
+                    if name == "phi":
+                        diff = math.remainder(diff, 2 * math.pi)
+                    assert abs(diff) <= 1e-5 * ref.stderr(name), (n, grid, name)
+
+    def test_linear_problem(self):
+        # the cost converges to ftol; x to about sqrt(ftol) of its spread
+        rng = np.random.default_rng(3)
+        a = rng.normal(size=(20, 3))
+        b = a @ np.array([1.0, -2.0, 0.5]) + rng.normal(0.0, 0.1, 20)
+        result = fitting.least_squares(lambda x: (a @ x - b, a), np.zeros(3))
+        assert result.status in (1, 2, 3)
+        exact = np.linalg.lstsq(a, b, rcond=None)[0]
+        np.testing.assert_allclose(result.x, exact, rtol=1e-8)
+        assert result.cost == pytest.approx(
+            0.5 * np.sum((a @ exact - b) ** 2), rel=1e-12)
+        np.testing.assert_allclose(result.fun, a @ result.x - b, rtol=0, atol=0)
+
+    def test_exhausted_evaluations(self, monkeypatch):
+        samples = seeded_fringe(1, 100, "uniform")
+        t, p, sig, _ = fitting._normalize_samples(samples)
+        x0 = np.array([0.8, 0.25, 36.9, 0.6, 0.5])
+        result = fitting.least_squares(
+            lambda x: fitting._damped_sinusoid(x, t, p, sig), x0, max_nfev=2)
+        assert result.status == 0
+        assert result.nfev == 2
+        solve = fitting.least_squares
+        monkeypatch.setattr(fitting, "least_squares",
+                            lambda fun, x0: solve(fun, x0, max_nfev=2))
+        with pytest.raises(FitFailureError) as info:
+            fit_damped_sinusoid(samples)
+        assert info.value.diagnostics["nfev"] == 2
+        assert set(info.value.diagnostics) == {"cost", "residual_rms", "nfev"}
+
+    @pytest.mark.parametrize("flip", ["amplitude", "frequency"])
+    def test_covariance_after_sign_canonicalisation(self, flip, monkeypatch):
+        # start at the mirror image of the usual start: (-V0, phi + pi) or
+        # (-delta, -phi) is the same model, so the solver ends there and the
+        # fit must map it back, covariance included
+        samples = seeded_fringe(3, 400, "uniform")
+        ref = fit_damped_sinusoid(samples)
+        solve = fitting.least_squares
+        ends = []
+
+        def mirrored(fun, x0, **kwargs):
+            amp, tau, delta, phi, off = x0
+            start = ([-amp, tau, delta, phi + math.pi, off] if flip == "amplitude"
+                     else [amp, tau, -delta, -phi, off])
+            result = solve(fun, np.array(start), **kwargs)
+            ends.append(result.x)
+            return result
+
+        monkeypatch.setattr(fitting, "least_squares", mirrored)
+        fit = fit_damped_sinusoid(samples)
+        assert ends[0][0 if flip == "amplitude" else 2] < 0
+        for name in ref.names:
+            diff = fit.parameters[name] - ref.parameters[name]
+            if name == "phi":
+                diff = math.remainder(diff, 2 * math.pi)
+            assert abs(diff) <= 1e-5 * ref.stderr(name), name
+        np.testing.assert_allclose(fit.covariance, ref.covariance, rtol=1e-6)
+
+
+def test_no_module_imports_scipy():
+    package = Path(fitting.__file__).parent
+    for path in sorted(package.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module or ""]
+            else:
+                continue
+            assert not [n for n in names if n.split(".")[0] == "scipy"], path.name
+
+
+def test_cli_fits_load_no_scipy(tmp_path):
     code = (
         "import sys\n"
         "import numpy as np\n"
-        "import magictrap.cli\n"
-        "assert not [m for m in sys.modules if m.startswith('scipy')]\n"
+        "from magictrap import cli\n"
+        "from magictrap.datafiles import write_table\n"
         "assert 'concurrent.futures' not in sys.modules\n"
-        "from magictrap.fitting import fit_damped_sinusoid\n"
         "t = np.linspace(0.0, 0.4, 100)\n"
         "p = 0.5 + 0.5 * np.exp(-t / 0.206) * np.cos(2 * np.pi * 50.0 * t)\n"
-        "fit = fit_damped_sinusoid(list(zip(t, p)))\n"
-        "assert abs(fit.parameters['delta'] - 50.0) < 1e-6\n"
-        "assert 'scipy.optimize' in sys.modules\n"
+        "write_table('trace.csv', ('t_s', 'p'), list(zip(t, p)))\n"
+        "rows = [(b, d, -100.0 * d + 2e3 * b * d * d) for b in (2.8, 3.3)\n"
+        "        for d in (0.05, 0.1, 0.15, 0.2)]\n"
+        "write_table('shifts.csv', ('b_field_gauss', 'depth_mk', 'dls_hz'), rows)\n"
+        "assert cli.main(['fit-ramsey', '--input', 'trace.csv']) == 0\n"
+        "assert cli.main(['fit-dls', '--input', 'shifts.csv', '--beta1', '3.47e-4']) == 0\n"
+        "loaded = [m for m in sys.modules if m.split('.')[0] == 'scipy']\n"
+        "assert not loaded, loaded\n"
     )
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")])))
-    proc = subprocess.run([sys.executable, "-c", code], env=env,
+    proc = subprocess.run([sys.executable, "-c", code], env=env, cwd=tmp_path,
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
+    doc = dict(line.split(" = ") for line in proc.stdout.splitlines())
+    assert float(doc["delta"]) == pytest.approx(50.0, rel=1e-6)
+    assert "beta4" in doc
 
 
 class TestEnvelopeFit:

@@ -260,6 +260,26 @@ class TestBudget:
         assert info.value.code == "unphysical-configuration"
         assert calls == []
 
+    @pytest.mark.parametrize("static_s,mobile_s", [
+        (-1.0, 1.9), (6.6, 0.0), (6.6, math.nan), (None, -math.inf)])
+    def test_bad_measured_t2star_rejected_before_any_solve(
+            self, monkeypatch, static_s, mobile_s):
+        from magictrap import transfer
+        calls = []
+        monkeypatch.setattr(transfer, "t2_star", lambda cfg: calls.append(cfg))
+        with pytest.raises(InvalidArgumentError) as info:
+            coherence_budget(reference_timeline(), 16e-6,
+                             t2star_static_s=static_s, t2star_mobile_s=mobile_s)
+        assert info.value.code == "invalid-argument"
+        assert calls == []
+
+    def test_infinite_measured_t2star_accepted(self):
+        report = coherence_budget(reference_timeline(), 16e-6,
+                                  t2star_static_s=math.inf,
+                                  t2star_mobile_s=math.inf)
+        assert report.tau_static_s == report.tau_mobile_s
+        assert report.fractional_tau_loss == 0.0
+
 
 
 def transfer_stdout(capsys, tmp_path, timeline):
