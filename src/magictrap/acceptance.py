@@ -53,12 +53,9 @@ def _within(value, target, rel):
     return abs(value - target) <= rel * abs(target)
 
 
-def magic_config(temperature_k, coeffs=MEASURED_COEFFS,
-                 b_field=WORKING_B_FIELD, detuning_hz=0.0):
-    return TrapFieldConfig(coeffs=coeffs, b_field_gauss=b_field,
-                           mean_depth_hz=magic_depth(coeffs, b_field),
-                           temperature_k=temperature_k,
-                           detuning_hz=detuning_hz)
+def magic_config(temperature_k):
+    u_magic = magic_depth(MEASURED_COEFFS, WORKING_B_FIELD)
+    return TrapFieldConfig(MEASURED_COEFFS, WORKING_B_FIELD, u_magic, temperature_k)
 
 
 def check_zero_crossing():
@@ -162,10 +159,11 @@ def check_curve_shape():
         f"info: 17 uK grid peaks at {peak_17:.2f}")
 
 
-def reference_transfer_timeline(static_temperature_k=8e-6):
+def reference_transfer_timeline():
     """The reference transfer sequence: 0.1 ms overlap (measured T2 25 ms),
-    2 ms move in the 0.2 mK trap at 14 uK, 0.1 ms return, register hold."""
-    static = magic_config(static_temperature_k)
+    2 ms move in the 0.2 mK trap at 14 uK, 0.1 ms return, hold in the
+    register trap at 8 uK."""
+    static = magic_config(8e-6)
     mover = TrapFieldConfig(coeffs=MEASURED_COEFFS,
                             b_field_gauss=WORKING_B_FIELD,
                             mean_depth_hz=-hz_from_kelvin(0.2e-3),
@@ -201,12 +199,12 @@ def check_transfer_budget():
         f"model-T2* loss = {model.fractional_tau_loss*100:.2f}%")
 
 
-def check_quadrature_vs_montecarlo(n_configs=20, n_samples=1_000_000,
-                                   seed=20260808):
+def check_quadrature_vs_montecarlo():
     """Quadrature thermal average agrees with a 1e6-sample Monte Carlo
-    within 4 standard errors on randomized configs (5-40 uK, depth ratios
-    0.6-1.4)."""
-    rng = np.random.default_rng(seed)
+    within 4 standard errors on 20 randomized configs (5-40 uK, depth
+    ratios 0.6-1.4)."""
+    n_configs, n_samples = 20, 1_000_000
+    rng = np.random.default_rng(20260808)
     worst = 0.0
     failures = 0
     for _ in range(n_configs):
@@ -239,9 +237,10 @@ def check_quadrature_vs_montecarlo(n_configs=20, n_samples=1_000_000,
         f"{worst:.2f} sigma (limit 4)")
 
 
-def check_fit_roundtrips(n_seeds=100):
+def check_fit_roundtrips():
     """Noiseless fits recover generating parameters to 1e-6; noisy fits
     cover the truth at 3 sigma in >= 95/100 seeds."""
+    n_seeds = 100
     b_fields = (2.8, 3.0, 3.115, 3.3)
     depths = [-0.5e6 * k for k in range(1, 9)]
     beta1 = 3.47e-4
@@ -304,13 +303,13 @@ ALL_CHECKS = (
 )
 
 
-def run_all(stream=None):
-    """Run every acceptance check, print one line each, return the results."""
+def run_all(stream):
+    """Run every acceptance check, print one line each to `stream`, return
+    the results."""
     results = []
     for check in ALL_CHECKS:
         result = check()
         results.append(result)
-        if stream is not None:
-            status = "PASS" if result.passed else "FAIL"
-            stream.write(f"{status}  {result.name}: {result.detail}\n")
+        status = "PASS" if result.passed else "FAIL"
+        stream.write(f"{status}  {result.name}: {result.detail}\n")
     return results

@@ -12,7 +12,14 @@ import numpy as np
 
 from . import __version__, acceptance, datafiles, svg
 from .constants import CONSTANTS, hz_from_kelvin, kelvin_from_hz
-from .dls import dls, dls_minimum, effective_field, magic_depth, zero_crossing_field
+from .dls import (
+    TrapCoefficients,
+    dls,
+    dls_minimum,
+    effective_field,
+    magic_depth,
+    zero_crossing_field,
+)
 from .errors import InvalidArgumentError, MagicTrapError
 from .fitting import fit_damped_sinusoid, fit_dls_global, magic_depth_sigma
 from .ramsey import (
@@ -115,11 +122,14 @@ def _cmd_fit_dls(args):
     pairs += _fit_pairs(result)
     beta1 = (result.parameters.get("beta1", args.beta1))
     for ds in datasets:
-        u_magic = -(beta1 + result.parameters["beta2"] * ds.b_field_gauss) / (
-            2.0 * result.parameters["beta4"])
-        pairs.append((f"u_m_hz_at_{ds.b_field_gauss:g}G", u_magic))
-        pairs.append((f"u_m_sigma_hz_at_{ds.b_field_gauss:g}G",
-                      magic_depth_sigma(result, beta1, ds.b_field_gauss)))
+        # raises invalid-argument for a fitted beta4 <= 0, before the
+        # coefficients below could reject it
+        sigma = magic_depth_sigma(result, beta1, ds.b_field_gauss)
+        fitted = TrapCoefficients(beta1, result.parameters["beta2"],
+                                  result.parameters["beta4"])
+        pairs.append((f"u_m_hz_at_{ds.b_field_gauss:g}G",
+                      magic_depth(fitted, ds.b_field_gauss)))
+        pairs.append((f"u_m_sigma_hz_at_{ds.b_field_gauss:g}G", sigma))
     _emit(args, pairs)
     return 0
 

@@ -167,7 +167,9 @@ def write_timeline(path, tl: TransferTimeline):
 def read_timeline(path, coeffs: TrapCoefficients):
     """Read the JSON timeline document: t1_s, t2prime_s, and an ordered
     array of segments with phase, duration_s, depth_mk, temperature_uk,
-    b_field_gauss, and optional t2_override_s."""
+    b_field_gauss, and optional t2_override_s. A missing key, a bad value
+    or a value of the wrong JSON type (a null number, a list for the
+    document) raises invalid-argument naming the file."""
     with open(path, "r", encoding="utf-8") as fh:
         try:
             doc = json.load(fh)
@@ -195,5 +197,5 @@ def read_timeline(path, coeffs: TrapCoefficients):
     except KeyError as exc:
         raise InvalidArgumentError(
             f"{path}: missing timeline key {exc.args[0]!r}") from exc
-    except ValueError as exc:
+    except (TypeError, ValueError) as exc:
         raise InvalidArgumentError(f"{path}: {exc}") from exc

@@ -107,15 +107,13 @@ def zero_crossing_field(coeffs: TrapCoefficients) -> float:
     return -coeffs.beta1 / coeffs.beta2
 
 
-def coeffs_from_atomic(atomic: AtomicInput,
-                       nu0_hz: float = CONSTANTS.rb87_hyperfine_nu0) -> TrapCoefficients:
+def coeffs_from_atomic(atomic: AtomicInput) -> TrapCoefficients:
     """Build shift coefficients from atomic data.
 
-    beta2 = -2*A*(mu_B/h)*ratio / nu0 and beta4 = (A**2 / (2*nu0)) * ratio**2;
-    beta1 is passed through unchanged.
+    beta2 = -2*A*(mu_B/h)*ratio / nu0 and beta4 = (A**2 / (2*nu0)) * ratio**2,
+    with nu0 the Rb-87 hyperfine splitting; beta1 is passed through unchanged.
     """
-    if nu0_hz <= 0:
-        raise InvalidArgumentError("hyperfine splitting must be positive")
+    nu0_hz = CONSTANTS.rb87_hyperfine_nu0
     a = atomic.polarization_a
     ratio = atomic.vector_to_scalar_ratio
     beta2 = -2.0 * a * CONSTANTS.bohr_magneton_over_h * ratio / nu0_hz

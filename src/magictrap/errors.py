@@ -44,10 +44,6 @@ class UnphysicalConfigurationError(MagicTrapError):
     code = "unphysical-configuration"
 
 
-class OutOfRangeError(MagicTrapError):
-    code = "out-of-range"
-
-
 class NumericalFailureError(MagicTrapError):
     """Quadrature or root finding failed to converge; carries diagnostics."""
 

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dls import TrapCoefficients, dls
+from .dls import TrapCoefficients, dls, magic_depth
 from .errors import (
     ConditioningError,
     ConventionViolationError,
@@ -28,13 +28,15 @@ from .errors import (
 )
 
 _MAX_CONDITION = 1e12
+# least_squares stopping tolerances, meant as in MINPACK (see least_squares)
+XTOL, FTOL, GTOL = 1e-12, 1e-14, 1e-14
 
 
 @dataclass(frozen=True)
 class LeastSquaresResult:
     """Where `least_squares` stopped: the point, its residuals and
     Jacobian, cost = |residuals|^2 / 2, the number of evaluations of `fun`,
-    and status 1 (gtol), 2 (ftol) or 3 (xtol), or 0 if `max_nfev` ran out."""
+    and status 1 (GTOL), 2 (FTOL) or 3 (XTOL), or 0 if `max_nfev` ran out."""
 
     x: np.ndarray
     fun: np.ndarray
@@ -46,7 +48,7 @@ class LeastSquaresResult:
 
 # module-level, and called through the module global, so that tests and the
 # benchmark's traced run can substitute it
-def least_squares(fun, x0, xtol=1e-12, ftol=1e-14, gtol=1e-14, max_nfev=None):
+def least_squares(fun, x0, max_nfev=None):
     """Levenberg-Marquardt minimization of |r(x)|^2 / 2, where fun(x)
     returns the residuals r and their Jacobian J.
 
@@ -55,9 +57,9 @@ def least_squares(fun, x0, xtol=1e-12, ftol=1e-14, gtol=1e-14, max_nfev=None):
     follows Nielsen (IMM-REP-1999-05): a step with gain ratio rho > 0 is
     taken and mu shrinks by max(1/3, 1 - (2 rho - 1)^3); otherwise mu
     grows by nu and nu doubles. The tolerances mean what they mean in
-    MINPACK: gtol bounds the largest cosine between r and a column of J,
-    ftol the actual and the predicted relative cost reduction of a trial
-    step, and xtol its D-scaled length relative to the D-scaled x.
+    MINPACK: GTOL bounds the largest cosine between r and a column of J,
+    FTOL the actual and the predicted relative cost reduction of a trial
+    step, and XTOL its D-scaled length relative to the D-scaled x.
     `max_nfev` defaults to 200 (n + 1) evaluations.
     """
     x = np.array(x0, dtype=float)
@@ -72,7 +74,7 @@ def least_squares(fun, x0, xtol=1e-12, ftol=1e-14, gtol=1e-14, max_nfev=None):
     mu, nu = 1e-3, 2.0
     while True:
         # a zero column, or r = 0, has grad = 0 and passes
-        if np.all(np.abs(grad) <= gtol * np.sqrt(np.diag(jtj) * (2.0 * cost))):
+        if np.all(np.abs(grad) <= GTOL * np.sqrt(np.diag(jtj) * (2.0 * cost))):
             status = 1
             break
         if nfev >= max_nfev:
@@ -84,9 +86,9 @@ def least_squares(fun, x0, xtol=1e-12, ftol=1e-14, gtol=1e-14, max_nfev=None):
         actual = cost - cost_new
         predicted = 0.5 * float((mu * scale * step - grad) @ step)
         rho = actual / predicted if predicted > 0 else 0.0
-        if abs(actual) <= ftol * cost and predicted <= ftol * cost and rho <= 2.0:
+        if abs(actual) <= FTOL * cost and predicted <= FTOL * cost and rho <= 2.0:
             status = 2
-        elif scale @ step**2 <= xtol**2 * (scale @ x**2):
+        elif scale @ step**2 <= XTOL**2 * (scale @ x**2):
             status = 3
         if rho > 0:  # a non-finite trial cost makes rho NaN: rejected
             x, r, jac, cost = x + step, r_new, jac_new, cost_new
@@ -112,9 +114,15 @@ class DlsDataset:
     sigmas_given: bool = True
 
     def __post_init__(self):
+        if not math.isfinite(self.b_field_gauss):
+            raise InvalidArgumentError("bias fields must be finite")
         if len(self.points) < 3:
             raise InvalidArgumentError("a dataset needs at least 3 points")
-        for depth, _, sigma in self.points:
+        for depth, shift, sigma in self.points:
+            if not math.isfinite(depth):
+                raise InvalidArgumentError("depths must be finite")
+            if not math.isfinite(shift):
+                raise InvalidArgumentError("shifts must be finite")
             if depth > 0:
                 raise ConventionViolationError("depths must be <= 0 Hz (signed)")
             if not sigma > 0:
@@ -144,7 +152,7 @@ class FitResult:
     covariance: np.ndarray
     chi_square: float
     dof: int
-    names: tuple = field(default=())
+    names: tuple = field(init=False)
 
     def __post_init__(self):
         cov = np.asarray(self.covariance, dtype=float)
@@ -197,6 +205,8 @@ def fit_dls_global(datasets, beta1_fixed: float, free_beta1: bool = False) -> Fi
         design = np.column_stack([u, b * u, u * u])
         target = y
     else:
+        if not math.isfinite(beta1_fixed):
+            raise InvalidArgumentError("the fixed beta1 must be finite")
         names = ("beta2", "beta4")
         design = np.column_stack([b * u, u * u])
         target = y - beta1_fixed * u
@@ -230,7 +240,7 @@ def magic_depth_sigma(fit: FitResult, beta1: float, b_field_gauss: float) -> flo
     beta4 = fit.parameters["beta4"]
     if beta4 <= 0:
         raise InvalidArgumentError("beta4 must be positive to have a vertex")
-    u_magic = -(beta1 + beta2 * b_field_gauss) / (2.0 * beta4)
+    u_magic = magic_depth(TrapCoefficients(beta1, beta2, beta4), b_field_gauss)
     grad = {"beta2": -b_field_gauss / (2.0 * beta4), "beta4": -u_magic / beta4}
     if "beta1" in fit.parameters:
         grad["beta1"] = -1.0 / (2.0 * beta4)
@@ -253,9 +263,13 @@ def _normalize_samples(samples):
         ts.append(float(t))
         vals.append(float(v))
         sigmas.append(float(s))
+    ts, vals = np.array(ts), np.array(vals)
+    if not np.isfinite(ts).all():
+        raise InvalidArgumentError("sample times must be finite")
+    if not np.isfinite(vals).all():
+        raise InvalidArgumentError("sample values must be finite")
     order = np.argsort(ts, kind="stable")
-    return (np.array(ts)[order], np.array(vals)[order], np.array(sigmas)[order],
-            given)
+    return ts[order], vals[order], np.array(sigmas)[order], given
 
 
 def _spectrum_peak(t, y):

@@ -21,7 +21,6 @@ from .dls import TrapCoefficients, magic_depth
 from .errors import (
     ConventionViolationError,
     InvalidArgumentError,
-    OutOfRangeError,
     UnphysicalConfigurationError,
 )
 from .parallel import ordered_map
@@ -103,13 +102,6 @@ def bottom_depth(mean_depth_hz: float, temperature_k: float) -> float:
     return u0
 
 
-def local_depth(bottom_depth_hz: float, energy_hz: float) -> float:
-    """Average depth seen by an atom of energy E: U0 + E/2."""
-    if energy_hz < 0 or energy_hz > abs(bottom_depth_hz):
-        raise OutOfRangeError("energy must lie in [0, |U0|]")
-    return bottom_depth_hz + 0.5 * energy_hz
-
-
 def residual_shift(coeffs: TrapCoefficients, temperature_k: float,
                    energy_hz: float) -> float:
     """Residual quadratic shift of an atom at energy E when the mean depth
@@ -180,10 +172,12 @@ def visibility(config: TrapFieldConfig, t_s: float,
 
 
 def t2_star(config: TrapFieldConfig, horizon_s: float = DEFAULT_HORIZON_S) -> float:
-    """First time the visibility envelope falls to 1/e of its t=0 value,
-    by bracket doubling then bisection to T2_STAR_REL_TOL. Returns math.inf
-    if the envelope stays above 1/e out to the horizon."""
-    target = visibility(config, 0.0) / math.e
+    """First time the visibility envelope falls to 1/e, by bracket doubling
+    then bisection to T2_STAR_REL_TOL. Returns math.inf if the envelope
+    stays above 1/e out to the horizon."""
+    # the envelope is 1 at t = 0 exactly: there the phasor row of
+    # _raw_integrals is the density row
+    target = 1.0 / math.e
     lo = 0.0
     hi = 1e-4
     while visibility(config, hi) > target:
@@ -191,9 +185,7 @@ def t2_star(config: TrapFieldConfig, horizon_s: float = DEFAULT_HORIZON_S) -> fl
         hi *= 2.0
         if hi > horizon_s:
             return math.inf
-    for _ in range(200):
-        if hi - lo <= T2_STAR_REL_TOL * hi:
-            break
+    while hi - lo > T2_STAR_REL_TOL * hi:
         mid = 0.5 * (lo + hi)
         if visibility(config, mid) > target:
             lo = mid

@@ -9,12 +9,12 @@ _WIDTH, _HEIGHT = 640.0, 420.0
 _COLORS = ("#1f5fa8", "#c04a28", "#3a8a3f", "#7b4aa8", "#a88a1f", "#2898a8")
 
 
-def _nice_ticks(lo, hi, target=5):
+def _nice_ticks(lo, hi):
     if not (math.isfinite(lo) and math.isfinite(hi)):
         return [0.0, 1.0]
     if hi <= lo:
         hi = lo + (abs(lo) if lo else 1.0)
-    raw = (hi - lo) / target
+    raw = (hi - lo) / 5  # about five ticks per axis
     mag = 10.0 ** math.floor(math.log10(raw))
     for mult in (1.0, 2.0, 2.5, 5.0, 10.0):
         if raw <= mult * mag:

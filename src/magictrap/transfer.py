@@ -99,14 +99,6 @@ def validate_timeline(tl: TransferTimeline) -> ValidationResult:
     return ValidationResult(True)
 
 
-def segment_t2(seg: TransferSegment) -> float:
-    """Dephasing time for one segment: a measured override when present,
-    else the thermal-model T2* of the segment's trap configuration."""
-    if seg.t2_override_s is not None:
-        return seg.t2_override_s
-    return t2_star(seg.config)
-
-
 @dataclass(frozen=True)
 class SegmentBudget:
     phase: Phase

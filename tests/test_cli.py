@@ -269,6 +269,30 @@ class TestFits:
         assert "cov_tau_tau" in doc
         assert plot.exists()
 
+    @pytest.mark.parametrize("command,column,bad,message", [
+        ("fit-ramsey", 0, "nan", "sample times must be finite"),
+        ("fit-ramsey", 0, "inf", "sample times must be finite"),
+        ("fit-dls", 2, "nan", "shifts must be finite")])
+    def test_non_finite_cell_is_a_coded_error(self, capsys, tmp_path, command,
+                                              column, bad, message):
+        from magictrap.datafiles import write_table
+        path = tmp_path / "input.csv"
+        if command == "fit-ramsey":
+            t = np.linspace(0.0, 0.4, 100)
+            rows = [[ti, 0.5 + 0.5 * np.cos(2 * np.pi * 50.0 * ti)] for ti in t]
+            header = ("t_s", "p")
+            argv = ["fit-ramsey", "--input", str(path)]
+        else:
+            rows = [[b, d, -100.0 * d] for b in (2.8, 3.3) for d in (0.1, 0.2, 0.3)]
+            header = ("b_field_gauss", "depth_mk", "dls_hz")
+            argv = ["fit-dls", "--input", str(path), "--beta1", "3.47e-4"]
+        rows[4][column] = bad
+        write_table(path, header, rows)
+        code, out, err = run(capsys, argv)
+        assert code == 1
+        assert out == ""
+        assert err == f"error: invalid-argument: {message}\n"
+
 
 class TestErrorDiagnostics:
     def test_ill_conditioned_fit_prints_condition_number(self, capsys, tmp_path):
@@ -377,6 +401,24 @@ class TestTransferCommand:
         assert out == ""
         assert err.startswith("error: invalid-argument:")
         assert calls == []
+
+    @pytest.mark.parametrize("edit", [
+        lambda doc: [],
+        lambda doc: dict(doc, t1_s=None),
+        lambda doc: dict(doc, segments=[1]),
+    ], ids=["top-level-list", "null-t1", "number-segment"])
+    def test_malformed_timeline_is_a_coded_error(self, capsys, coeffs_file,
+                                                 tmp_path, edit):
+        self.write_inputs(tmp_path, coeffs_file)
+        path = tmp_path / "timeline.json"
+        path.write_text(json.dumps(edit(json.loads(path.read_text()))))
+        code, out, err = run(capsys, [
+            "transfer", "--coeffs", coeffs_file, "--timeline", str(path),
+            "--post-temp-uk", "16"])
+        assert code == 1
+        assert out == ""
+        assert err.startswith(f"error: invalid-argument: {path}: ")
+        assert len(err.splitlines()) == 1
 
     def test_validate_only_rejects_broken(self, capsys, coeffs_file, tmp_path):
         doc = {"t1_s": 4.0, "t2prime_s": 0.3, "segments": [

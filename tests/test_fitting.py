@@ -291,13 +291,13 @@ def test_fit_agrees_with_direct_dft_start(n, grid, monkeypatch):
         assert abs(diff) <= 1e-4 * ref.stderr(name), name
 
 
-def scipy_lm(fun, x0, xtol=1e-12, ftol=1e-14, gtol=1e-14, max_nfev=None):
+def scipy_lm(fun, x0, max_nfev=None):
     """The oracle for fitting.least_squares: MINPACK's lm through scipy,
-    given the same residuals and analytic Jacobian."""
+    given the same residuals, analytic Jacobian and tolerances."""
     from scipy.optimize import least_squares
     return least_squares(lambda x: fun(x)[0], x0, jac=lambda x: fun(x)[1],
-                         method="lm", xtol=xtol, ftol=ftol, gtol=gtol,
-                         max_nfev=max_nfev)
+                         method="lm", xtol=fitting.XTOL, ftol=fitting.FTOL,
+                         gtol=fitting.GTOL, max_nfev=max_nfev)
 
 
 def seeded_fringe(seed, n, grid):
@@ -345,7 +345,7 @@ class TestLevenbergMarquardt:
                     assert abs(diff) <= 1e-5 * ref.stderr(name), (n, grid, name)
 
     def test_linear_problem(self):
-        # the cost converges to ftol; x to about sqrt(ftol) of its spread
+        # the cost converges to FTOL; x to about sqrt(FTOL) of its spread
         rng = np.random.default_rng(3)
         a = rng.normal(size=(20, 3))
         b = a @ np.array([1.0, -2.0, 0.5]) + rng.normal(0.0, 0.1, 20)
@@ -516,3 +516,36 @@ class TestDatasetValidation:
         with pytest.raises(InvalidArgumentError):
             make_dls_dataset(3.115, [-1e6, -2e6, -3e6],
                              [-100.0, -200.0, -300.0], [1.0, 0.0, 1.0])
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+class TestNonFiniteInputs:
+    # each fitter names the column of a NaN or infinite cell before any
+    # arithmetic can turn it into another error
+    @pytest.mark.parametrize("fit", [fit_damped_sinusoid, fit_envelope])
+    @pytest.mark.parametrize("column,name", [(0, "times"), (1, "values")])
+    def test_samples(self, bad, fit, column, name):
+        t = np.linspace(0.0, 0.4, 100)
+        rows = [[ti, pi, 0.01] for ti, pi in zip(t, sinusoid(t))]
+        rows[37][column] = bad
+        with pytest.raises(InvalidArgumentError, match=f"sample {name} must be finite"):
+            fit(rows)
+
+    @pytest.mark.parametrize("column,name", [(0, "bias fields"), (1, "depths"),
+                                             (2, "shifts")])
+    def test_dls(self, bad, column, name):
+        columns = [3.3, list(DEPTHS), [dls(MEASURED, 3.3, d) for d in DEPTHS]]
+        if column == 0:
+            columns[0] = bad
+        else:
+            columns[column][2] = bad
+        with pytest.raises(InvalidArgumentError, match=f"{name} must be finite"):
+            fit_dls_global(clean_datasets()[:1] + [make_dls_dataset(*columns)],
+                           BETA1)
+
+    def test_dls_fixed_beta1(self, bad):
+        with pytest.raises(InvalidArgumentError, match="beta1 must be finite"):
+            fit_dls_global(clean_datasets(), bad)
+        assert fit_dls_global(clean_datasets(), bad, free_beta1=True).parameters[
+            "beta1"] == pytest.approx(BETA1, rel=1e-6)
+

@@ -9,7 +9,6 @@ from magictrap.errors import (
     ConventionViolationError,
     InvalidArgumentError,
     NumericalFailureError,
-    OutOfRangeError,
     UnphysicalConfigurationError,
 )
 from magictrap.ramsey import (
@@ -18,7 +17,6 @@ from magictrap.ramsey import (
     bottom_depth,
     coherence_vs_depth,
     combine_coherence,
-    local_depth,
     ramsey_population,
     ramsey_trace,
     residual_shift,
@@ -81,20 +79,6 @@ class TestDepthGeometry:
         with pytest.raises(ConventionViolationError):
             bottom_depth(1.0, 17e-6)
 
-    def test_local_depth(self):
-        u0 = -4.7286e6
-        assert local_depth(u0, 0.0) == u0
-        assert local_depth(u0, abs(u0)) == pytest.approx(u0 / 2.0, rel=1e-12)
-        mean_e = 3.0 * hz_from_kelvin(17e-6)
-        assert local_depth(bottom_depth(-4.1973e6, 17e-6), mean_e) == (
-            pytest.approx(-4.1973e6, rel=1e-12))
-
-    def test_local_depth_range(self):
-        with pytest.raises(OutOfRangeError):
-            local_depth(-4.7e6, -1.0)
-        with pytest.raises(OutOfRangeError):
-            local_depth(-4.7e6, 4.8e6)
-
 
 class TestResidualShift:
     def test_zero_at_mean_energy(self):
@@ -105,12 +89,13 @@ class TestResidualShift:
                                                                      abs=5e-4)
 
     def test_matches_full_parabola_at_magic(self):
-        # vertex expansion equals the full model when U_a = U_M
+        # vertex expansion equals the full model when U_a = U_M; an atom
+        # of energy E sees the local depth U0 + E/2
         cfg = config(17e-6)
         u0 = cfg.bottom_depth_hz
         minimum = dls_minimum(MEASURED, B0)
         for energy in np.linspace(0.0, abs(u0) * 0.9, 13):
-            full = dls(MEASURED, B0, local_depth(u0, energy)) - minimum
+            full = dls(MEASURED, B0, u0 + 0.5 * energy) - minimum
             expansion = residual_shift(MEASURED, 17e-6, energy)
             assert expansion == pytest.approx(full, rel=1e-9, abs=1e-12)
 
@@ -227,6 +212,41 @@ class TestT2Star:
 
     def test_zero_temperature_sentinel(self):
         assert t2_star(config(1e-9), horizon_s=50.0) == math.inf
+
+    def test_matches_the_solver_that_probed_t0(self, monkeypatch):
+        # the solver t2_star replaced took its target from a probe at t = 0;
+        # the envelope is 1 there, so the roots agree bit for bit
+        from magictrap import ramsey
+
+        def t0_probing_t2_star(cfg):
+            target = ramsey.visibility(cfg, 0.0) / math.e
+            lo, hi = 0.0, 1e-4
+            while ramsey.visibility(cfg, hi) > target:
+                lo, hi = hi, 2.0 * hi
+                if hi > ramsey.DEFAULT_HORIZON_S:
+                    return math.inf
+            for _ in range(200):
+                if hi - lo <= ramsey.T2_STAR_REL_TOL * hi:
+                    break
+                mid = 0.5 * (lo + hi)
+                if ramsey.visibility(cfg, mid) > target:
+                    lo = mid
+                else:
+                    hi = mid
+            return 0.5 * (lo + hi)
+
+        probes = []
+        monkeypatch.setattr(ramsey, "visibility",
+                            lambda cfg, t: probes.append(t) or visibility(cfg, t))
+        for temperature_uk in (2, 8, 17, 40):
+            for ratio in (0.5, 0.8, 1.0, 1.2, 1.5):
+                cfg = config(temperature_uk * 1e-6, ratio=ratio)
+                probes.clear()
+                expected = t0_probing_t2_star(cfg)
+                expected_probes = len(probes)
+                probes.clear()
+                assert t2_star(cfg) == expected
+                assert len(probes) == expected_probes - 1
 
 
 class TestCombineCoherence:

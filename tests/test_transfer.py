@@ -18,7 +18,6 @@ from magictrap.transfer import (
     TransferSegment,
     TransferTimeline,
     coherence_budget,
-    segment_t2,
     validate_timeline,
 )
 
@@ -115,20 +114,6 @@ class TestValidation:
 
 
 class TestSegmentT2:
-    def test_override_wins(self):
-        seg = segment(Phase.OVERLAP, 1e-4, OVERLAP, override=0.025)
-        assert segment_t2(seg) == 0.025
-
-    def test_mover_model_value(self):
-        # 0.2 mK trap at 14 uK sits close to its magic point
-        value = segment_t2(segment(Phase.MOVE, 2e-3, MOVER))
-        assert value == pytest.approx(3.0, rel=0.40)
-        assert value == pytest.approx(2.19, rel=2e-2)
-
-    def test_static_register_value(self):
-        value = segment_t2(segment(Phase.HOLD, 0.0, STATIC))
-        assert value == pytest.approx(6.6, rel=0.30)
-
     def test_bad_override_rejected(self):
         with pytest.raises(InvalidArgumentError):
             segment(Phase.OVERLAP, 1e-4, OVERLAP, override=0.0)
@@ -151,6 +136,13 @@ class TestBudget:
         assert overlap_entry.used_override
         assert overlap_entry.t2_used_s == 0.025
         assert overlap_entry.t2_model_s > 0
+        # the 0.2 mK mover at 14 uK sits close to its magic point
+        move_entry, hold_entry = report.per_segment[1], report.per_segment[3]
+        assert not move_entry.used_override
+        assert move_entry.t2_used_s == move_entry.t2_model_s
+        assert move_entry.t2_model_s == pytest.approx(3.0, rel=0.40)
+        assert move_entry.t2_model_s == pytest.approx(2.19, rel=2e-2)
+        assert hold_entry.t2_model_s == pytest.approx(6.6, rel=0.30)
         assert any("Move" in note for note in report.notes)
 
     @pytest.mark.parametrize("post_uk,solves", [(16.0, 4), (8.0, 3)])
