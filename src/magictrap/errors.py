@@ -57,12 +57,6 @@ class RankDeficiencyError(MagicTrapError):
 class ConditioningError(MagicTrapError):
     code = "ill-conditioned"
 
-    def __init__(self, message, condition_number=None):
-        diagnostics = ({} if condition_number is None
-                       else {"condition_number": condition_number})
-        super().__init__(message, diagnostics)
-        self.condition_number = condition_number
-
 
 class FitFailureError(MagicTrapError):
     code = "fit-failure"

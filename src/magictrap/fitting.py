@@ -34,13 +34,12 @@ XTOL, FTOL, GTOL = 1e-12, 1e-14, 1e-14
 
 @dataclass(frozen=True)
 class LeastSquaresResult:
-    """Where `least_squares` stopped: the point, its residuals and
-    Jacobian, cost = |residuals|^2 / 2, the number of evaluations of `fun`,
-    and status 1 (GTOL), 2 (FTOL) or 3 (XTOL), or 0 if `max_nfev` ran out."""
+    """Where `least_squares` stopped: the point, its residuals,
+    cost = |residuals|^2 / 2, the number of evaluations of `fun`, and
+    status 1 (GTOL), 2 (FTOL) or 3 (XTOL), or 0 if `max_nfev` ran out."""
 
     x: np.ndarray
     fun: np.ndarray
-    jac: np.ndarray
     cost: float
     nfev: int
     status: int
@@ -101,7 +100,7 @@ def least_squares(fun, x0, max_nfev=None):
             nu *= 2.0
         if status:
             break
-    return LeastSquaresResult(x, r, jac, cost, nfev, status)
+    return LeastSquaresResult(x, r, cost, nfev, status)
 
 
 @dataclass(frozen=True)
@@ -222,7 +221,7 @@ def fit_dls_global(datasets, beta1_fixed: float, free_beta1: bool = False) -> Fi
     if cond > _MAX_CONDITION:
         raise ConditioningError(
             f"normal equations too ill-conditioned (cond = {cond:.3e})",
-            condition_number=float(cond),
+            diagnostics={"condition_number": float(cond)},
         )
     scaled = np.linalg.solve(normal, aws.T @ yw)
     params = scaled / col_scale
@@ -402,7 +401,7 @@ def fit_damped_sinusoid(samples) -> FitResult:
     if cond > _MAX_CONDITION:
         raise ConditioningError(
             f"fit covariance ill-conditioned (cond = {cond:.3e})",
-            condition_number=float(cond),
+            diagnostics={"condition_number": float(cond)},
         )
     cov = np.linalg.inv(jtj)
     chi2 = float(2.0 * result.cost)

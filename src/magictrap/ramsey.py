@@ -17,14 +17,15 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .constants import hz_from_kelvin
-from .dls import TrapCoefficients, magic_depth
+from .dls import TrapCoefficients, dls, magic_depth
 from .errors import (
     ConventionViolationError,
     InvalidArgumentError,
+    NumericalFailureError,
     UnphysicalConfigurationError,
 )
 from .parallel import ordered_map
-from .quadrature import integrate
+from .quadrature import MAX_PANELS, integrate
 from .thermal import ThermalEnsemble
 
 #: root-finding horizon for t2_star before returning the infinity sentinel
@@ -71,7 +72,6 @@ class TrapFieldConfig:
 class RamseyTrace:
     times_s: tuple
     population: tuple
-    config: TrapFieldConfig
 
     def __post_init__(self):
         if len(self.times_s) != len(self.population):
@@ -113,13 +113,14 @@ def residual_shift(coeffs: TrapCoefficients, temperature_k: float,
 
 
 def _raw_integrals(config: TrapFieldConfig, t_s: float):
-    """Return (integral of p*exp(2j*pi*shift*t), integral of p) over the
-    allowed energies, both un-renormalized, on one shared partition.
+    """Return (integral of p*exp(1j*phi), integral of p) over the allowed
+    energies, both un-renormalized, on one shared partition.
 
-    Substitution x = E/theta conditions the domain and makes the phase a
-    quadratic in x, which sizes the partition; with positive weights the
-    phasor integral never exceeds the density integral, so derived
-    populations stay in [0, 1] exactly.
+    phi = 2*pi*t*(dls(U) - dls(U0)) is the phase from the trap bottom: with
+    x = E/theta it is (p1 + p2*x)*x exactly, p1 = pi*t*theta*(beta1 +
+    beta2*B + 2*beta4*U0) and p2 = pi*t*beta4*theta**2/2. The same two
+    numbers size the partition; with positive weights the phasor integral
+    never exceeds the density integral, so populations stay in [0, 1].
     """
     if not 0 <= t_s < math.inf:
         raise InvalidArgumentError("time must be finite and >= 0")
@@ -127,21 +128,22 @@ def _raw_integrals(config: TrapFieldConfig, t_s: float):
     u0 = config.bottom_depth_hz
     x_end = min(abs(u0) / theta, X_CUT)
     c = config.coeffs
-    linear = c.beta1 + c.beta2 * config.b_field_gauss
-    two_pi_t = 2.0 * math.pi * t_s
-    # shift' = linear + 2*beta4*u is linear in u: its largest modulus sits
-    # at one end, and bounds the phase the partition has to resolve
-    slope = max(abs(linear + 2.0 * c.beta4 * u0),
-                abs(linear + 2.0 * c.beta4 * (u0 + 0.5 * theta * x_end)))
-    # capped so that a phase past float range still reaches the panel cap
-    phase = min(two_pi_t * slope * 0.5 * theta * x_end, 1e300)
+    # per second first, so that a zero coefficient stays 0 at any finite t
+    k1 = math.pi * theta * (c.beta1 + c.beta2 * config.b_field_gauss + 2.0 * c.beta4 * u0)
+    k2 = 0.5 * math.pi * c.beta4 * theta * theta
+    p1, p2 = k1 * t_s, k2 * t_s
+    # the slope p1 + 2*p2*x is largest in modulus at one end of [0, x_end]
+    phase = t_s * (x_end * max(abs(k1), abs(k1 + 2.0 * k2 * x_end)))
+    # past float range (inf or nan) there is no panel count to ask for
+    if not phase <= PANEL_PHASE * MAX_PANELS:
+        raise NumericalFailureError("phase spread past the panel cap", diagnostics={
+            "phase": phase, "panels": phase / PANEL_PHASE, "max_panels": MAX_PANELS})
     panels = max(16, math.ceil(phase / PANEL_PHASE))
 
     def integrand(x):
-        u = u0 + 0.5 * theta * x
         rows = np.empty((2, x.size), complex)  # phasor row, density row
         rows[1] = 0.5 * x * x * np.exp(-x)
-        np.exp(1j * two_pi_t * ((linear + c.beta4 * u) * u), out=rows[0])
+        np.exp(1j * ((p1 + p2 * x) * x), out=rows[0])
         rows[0] *= rows[1]
         return rows
 
@@ -154,10 +156,15 @@ def ramsey_population(config: TrapFieldConfig, t_s: float,
                       renormalize: bool = True) -> float:
     """Thermally averaged Ramsey population at free-evolution time t."""
     num, den = _raw_integrals(config, t_s)
-    carrier = cmath.exp(2j * math.pi * config.detuning_hz * t_s)
+    # the carrier: detuning plus the bottom shift that _raw_integrals leaves out
+    bottom = dls(config.coeffs, config.b_field_gauss, config.bottom_depth_hz)
+    phase = t_s * (2.0 * math.pi * (config.detuning_hz + bottom))
+    if not math.isfinite(phase):
+        raise NumericalFailureError("Ramsey carrier phase is not finite",
+                                    diagnostics={"phase": phase})
     # den is the mass of the raw density on the nodes: the literal average
     # over them is the renormalized one scaled by it
-    mixed = (carrier * num).real
+    mixed = (cmath.exp(1j * phase) * num).real
     value = 0.5 * (1.0 + mixed / den) if renormalize else 0.5 * (den + mixed)
     # |num| <= den holds exactly (positive weights); clip only round-off
     return float(min(1.0, max(0.0, value)))
@@ -231,11 +238,13 @@ def coherence_vs_depth(base: TrapFieldConfig, ratios, t1_s: float,
 
 def ramsey_trace(config: TrapFieldConfig, times_s,
                  renormalize: bool = True) -> RamseyTrace:
-    pops = ordered_map(lambda t: ramsey_population(config, t, renormalize), times_s)
-    return RamseyTrace(tuple(float(t) for t in times_s), tuple(pops), config)
+    times = tuple(float(t) for t in times_s)
+    pops = ordered_map(lambda t: ramsey_population(config, t, renormalize), times)
+    return RamseyTrace(times, tuple(pops))
 
 
 def visibility_curve(config: TrapFieldConfig, times_s,
                      renormalize: bool = True) -> VisibilityCurve:
-    vis = ordered_map(lambda t: visibility(config, t, renormalize), times_s)
-    return VisibilityCurve(tuple(float(t) for t in times_s), tuple(vis))
+    times = tuple(float(t) for t in times_s)
+    vis = ordered_map(lambda t: visibility(config, t, renormalize), times)
+    return VisibilityCurve(times, tuple(vis))

@@ -45,8 +45,6 @@ def _gamma_p(a: int, x):
 
 def truncation_mass(ens: ThermalEnsemble) -> float:
     """Probability the untruncated density assigns to [0, truncation]."""
-    if math.isinf(ens.truncation_hz):
-        return 1.0
     return float(_gamma_p(3, ens.truncation_hz / ens.theta_hz))
 
 
@@ -77,8 +75,6 @@ def pdf(ens: ThermalEnsemble, energy_hz, renormalize: bool = True):
 def mean_energy(ens: ThermalEnsemble) -> float:
     """Mean energy in Hz: 3*theta untruncated, strictly less when truncated."""
     theta = ens.theta_hz
-    if math.isinf(ens.truncation_hz):
-        return 3.0 * theta
     x = ens.truncation_hz / theta
     mass = float(_gamma_p(3, x))
     if mass <= 0:

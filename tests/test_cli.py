@@ -125,6 +125,26 @@ class TestCurves:
         assert (code, err) == (0, "")
         assert 0.0 <= float(parse_doc(out)["visibility_final"]) < 1e-4
 
+    @pytest.mark.parametrize("argv,label", [
+        (["visibility"], "visibility"), (["ramsey"], "population"),
+        (["ramsey", "--detuning-hz", "37"], None)])
+    def test_shift_free_trap_at_huge_time(self, capsys, tmp_path, argv, label):
+        # with no shift the phase is 0 at any finite t; a detuning turns the
+        # carrier past float range, a coded failure that prints its phase
+        path = tmp_path / "flat.toml"
+        write_coefficients(path, TrapCoefficients(0.0, 0.0, 0.0))
+        code, out, err = run(capsys, argv + [
+            "--coeffs", str(path), "--b-field", "3.115", "--depth-mk", "0.2",
+            "--temp-uk", "17", "--t-max", "1e308", "--points", "2"])
+        if label is None:
+            assert (code, out) == (1, "")
+            assert err.splitlines() == [
+                "error: numerical-failure: Ramsey carrier phase is not finite",
+                "phase = inf"]
+        else:
+            assert (code, err) == (0, "")
+            assert float(parse_doc(out)[f"{label}_final"]) == 1.0
+
     def test_plot_with_nothing_finite_is_a_domain_error(self, capsys,
                                                         coeffs_file, tmp_path):
         # at 1 nK on the magic depth with T1 = T2' = inf every tau is inf

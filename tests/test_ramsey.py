@@ -159,13 +159,16 @@ class TestRamseyPopulation:
     def test_literal_average_matches_mass_scaled_form(self, temperature_uk,
                                                      ratio):
         # the raw density's own mass on the nodes stands in for the closed
-        # form P(3, xmax); they differ by the Gamma(3) tail beyond X_CUT
+        # form P(3, xmax); they differ by the Gamma(3) tail beyond X_CUT.
+        # The raw integrals are referenced to the shift at the trap bottom,
+        # so the carrier adds it to the detuning
         from magictrap.ramsey import _raw_integrals
         cfg = config(temperature_uk * 1e-6, ratio=ratio, detuning_hz=30.0)
         mass = truncation_mass(cfg.ensemble)
+        bottom_shift = dls(MEASURED, B0, cfg.bottom_depth_hz)
         for t in (0.0, 0.01, 0.3, 2.0, 30.0):
             num, den = _raw_integrals(cfg, t)
-            carrier = np.exp(2j * math.pi * cfg.detuning_hz * t)
+            carrier = np.exp(2j * math.pi * (cfg.detuning_hz + bottom_shift) * t)
             population = mass * 0.5 * (1.0 + (carrier * num).real / den)
             envelope = mass * min(1.0, abs(num) / den)
             assert ramsey_population(cfg, t, renormalize=False) == (
@@ -357,22 +360,26 @@ class TestLongTimes:
     def test_linear_shift_matches_gamma_characteristic_function(
             self, temperature_uk):
         # beta4 = 0: the phase is omega*x with x ~ Gamma(3), so the envelope
-        # is |(1 - i*omega)**-3| (Kuhr et al., PRA 72, 023406 (2005)); the
-        # 1 mK trap puts the truncation far beyond the density
+        # is |(1 - i*omega)**-3| (Kuhr et al., PRA 72, 023406 (2005)); both
+        # traps put the truncation far beyond the density. By 1000 s the
+        # shift at the bottom of the 5 mK trap turns through about 2.5e7
+        # rad, which the envelope must not see
         coeffs = TrapCoefficients(MEASURED.beta1, MEASURED.beta2, 0.0)
-        cfg = TrapFieldConfig(coeffs=coeffs, b_field_gauss=B0,
-                              mean_depth_hz=-hz_from_kelvin(1e-3),
-                              temperature_k=temperature_uk * 1e-6)
         linear = coeffs.beta1 + coeffs.beta2 * B0
-        theta = hz_from_kelvin(cfg.temperature_k)
-        for t in (0.01, 0.1, 1.0, 10.0, 100.0):
-            omega = math.pi * t * linear * theta
-            assert visibility(cfg, t) == pytest.approx(
-                (1.0 + omega * omega) ** -1.5, abs=1e-10)
+        theta = hz_from_kelvin(temperature_uk * 1e-6)
+        for depth_k, times in ((1e-3, (0.01, 0.1, 1.0, 10.0, 100.0)),
+                               (5e-3, (1000.0,))):
+            cfg = TrapFieldConfig(coeffs=coeffs, b_field_gauss=B0,
+                                  mean_depth_hz=-hz_from_kelvin(depth_k),
+                                  temperature_k=temperature_uk * 1e-6)
+            for t in times:
+                omega = math.pi * t * linear * theta
+                assert visibility(cfg, t) == pytest.approx(
+                    (1.0 + omega * omega) ** -1.5, abs=1e-10)
 
     @pytest.mark.parametrize("temperature_uk,ratio,t", [
         (17, 1.0, 1.0), (40, 0.5, 1.0), (2, 1.5, 3.0), (25, 1.2, 0.3),
-        (8, 0.6, 1.0)])
+        (8, 0.6, 1.0), (2, 1.0, 10.0)])
     def test_against_mpmath(self, temperature_uk, ratio, t):
         mp = pytest.importorskip("mpmath")
         cfg = config(temperature_uk * 1e-6, ratio=ratio, detuning_hz=30.0)
@@ -442,4 +449,4 @@ class TestTraceContainers:
 
     def test_length_mismatch_rejected(self):
         with pytest.raises(InvalidArgumentError):
-            RamseyTrace((0.0, 1.0), (0.5,), config(17e-6))
+            RamseyTrace((0.0, 1.0), (0.5,))
