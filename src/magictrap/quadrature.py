@@ -8,6 +8,8 @@ one uniform partition, whose panel count the caller sizes to the integrand
 component meets max(rtol * |integral|, atol). The embedded 7-point Gauss
 rule supplies the error estimate for the 15-point Kronrod value.
 """
+import math
+
 import numpy as np
 
 from .errors import NumericalFailureError
@@ -30,7 +32,7 @@ NODES = np.concatenate([-_XK_POS[:-1], _XK_POS[::-1]])       # 15, ascending
 KRONROD_WEIGHTS = np.concatenate([_WK_POS[:-1], _WK_POS[::-1]])
 GAUSS_WEIGHTS = np.concatenate([_WG_POS[:-1], _WG_POS[::-1]])  # on NODES[1::2]
 #: NODES mapped onto a panel [0, 1]; with the weights below, halved for it,
-#: one multiply-and-sum gives K15 and another the estimate K15 - G7
+#: one product gives K15 and another the estimate K15 - G7
 UNIT_NODES = 0.5 * (1.0 + NODES)
 UNIT_KRONROD = 0.5 * KRONROD_WEIGHTS
 UNIT_ERROR = UNIT_KRONROD.copy()
@@ -48,30 +50,32 @@ def integrate(f, a, b, rtol=1e-8, atol=0.0, panels=16):
     1-D arrays over components; raises NumericalFailureError with
     diagnostics once the count would pass MAX_PANELS.
     """
-    if not (np.isfinite(a) and np.isfinite(b)):
+    if not (math.isfinite(a) and math.isfinite(b)):
         raise NumericalFailureError("integration limits must be finite")
     if b <= a:
         probe = np.atleast_2d(f(np.array([a])))
         return np.zeros(probe.shape[0], dtype=probe.dtype), np.zeros(probe.shape[0])
 
-    errors = tol = np.zeros(0)
+    errors, tol = np.zeros(0), []
     while panels <= MAX_PANELS:
         step = (b - a) / panels
-        kronrod, error = step * UNIT_KRONROD, step * UNIT_ERROR
         values = errors = 0.0
         for start in range(0, panels, CHUNK_PANELS):
             # nodes: (m, 15) flattened for one vectorized call
             lefts = a + step * np.arange(start, min(start + CHUNK_PANELS, panels))
             x = np.add.outer(lefts, step * UNIT_NODES)
-            fx = np.atleast_2d(f(x.ravel())).reshape(-1, *x.shape)
-            # elementwise products, not a BLAS zgemm: that was no faster and
-            # raised the quadrature benchmark's peak RSS by about 4 MB (8%)
-            values = values + (fx * kronrod).sum(axis=(1, 2))
-            errors = errors + np.abs((fx * error).sum(axis=2)).sum(axis=1)
-        tol = np.maximum(rtol * np.abs(values), atol)
-        if np.all(errors <= tol):
+            fx = f(x.ravel()).reshape(-1, *x.shape)
+            # matrix-vector products per panel, not one BLAS zgemm over
+            # all of them: that was no faster and raised the quadrature
+            # benchmark's peak RSS by about 4 MB (8%)
+            values = values + (fx @ UNIT_KRONROD).sum(axis=1)
+            errors = errors + abs(fx @ UNIT_ERROR).sum(axis=1)
+        values, errors = step * values, step * errors
+        # a few components: cheaper in Python than as arrays
+        tol = [max(rtol * abs(v), atol) for v in values.tolist()]
+        if all(e <= t for e, t in zip(errors.tolist(), tol)):
             return values, errors
         panels *= 2
     raise NumericalFailureError("quadrature failed to converge", diagnostics={
         "panels": int(panels), "max_panels": MAX_PANELS,
-        "error": [float(e) for e in errors], "tolerance": [float(t) for t in tol]})
+        "error": [float(e) for e in errors], "tolerance": tol})

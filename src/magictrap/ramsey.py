@@ -9,6 +9,13 @@ dls(B, U(E)). Averaging the two-pulse Ramsey population
 over the truncated thermal density gives the inhomogeneous signal; the
 modulus of the same average with the bare phasor exp(2j*pi*shift*t) is the
 fringe visibility envelope, whose first 1/e crossing defines T2*.
+
+The thermal average is taken in closed form up to one Gauss-Laguerre sum
+per end of the energy range (numerical steepest descent), so its cost does
+not grow with t. That kernel relies on the two model facts above: the
+harmonic U(E) = U0 + E/2 and a shift quadratic in depth, which together
+make the phase exactly quadratic in E. A model that breaks either needs
+another kernel.
 """
 import cmath
 import math
@@ -25,17 +32,48 @@ from .errors import (
     UnphysicalConfigurationError,
 )
 from .parallel import ordered_map
-from .quadrature import MAX_PANELS, integrate
-from .thermal import ThermalEnsemble
+from .quadrature import integrate
+from .thermal import ThermalEnsemble, _gamma_p
 
 #: root-finding horizon for t2_star before returning the infinity sentinel
 DEFAULT_HORIZON_S = 1e4
 #: relative width of the final t2_star bracket
 T2_STAR_REL_TOL = 1e-4
-#: upper end of x = E/theta; the Gamma(3) mass beyond it is about 7e-12
-X_CUT = 32.0
-#: phase (rad) the thermal-average phasor may turn across one panel
-PANEL_PHASE = 3.0
+#: an end whose descent path has its branch point s = Z within |Z| <= 4, or
+#: in the box 0 < Re Z <= SEGMENT_Z_MAX, |Im Z| <= SEGMENT_IM_Z, near the
+#: positive s axis, goes by the straight segment to the saddle instead:
+#: there 32 Laguerre points lose accuracy (1.5e-9 at Z = 26.7 + 1.1j, 7e-8
+#: at Z = 25, 6e-9 at |Z| = 16, arg Z = 15 degrees)
+SEGMENT_Z_MAX = 40.0
+SEGMENT_IM_Z = 8.0
+#: 32-point Gauss-Laguerre rule for the weight exp(-s) on [0, inf), from
+#: the roots of L_32 polished to 60 digits (numpy's laggauss agrees to 1e-13);
+#: the nodes are stored complex, as the descent paths that use them are
+LAGUERRE_NODES = np.array([
+    0.04448936583326702, 0.23452610951961853, 0.5768846293018864,
+    1.0724487538178176, 1.7224087764446454, 2.5283367064257947,
+    3.4922132730219944, 4.616456769749767, 5.903958504174244,
+    7.358126733186241, 8.982940924212595, 10.783018632539973,
+    12.763697986742725, 14.931139755522556, 17.292454336715316,
+    19.855860940336054, 22.630889013196775, 25.628636022459247,
+    28.862101816323474, 32.346629153964734, 36.10049480575197,
+    40.14571977153944, 44.509207995754934, 49.22439498730864,
+    54.33372133339691, 59.89250916213402, 65.97537728793505, 72.68762809066271,
+    80.18744697791352, 88.7353404178924, 98.82954286828397, 111.7513980979377,
+], dtype=complex)
+LAGUERRE_WEIGHTS = np.array([
+    0.10921834195238497, 0.21044310793881324, 0.235213229669848,
+    0.19590333597288104, 0.12998378628607177, 0.07057862386571744,
+    0.03176091250917507, 0.011918214834838558, 0.0037388162946115247,
+    0.0009808033066149551, 0.0002148649188013642, 3.920341967987947e-05,
+    5.9345416128686326e-06, 7.416404578667552e-07, 7.604567879120781e-08,
+    6.350602226625806e-09, 4.281382971040929e-10, 2.3058994918913362e-11,
+    9.799379288727094e-13, 3.2378016577292665e-14, 8.171823443420719e-16,
+    1.5421338333938235e-17, 2.1197922901636187e-19, 2.0544296737880453e-21,
+    1.3469825866373952e-23, 5.661294130397359e-26, 1.4185605454630368e-28,
+    1.9133754944542244e-31, 1.1922487600982224e-34, 2.671511219240137e-38,
+    1.3386169421062562e-42, 4.510536193898974e-48,
+])
 
 
 @dataclass(frozen=True)
@@ -58,6 +96,8 @@ class TrapFieldConfig:
         for name in ("b_field_gauss", "mean_depth_hz", "temperature_k", "detuning_hz"):
             if not math.isfinite(getattr(self, name)):
                 raise InvalidArgumentError(f"{name} must be finite")
+        if not math.isfinite(hz_from_kelvin(self.temperature_k)):
+            raise InvalidArgumentError("temperature too high: kB*T/h is not finite")
 
     @property
     def bottom_depth_hz(self) -> float:
@@ -114,47 +154,124 @@ def residual_shift(coeffs: TrapCoefficients, temperature_k: float,
 
 def _raw_integrals(config: TrapFieldConfig, t_s: float):
     """Return (integral of p*exp(1j*phi), integral of p) over the allowed
-    energies, both un-renormalized, on one shared partition.
+    energies, both un-renormalized.
 
     phi = 2*pi*t*(dls(U) - dls(U0)) is the phase from the trap bottom: with
     x = E/theta it is (p1 + p2*x)*x exactly, p1 = pi*t*theta*(beta1 +
-    beta2*B + 2*beta4*U0) and p2 = pi*t*beta4*theta**2/2. The same two
-    numbers size the partition; with positive weights the phasor integral
-    never exceeds the density integral, so populations stay in [0, 1].
+    beta2*B + 2*beta4*U0) and p2 = pi*t*beta4*theta**2/2 >= 0. The first
+    integral is then that of x**2/2 * exp(q(x)) over [0, X], X = |U0|/theta,
+    with q = c1*x + c2*x**2, c1 = -1 + 1j*p1 and c2 = 1j*p2; the second is
+    the closed form P(3, X). |num| <= den up to round-off, which the callers
+    clip.
+
+    The integrand is entire, so the integral is G(0) - G(X), G(a) being the
+    integral from a to the saddle x* = -c1/(2*c2), along any path. With
+    Z = q(a) - q(x*) = q'(a)**2/(4*c2), an end with |Z| <= 4, or with Z in
+    the box 0 < Re Z, |Im Z| <= SEGMENT_IM_Z, |Z| <= SEGMENT_Z_MAX, takes
+    the straight segment to x* by quadrature.integrate. Any other end follows
+    its steepest-descent path q(h(s)) = q(a) - s into a valley v of
+    exp(c2*x**2) by Gauss-Laguerre in s (Huybrechs & Vandewalle, SIAM J.
+    Numer. Anal. 44, 1026 (2006)), then climbs back to x* by the exact
+    half-Gaussian -H(v). Two such ends in one valley cancel their H and
+    leave them out (they overflow where x* is high); in opposite valleys
+    they add the full Gaussian through x*.
     """
+    t_s = float(t_s)
     if not 0 <= t_s < math.inf:
         raise InvalidArgumentError("time must be finite and >= 0")
     theta = hz_from_kelvin(config.temperature_k)
     u0 = config.bottom_depth_hz
-    x_end = min(abs(u0) / theta, X_CUT)
+    x_end = abs(u0) / theta
     c = config.coeffs
     # per second first, so that a zero coefficient stays 0 at any finite t
     k1 = math.pi * theta * (c.beta1 + c.beta2 * config.b_field_gauss + 2.0 * c.beta4 * u0)
     k2 = 0.5 * math.pi * c.beta4 * theta * theta
     p1, p2 = k1 * t_s, k2 * t_s
+    den = _gamma_p(3, x_end)
     # the slope p1 + 2*p2*x is largest in modulus at one end of [0, x_end]
     phase = t_s * (x_end * max(abs(k1), abs(k1 + 2.0 * k2 * x_end)))
-    # past float range (inf or nan) there is no panel count to ask for
-    if not phase <= PANEL_PHASE * MAX_PANELS:
-        raise NumericalFailureError("phase spread past the panel cap", diagnostics={
-            "phase": phase, "panels": phase / PANEL_PHASE, "max_panels": MAX_PANELS})
-    panels = max(16, math.ceil(phase / PANEL_PHASE))
+    if not phase < math.inf:
+        raise NumericalFailureError("phase spread past float range",
+                                    diagnostics={"phase": phase})
+    if phase == 0.0:
+        return complex(den), den  # no phase: the phasor is the density
+    c1, c2 = complex(-1.0, p1), complex(0.0, p2)
+    x_star = -c1 / (2.0 * c2) if p2 else None
+    descents, segments = [], []
+    reach = 0.0  # largest Re Z of a segment
+    owed = {1.0: 0.0, -1.0: 0.0}  # multiples of H(v) to add
+    for sign, a in ((1.0, 0.0), (-1.0, x_end)):
+        d = complex(-1.0, p1 + 2.0 * p2 * a)  # q'(a)
+        # Z = q(a) - q(x*) = q'(a)**2/(4*c2), written so that it cannot
+        # overflow where q'(a) is large: the descent path from a has its
+        # branch point at s = Z
+        z = 0.5 * (a - x_star) * d if p2 else math.inf
+        # this end's sign * exp(q(a)); past a = 745 it underflows: a descent
+        # end keeps only its half-Gaussian, a segment end adds nothing (its
+        # saddle is at most e**4 higher)
+        weight = sign * cmath.exp(a * (c1 + c2 * a)) if math.exp(-a) else 0.0
+        if abs(z) <= 4.0 or (z.real > 0.0 and abs(z.imag) <= SEGMENT_IM_Z
+                              and abs(z) <= SEGMENT_Z_MAX):
+            if weight:
+                segments.append((a, x_star - a, z, 0.5 * (x_star - a) * weight))
+                reach = max(reach, z.real)
+        else:
+            if weight:
+                # h(s) = a - 2s/(d + d*sqrt(1 - s/Z)), stable as c2 -> 0,
+                # and dh/ds = -1/(d*sqrt(1 - s/Z))
+                descents.append((a, 4.0 * c2 / d / d, -2.0 / d, -0.5 * weight / d))
+            # the ridge between the valleys crosses the real axis at Im d = -1
+            owed[1.0 if d.imag > -1.0 else -1.0] -= sign
+    num = 0j
+    if descents:
+        # sum over the nodes s of W(s) * h(s)**2/sqrt(1 - s/Z), in place
+        a, inv_z, k, w = np.array(descents).T
+        r = 1.0 - inv_z[:, None] * LAGUERRE_NODES
+        np.sqrt(r, out=r)
+        h = LAGUERRE_NODES / (1.0 + r)
+        h *= k[:, None]
+        h += a[:, None]
+        h *= h
+        h /= r
+        num += w @ (h @ LAGUERRE_WEIGHTS)
+    if segments:
+        a, span, z, w = np.array(segments).T[:, :, None]
 
-    def integrand(x):
-        rows = np.empty((2, x.size), complex)  # phasor row, density row
-        rows[1] = 0.5 * x * x * np.exp(-x)
-        np.exp(1j * ((p1 + p2 * x) * x), out=rows[0])
-        rows[0] *= rows[1]
-        return rows
+        def integrand(tau):
+            # on x = a + tau*span, q(x) = q(a) - Z*tau*(2 - tau)
+            x = a + span * tau
+            return w * x * x * np.exp(z * (tau * (tau - 2.0)))
 
-    # den <= 1, so atol is in visibility units: rtol*|num| alone goes to 0
-    (num, den), _ = integrate(integrand, 0.0, x_end, atol=1e-10, panels=panels)
-    return num, den.real
+        # atol well below the 1e-10 of the visibility; rtol because up to an
+        # uphill saddle (Re Z >= -4) the segment is up to e**4 times the
+        # whole, and its round-off with it. Near tau = 0 the integrand falls
+        # as exp(-2*Re Z*tau): one more panel per unit of Re Z
+        panels = 8 + math.ceil(reach)
+        num += integrate(integrand, 0.0, 1.0, rtol=1e-14, atol=1e-12,
+                         panels=panels)[0].sum()
+    for valley, k in owed.items():
+        if k:
+            num += k * _half_gaussian(c1, c2, x_star, valley)
+    if not cmath.isfinite(num):
+        raise NumericalFailureError("thermal average is not finite",
+                                    diagnostics={"phase": phase})
+    return complex(num), den
+
+
+def _half_gaussian(c1, c2, x_star, valley):
+    """H(v): the integral of x**2/2 * exp(c1*x + c2*x**2) from the saddle
+    x* straight into valley v = +1 (direction exp(1j*pi/4)) or -1."""
+    scale = cmath.exp(0.5 * c1 * x_star)  # exp(q(x*)), q(x*) = -c1**2/(4*c2)
+    if scale == 0.0:
+        return 0.0  # also keeps an overflowing x* out
+    even = 0.5 * cmath.sqrt(math.pi / -c2) * (x_star * x_star - 0.5 / c2)
+    return 0.5 * scale * (valley * even - x_star / c2)
 
 
 def ramsey_population(config: TrapFieldConfig, t_s: float,
                       renormalize: bool = True) -> float:
     """Thermally averaged Ramsey population at free-evolution time t."""
+    t_s = float(t_s)  # the carrier too is Python float arithmetic
     num, den = _raw_integrals(config, t_s)
     # the carrier: detuning plus the bottom shift that _raw_integrals leaves out
     bottom = dls(config.coeffs, config.b_field_gauss, config.bottom_depth_hz)
@@ -162,11 +279,11 @@ def ramsey_population(config: TrapFieldConfig, t_s: float,
     if not math.isfinite(phase):
         raise NumericalFailureError("Ramsey carrier phase is not finite",
                                     diagnostics={"phase": phase})
-    # den is the mass of the raw density on the nodes: the literal average
-    # over them is the renormalized one scaled by it
+    # den is the mass of the raw density: the literal average over it is
+    # the renormalized one scaled by it
     mixed = (cmath.exp(1j * phase) * num).real
     value = 0.5 * (1.0 + mixed / den) if renormalize else 0.5 * (den + mixed)
-    # |num| <= den holds exactly (positive weights); clip only round-off
+    # |num| <= den holds for the exact integrals; clip only their round-off
     return float(min(1.0, max(0.0, value)))
 
 
@@ -182,8 +299,8 @@ def t2_star(config: TrapFieldConfig, horizon_s: float = DEFAULT_HORIZON_S) -> fl
     """First time the visibility envelope falls to 1/e, by bracket doubling
     then bisection to T2_STAR_REL_TOL. Returns math.inf if the envelope
     stays above 1/e out to the horizon."""
-    # the envelope is 1 at t = 0 exactly: there the phasor row of
-    # _raw_integrals is the density row
+    # the envelope is 1 at t = 0 exactly: there _raw_integrals returns the
+    # density's mass as the phasor integral
     target = 1.0 / math.e
     lo = 0.0
     hi = 1e-4

@@ -28,24 +28,23 @@ class ThermalEnsemble:
         return hz_from_kelvin(self.temperature_k)
 
 
-def _gamma_p(a: int, x):
-    """Regularized lower incomplete gamma P(a, x) for integer order a.
+def _gamma_p(a: int, x: float) -> float:
+    """Regularized lower incomplete gamma P(a, x) for integer order a and
+    one float x >= 0.
 
     For x >= 2, P = 1 - e^-x * sum_{k<a} x^k/k!. Cancellation scales its
     rounding error by (1 - P)/P (52 for P(4, 1), 6 for P(4, 2)), so below
     x = 2 the series e^-x * sum_{k>=a} x^k/k! is used instead.
     """
-    x = np.asarray(x, dtype=float)
-    small = np.minimum(x, 2.0)
-    large = np.minimum(x, 1e3)  # e^-x underflows beyond: P = 1 exactly
-    head = sum(large ** k / math.factorial(k) for k in range(a))
-    tail = sum(small ** k / math.factorial(k) for k in range(a, a + 25))
-    return np.where(x < 2.0, np.exp(-small) * tail, 1.0 - np.exp(-large) * head)
+    if x < 2.0:
+        return math.exp(-x) * sum(x ** k / math.factorial(k) for k in range(a, a + 25))
+    x = min(x, 1e3)  # e^-x underflows beyond: P = 1 exactly
+    return 1.0 - math.exp(-x) * sum(x ** k / math.factorial(k) for k in range(a))
 
 
 def truncation_mass(ens: ThermalEnsemble) -> float:
     """Probability the untruncated density assigns to [0, truncation]."""
-    return float(_gamma_p(3, ens.truncation_hz / ens.theta_hz))
+    return _gamma_p(3, ens.truncation_hz / ens.theta_hz)
 
 
 def pdf(ens: ThermalEnsemble, energy_hz, renormalize: bool = True):
@@ -76,10 +75,10 @@ def mean_energy(ens: ThermalEnsemble) -> float:
     """Mean energy in Hz: 3*theta untruncated, strictly less when truncated."""
     theta = ens.theta_hz
     x = ens.truncation_hz / theta
-    mass = float(_gamma_p(3, x))
+    mass = _gamma_p(3, x)
     if mass <= 0:
         raise InvalidArgumentError("zero-mass ensemble: truncation too small")
-    return 3.0 * theta * float(_gamma_p(4, x)) / mass
+    return 3.0 * theta * _gamma_p(4, x) / mass
 
 
 def sample(ens: ThermalEnsemble, n: int, seed: int) -> np.ndarray:

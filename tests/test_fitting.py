@@ -443,6 +443,29 @@ def test_cli_fits_load_no_scipy(tmp_path):
     assert "beta4" in doc
 
 
+def test_cli_import_loads_no_numpy_polynomial():
+    # numpy.polynomial and laggauss cost about 7.5 ms: the Laguerre rule of
+    # the thermal average is a table, so neither the import nor a first
+    # thermal average loads it
+    code = (
+        "import sys\n"
+        "import magictrap.cli\n"
+        "assert 'numpy.polynomial' not in sys.modules\n"
+        "from magictrap.dls import TrapCoefficients, magic_depth\n"
+        "from magictrap.ramsey import TrapFieldConfig, visibility\n"
+        "coeffs = TrapCoefficients(3.47e-4, -0.99e-4, 4.6e-12)\n"
+        "cfg = TrapFieldConfig(coeffs, 3.115, magic_depth(coeffs, 3.115), 17e-6)\n"
+        "assert 0.0 < visibility(cfg, 0.1) < 1.0\n"
+        "assert 'numpy.polynomial' not in sys.modules\n"
+    )
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+
+
 class TestEnvelopeFit:
     def test_exact_exponential(self):
         t = np.linspace(0.0, 1.0, 6)

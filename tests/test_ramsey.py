@@ -1,4 +1,7 @@
+import cmath
 import math
+import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -40,7 +43,7 @@ def config(temperature_k, ratio=1.0, detuning_hz=0.0, coeffs=MEASURED):
 
 def trapezoid_population(cfg, t, n=300_000):
     """Dense-grid oracle for the thermal average, independent of the
-    Gauss-Kronrod quadrature."""
+    steepest-descent kernel."""
     theta = hz_from_kelvin(cfg.temperature_k)
     u0 = cfg.mean_depth_hz - 1.5 * theta
     xmax = min(abs(u0) / theta, 60.0)
@@ -78,6 +81,14 @@ class TestDepthGeometry:
     def test_positive_mean_depth_rejected(self):
         with pytest.raises(ConventionViolationError):
             bottom_depth(1.0, 17e-6)
+
+
+class TestConfig:
+    def test_temperature_past_float_range_in_hz_rejected(self):
+        # kB*T/h overflows above about 8.6e297 K
+        with pytest.raises(InvalidArgumentError) as info:
+            TrapFieldConfig(MEASURED, B0, -4e6, 1e300)
+        assert info.value.code == "invalid-argument"
 
 
 class TestResidualShift:
@@ -151,23 +162,22 @@ class TestRamseyPopulation:
         cfg = config(40e-6, ratio=0.6)  # heavy truncation
         mass = truncation_mass(cfg.ensemble)
         assert mass < 0.9
-        assert ramsey_population(cfg, 0.0, renormalize=False) == (
-            pytest.approx(mass, rel=1e-9))
+        assert ramsey_population(cfg, 0.0, renormalize=False) == mass
 
     @pytest.mark.parametrize("temperature_uk,ratio", [
         (40, 0.6), (17, 1.0), (2, 1.0), (8, 1.5)])
     def test_literal_average_matches_mass_scaled_form(self, temperature_uk,
                                                      ratio):
-        # the raw density's own mass on the nodes stands in for the closed
-        # form P(3, xmax); they differ by the Gamma(3) tail beyond X_CUT.
-        # The raw integrals are referenced to the shift at the trap bottom,
-        # so the carrier adds it to the detuning
+        # the raw density's mass is the closed form P(3, xmax). The raw
+        # integrals are referenced to the shift at the trap bottom, so the
+        # carrier adds it to the detuning
         from magictrap.ramsey import _raw_integrals
         cfg = config(temperature_uk * 1e-6, ratio=ratio, detuning_hz=30.0)
         mass = truncation_mass(cfg.ensemble)
         bottom_shift = dls(MEASURED, B0, cfg.bottom_depth_hz)
         for t in (0.0, 0.01, 0.3, 2.0, 30.0):
             num, den = _raw_integrals(cfg, t)
+            assert den == mass
             carrier = np.exp(2j * math.pi * (cfg.detuning_hz + bottom_shift) * t)
             population = mass * 0.5 * (1.0 + (carrier * num).real / den)
             envelope = mass * min(1.0, abs(num) / den)
@@ -184,6 +194,7 @@ class TestRamseyPopulation:
 class TestVisibility:
     def test_unity_at_zero_time(self):
         assert visibility(config(17e-6), 0.0) == 1.0
+        assert visibility(config(40e-6, ratio=0.6), 0.0) == 1.0  # truncated
 
     def test_bounded_by_one(self):
         cfg = config(20e-6, ratio=0.9)
@@ -356,22 +367,25 @@ class TestLongTimes:
             cfg = config(temperature_uk * 1e-6, ratio=ratio)
             assert 0.0 <= visibility(cfg, t) <= 1.0
 
-    @pytest.mark.parametrize("temperature_uk", [2, 8, 17])
+    @pytest.mark.parametrize("temperature_uk", [2, 8, 17, 40])
     def test_linear_shift_matches_gamma_characteristic_function(
             self, temperature_uk):
         # beta4 = 0: the phase is omega*x with x ~ Gamma(3), so the envelope
-        # is |(1 - i*omega)**-3| (Kuhr et al., PRA 72, 023406 (2005)); both
-        # traps put the truncation far beyond the density. By 1000 s the
-        # shift at the bottom of the 5 mK trap turns through about 2.5e7
-        # rad, which the envelope must not see
+        # is |(1 - i*omega)**-3| (Kuhr et al., PRA 72, 023406 (2005)) where
+        # the truncation lies far beyond the density; at 40 uK the 1 mK trap
+        # cuts it at x = 25 and leaves out 5e-9 of it, so only the 5 mK trap
+        # is checked there. By 1000 s the shift at the bottom of the 5 mK
+        # trap turns through about 2.5e7 rad, which the envelope must not see
         coeffs = TrapCoefficients(MEASURED.beta1, MEASURED.beta2, 0.0)
         linear = coeffs.beta1 + coeffs.beta2 * B0
         theta = hz_from_kelvin(temperature_uk * 1e-6)
-        for depth_k, times in ((1e-3, (0.01, 0.1, 1.0, 10.0, 100.0)),
+        for depth_k, times in ((1e-3, (0.01, 0.1, 1.0, 10.0, 100.0, 1e4)),
                                (5e-3, (1000.0,))):
             cfg = TrapFieldConfig(coeffs=coeffs, b_field_gauss=B0,
                                   mean_depth_hz=-hz_from_kelvin(depth_k),
                                   temperature_k=temperature_uk * 1e-6)
+            if truncation_mass(cfg.ensemble) < 1.0 - 1e-11:
+                continue
             for t in times:
                 omega = math.pi * t * linear * theta
                 assert visibility(cfg, t) == pytest.approx(
@@ -408,7 +422,8 @@ class TestLongTimes:
                                                               abs=1e-10)
 
     def test_t2_star_is_unchanged(self):
-        # values of the adaptive interval splitter this partition replaced
+        # values of the adaptive interval splitter that two kernels back
+        # took the thermal average
         frozen = {(2, 0.5): 0.3888125, (8, 1.0): 5.950200000000001,
                   (8, 1.5): 0.092878125, (17, 0.7): 0.088234375,
                   (40, 0.3): 0.031860937500000006,
@@ -417,23 +432,163 @@ class TestLongTimes:
             assert t2_star(config(temperature_uk * 1e-6, ratio=ratio)) == (
                 pytest.approx(value, rel=1e-9))
 
-    @pytest.mark.parametrize("t", [1000.0, 1e308])
-    def test_phase_past_the_panel_cap_is_a_coded_failure(self, t):
-        # a linear shift in a 5 mK trap at 40 uK turns through about 3.2e6
-        # rad over the density, past 2**20 panels of 3 rad each
+    def test_phase_past_float_range_is_a_coded_failure(self):
+        # a linear shift in a 5 mK trap at 40 uK: at 1e308 s its phase
+        # spread over the density is past float range
         cfg = TrapFieldConfig(
             coeffs=TrapCoefficients(MEASURED.beta1, MEASURED.beta2, 0.0),
             b_field_gauss=B0, mean_depth_hz=-hz_from_kelvin(5e-3),
             temperature_k=40e-6)
         with pytest.raises(NumericalFailureError) as info:
-            visibility(cfg, t)
-        diagnostics = info.value.diagnostics
-        assert diagnostics["panels"] > diagnostics["max_panels"]
+            visibility(cfg, 1e308)
+        assert info.value.code == "numerical-failure"
+        assert info.value.diagnostics == {"phase": math.inf}
+
+    def test_numpy_time_past_float_range_warns_nothing(self):
+        shift_free = TrapFieldConfig(coeffs=TrapCoefficients(0.0, 0.0, 0.0),
+                                     b_field_gauss=B0, mean_depth_hz=U_MAGIC,
+                                     temperature_k=17e-6)
+        t = np.float64(1e308)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for call in (visibility, ramsey_population):
+                with pytest.raises(NumericalFailureError) as info:
+                    call(config(17e-6), t)
+                assert type(info.value.diagnostics["phase"]) is float
+                assert call(shift_free, t) == 1.0
+            # the carrier of a detuned shift-free trap
+            with pytest.raises(NumericalFailureError) as info:
+                ramsey_population(replace(shift_free, detuning_hz=37.0), t)
+            assert type(info.value.diagnostics["phase"]) is float
 
     def test_non_finite_time_rejected(self):
         for t in (math.inf, math.nan):
             with pytest.raises(InvalidArgumentError):
                 visibility(config(17e-6), t)
+
+
+def exact_average(cfg, t):
+    """Thermal average of exp(i*phi) over the truncated density, in closed
+    form with mpmath error functions. phi(x) = A*x + B*x**2 exactly in
+    x = E/theta; A and B are read off the shift model at x = 1 and 2."""
+    mp = pytest.importorskip("mpmath")
+    c = cfg.coeffs
+    with mp.workdps(40):
+        theta = mp.mpf(hz_from_kelvin(cfg.temperature_k))
+        u0 = mp.mpf(cfg.bottom_depth_hz)
+        xmax = -u0 / theta
+        linear = mp.mpf(c.beta1) + mp.mpf(c.beta2) * mp.mpf(cfg.b_field_gauss)
+
+        def phase(x):
+            u = u0 + theta * x / 2
+            shift = (linear + mp.mpf(c.beta4) * u) * u
+            return 2 * mp.pi * mp.mpf(t) * (shift - (linear + mp.mpf(c.beta4) * u0) * u0)
+
+        a, b = 2 * phase(1) - phase(2) / 2, (phase(2) - 2 * phase(1)) / 2
+        den = 1 - mp.exp(-xmax) * (1 + xmax + xmax * xmax / 2)
+        c1 = mp.mpc(-1, a)
+        if c.beta4 == 0 or t == 0:
+            u = -c1 * xmax
+            return (1 - mp.exp(-u) * (1 + u + u * u / 2)) / (-c1) ** 3 / den
+        c2 = mp.mpc(0, b)
+        x_star = -c1 / (2 * c2)
+        # exp(q(x*)) times terms that cancel to about |x*|**3
+        extra = int(abs(mp.re(c1 * c1 / (4 * c2))) / 2) + 3 * int(mp.log10(1 + abs(x_star)))
+        with mp.workdps(40 + extra):
+            root = mp.sqrt(-c2)
+
+            def antiderivative(y):  # of (y + x*)**2/2 * exp(c2*y**2)
+                gauss = mp.sqrt(mp.pi) / (2 * root) * mp.erf(root * y)
+                g = mp.exp(c2 * y * y)
+                return ((y * g - gauss) / (2 * c2) + x_star * g / c2
+                        + x_star * x_star * gauss) / 2
+
+            num = mp.exp(-c1 * c1 / (4 * c2)) * (
+                antiderivative(xmax - x_star) - antiderivative(-x_star))
+            return num / den
+
+
+def polar(r, degrees):
+    return r * cmath.exp(1j * math.radians(degrees))
+
+
+def config_at(z, temperature_uk):
+    """(config, t) whose lower end x = 0 has Z = q(0) - q(x*) = z in the
+    kernel's branch rule: Z = 1j*w**2 with w = -(p1 + 1j)/(2*sqrt(p2))."""
+    w = cmath.sqrt(-1j * z)
+    if w.imag > 0:
+        w = -w
+    root_p2 = -0.5 / w.imag
+    p1, p2 = -2.0 * root_p2 * w.real, root_p2 * root_p2
+    theta = hz_from_kelvin(temperature_uk * 1e-6)
+    t = p2 / (0.5 * math.pi * MEASURED.beta4 * theta * theta)
+    linear = MEASURED.beta1 + MEASURED.beta2 * B0
+    u0 = (p1 / (math.pi * theta * t) - linear) / (2.0 * MEASURED.beta4)
+    return config(temperature_uk * 1e-6, ratio=(u0 + 1.5 * theta) / U_MAGIC,
+                  detuning_hz=30.0), t
+
+
+def assert_exact(cfg, t):
+    mp = pytest.importorskip("mpmath")
+    phasor = exact_average(cfg, t)
+    bottom_shift = dls(cfg.coeffs, cfg.b_field_gauss, cfg.bottom_depth_hz)
+    carrier = mp.expj(2 * mp.pi * (cfg.detuning_hz + bottom_shift) * t)
+    assert visibility(cfg, t) == pytest.approx(float(abs(phasor)), abs=1e-10)
+    assert ramsey_population(cfg, t) == pytest.approx(
+        float((1 + mp.re(carrier * phasor)) / 2), abs=1e-10)
+
+
+class TestKernelEdges:
+    """The thermal average against a closed form where the kernel's branch
+    rule switches: the disc |Z| <= 4, the box 0 < Re Z <= 40, |Im Z| <= 8,
+    and the imaginary axis, from both sides."""
+
+    @pytest.mark.parametrize("temperature_uk", [8, 17])
+    @pytest.mark.parametrize("z", [
+        polar(3.9, 0), polar(4.1, 0), polar(3.9, 60), polar(4.1, 60),
+        polar(3.9, -90), polar(4.1, -90), polar(3.9, 180), polar(4.1, 180),
+        polar(3.9, 135), polar(4.1, -135), polar(2.0, -100), polar(1.0, 180),
+        39 + 1j, 41 + 1j, 39 - 1j, 41 - 1j,
+        0.01 - 10j, -0.01 - 10j, 0.01 - 30j, -0.01 - 30j,
+        10 + 7.9j, 10 + 8.1j, 20 - 7.9j, 20 - 8.1j],
+        ids=lambda z: f"Z={z.real:.3g}{z.imag:+.3g}j")
+    def test_lower_end_at(self, z, temperature_uk):
+        assert_exact(*config_at(z, temperature_uk))
+
+    @pytest.mark.parametrize("temperature_uk,ratio,t", [
+        (17, 2.0, 0.021544),  # Z = 26.7 + 1.1j, off by 1.5e-9 on a Laguerre path
+        (2, 1.0, 1.0), (8, 0.95, 0.0316), (12, 0.8, 0.316), (32, 0.5, 0.0316),
+        (17, 1.0, 1e-8), (40, 0.5, 1e-8), (17, 1.0, 1e4), (40, 2.0, 1e4),
+        (2, 1.5, 1e4)])
+    def test_physical_points(self, temperature_uk, ratio, t):
+        assert_exact(config(temperature_uk * 1e-6, ratio=ratio, detuning_hz=30.0), t)
+
+    @pytest.mark.parametrize("temperature_uk,ratio,t", [
+        (17, 1.0, 1e10), (8, 0.95, 1e200), (40, 2.0, 1e300)])
+    def test_huge_times(self, temperature_uk, ratio, t):
+        # q'(x)**2 overflows; the envelope falls as t**-0.5 from where the
+        # ridge between the valleys crosses the energy range. (A float
+        # carrier phase of 1e12 rad and more is itself off by 1e-4 rad.)
+        cfg = config(temperature_uk * 1e-6, ratio=ratio)
+        assert visibility(cfg, t) == pytest.approx(
+            float(abs(exact_average(cfg, t))), abs=1e-10, rel=1e-9)
+
+    def test_linear_shift(self):
+        coeffs = TrapCoefficients(MEASURED.beta1, MEASURED.beta2, 0.0)
+        for t in (1e-8, 0.3, 10.0):
+            assert_exact(config(17e-6, ratio=0.6, detuning_hz=30.0, coeffs=coeffs), t)
+
+
+def test_laguerre_table():
+    from numpy.polynomial.laguerre import laggauss
+    from magictrap.ramsey import LAGUERRE_NODES, LAGUERRE_WEIGHTS
+    nodes, weights = laggauss(32)
+    assert np.allclose(LAGUERRE_NODES, nodes, rtol=1e-13, atol=0)
+    assert np.allclose(LAGUERRE_WEIGHTS, weights, rtol=1e-12, atol=0)
+    # exact for polynomials of degree < 64: moments of exp(-s) are k!
+    for k in (0, 1, 2, 5, 20, 40, 63):
+        moment = (LAGUERRE_WEIGHTS * LAGUERRE_NODES.real ** k).sum()
+        assert moment == pytest.approx(math.factorial(k), rel=1e-14)
 
 
 class TestTraceContainers:
