@@ -1,5 +1,6 @@
-"""Serial, order-preserving map for grid sweeps; the name stays only because
-the benchmark's tracer pins ``magictrap.parallel.ordered_map``."""
+"""Serial, order-preserving map. Only ramsey_trace uses it now, one
+ramsey_population call per point; the name stays only because the
+benchmark's tracer pins ``magictrap.parallel.ordered_map``."""
 
 
 def ordered_map(fn, items):

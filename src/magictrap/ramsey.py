@@ -96,8 +96,23 @@ class TrapFieldConfig:
         for name in ("b_field_gauss", "mean_depth_hz", "temperature_k", "detuning_hz"):
             if not math.isfinite(getattr(self, name)):
                 raise InvalidArgumentError(f"{name} must be finite")
-        if not math.isfinite(hz_from_kelvin(self.temperature_k)):
+        theta = hz_from_kelvin(self.temperature_k)
+        if not math.isfinite(theta):
             raise InvalidArgumentError("temperature too high: kB*T/h is not finite")
+        # the thermal average's constants (k1, k2, X, P(3, X)), once per
+        # config: k1, k2 are its phase coefficients p1, p2 per second, so
+        # that a zero coefficient stays 0 at any finite t
+        u0 = self.mean_depth_hz - 1.5 * theta  # bottom_depth_hz, < 0 here
+        c = self.coeffs
+        k1 = math.pi * theta * (c.beta1 + c.beta2 * self.b_field_gauss + 2.0 * c.beta4 * u0)
+        k2 = 0.5 * math.pi * c.beta4 * theta * theta
+        if not (math.isfinite(k1) and math.isfinite(k2)):
+            raise InvalidArgumentError(
+                "phase per second past float range: the shift across kB*T/h "
+                "is not finite")
+        x_end = abs(u0) / theta
+        object.__setattr__(self, "_kernel_constants",
+                           (k1, k2, x_end, _gamma_p(3, x_end)))
 
     @property
     def bottom_depth_hz(self) -> float:
@@ -153,16 +168,22 @@ def residual_shift(coeffs: TrapCoefficients, temperature_k: float,
 
 
 def _raw_integrals(config: TrapFieldConfig, t_s: float):
-    """Return (integral of p*exp(1j*phi), integral of p) over the allowed
-    energies, both un-renormalized.
+    """_integrals of the one point (config, t)."""
+    return _integrals(((config, t_s),))[0]
+
+
+def _integrals(points):
+    """For each (config, t) of points, in order, return (integral of
+    p*exp(1j*phi), integral of p) over the allowed energies, both
+    un-renormalized.
 
     phi = 2*pi*t*(dls(U) - dls(U0)) is the phase from the trap bottom: with
-    x = E/theta it is (p1 + p2*x)*x exactly, p1 = pi*t*theta*(beta1 +
-    beta2*B + 2*beta4*U0) and p2 = pi*t*beta4*theta**2/2 >= 0. The first
-    integral is then that of x**2/2 * exp(q(x)) over [0, X], X = |U0|/theta,
-    with q = c1*x + c2*x**2, c1 = -1 + 1j*p1 and c2 = 1j*p2; the second is
-    the closed form P(3, X). |num| <= den up to round-off, which the callers
-    clip.
+    x = E/theta it is (p1 + p2*x)*x exactly, p1 = k1*t and p2 = k2*t >= 0,
+    k1 = pi*theta*(beta1 + beta2*B + 2*beta4*U0) and k2 = pi*beta4*theta**2/2
+    (per config, in TrapFieldConfig). The first integral is then that of
+    x**2/2 * exp(q(x)) over [0, X], X = |U0|/theta, with q = c1*x + c2*x**2,
+    c1 = -1 + 1j*p1 and c2 = 1j*p2; the second is the closed form P(3, X).
+    |num| <= den up to round-off, which the callers clip.
 
     The integrand is entire, so the integral is G(0) - G(X), G(a) being the
     integral from a to the saddle x* = -c1/(2*c2), along any path. With
@@ -175,31 +196,90 @@ def _raw_integrals(config: TrapFieldConfig, t_s: float):
     half-Gaussian -H(v). Two such ends in one valley cancel their H and
     leave them out (they overflow where x* is high); in opposite valleys
     they add the full Gaussian through x*.
+
+    Each point's ends are classified in Python; then the descent ends of
+    all points share one numpy pass, and their segment ends one
+    quadrature.integrate call per panel count. Each step is elementwise or
+    reduces within one end, and a point's panel count is its own, so a
+    point's result does not depend on the rest of the batch.
     """
+    points = [_ends(config, t_s) for config, t_s in points]
+    descents = [end for _, _, ends, _, _ in points for end in ends]
+    if descents:
+        # sum over the nodes s of W(s) * h(s)**2/sqrt(1 - s/Z), in place,
+        # each row on its own (a matrix product rounds a row differently
+        # with the number of rows)
+        a, inv_z, k, w = np.array(descents).T
+        r = 1.0 - inv_z[:, None] * LAGUERRE_NODES
+        np.sqrt(r, out=r)
+        h = LAGUERRE_NODES / (1.0 + r)
+        h *= k[:, None]
+        h += a[:, None]
+        h *= h
+        h /= r
+        h *= LAGUERRE_WEIGHTS
+        descended = iter((w * np.add.reduce(h, axis=1)).tolist())
+    by_panels = {}
+    for _, _, _, segments, panels in points:
+        if segments:
+            by_panels.setdefault(panels, []).extend(segments)
+    integrated = {}
+    for panels, segments in by_panels.items():
+        a, span, z, w = np.array(segments).T[:, :, None]
+
+        def integrand(tau):
+            # on x = a + tau*span, q(x) = q(a) - Z*tau*(2 - tau)
+            x = a + span * tau
+            return w * x * x * np.exp(z * (tau * (tau - 2.0)))
+
+        # atol well below the 1e-10 of the visibility; rtol because up to an
+        # uphill saddle (Re Z >= -4) the segment is up to e**4 times the
+        # whole, and its round-off with it
+        integrated[panels] = iter(integrate(integrand, 0.0, 1.0, rtol=1e-14,
+                                            atol=1e-12, panels=panels)[0].tolist())
+    out = []
+    for den, saddle, descents, segments, panels in points:
+        if saddle is None:
+            out.append((complex(den), den))  # no phase: the phasor is the density
+            continue
+        num = 0j
+        for _ in descents:
+            num += next(descended)
+        if segments:
+            values = integrated[panels]
+            for _ in segments:
+                num += next(values)
+        phase, c1, c2, x_star, owed = saddle
+        for valley, k in ((1.0, owed[0]), (-1.0, owed[1])):
+            if k:
+                num += k * _half_gaussian(c1, c2, x_star, valley)
+        if not cmath.isfinite(num):
+            raise NumericalFailureError("thermal average is not finite",
+                                        diagnostics={"phase": phase})
+        out.append((complex(num), den))
+    return out
+
+
+def _ends(config: TrapFieldConfig, t_s: float):
+    """Classify the two ends of one point for _integrals: (den, saddle,
+    descents, segments, panels), saddle being None where the phase is 0."""
     t_s = float(t_s)
     if not 0 <= t_s < math.inf:
         raise InvalidArgumentError("time must be finite and >= 0")
-    theta = hz_from_kelvin(config.temperature_k)
-    u0 = config.bottom_depth_hz
-    x_end = abs(u0) / theta
-    c = config.coeffs
-    # per second first, so that a zero coefficient stays 0 at any finite t
-    k1 = math.pi * theta * (c.beta1 + c.beta2 * config.b_field_gauss + 2.0 * c.beta4 * u0)
-    k2 = 0.5 * math.pi * c.beta4 * theta * theta
+    k1, k2, x_end, den = config._kernel_constants
     p1, p2 = k1 * t_s, k2 * t_s
-    den = _gamma_p(3, x_end)
     # the slope p1 + 2*p2*x is largest in modulus at one end of [0, x_end]
     phase = t_s * (x_end * max(abs(k1), abs(k1 + 2.0 * k2 * x_end)))
     if not phase < math.inf:
         raise NumericalFailureError("phase spread past float range",
                                     diagnostics={"phase": phase})
     if phase == 0.0:
-        return complex(den), den  # no phase: the phasor is the density
+        return den, None, (), (), 0
     c1, c2 = complex(-1.0, p1), complex(0.0, p2)
     x_star = -c1 / (2.0 * c2) if p2 else None
     descents, segments = [], []
     reach = 0.0  # largest Re Z of a segment
-    owed = {1.0: 0.0, -1.0: 0.0}  # multiples of H(v) to add
+    owed = [0.0, 0.0]  # multiples of H(+1) and H(-1) to add
     for sign, a in ((1.0, 0.0), (-1.0, x_end)):
         d = complex(-1.0, p1 + 2.0 * p2 * a)  # q'(a)
         # Z = q(a) - q(x*) = q'(a)**2/(4*c2), written so that it cannot
@@ -221,41 +301,12 @@ def _raw_integrals(config: TrapFieldConfig, t_s: float):
                 # and dh/ds = -1/(d*sqrt(1 - s/Z))
                 descents.append((a, 4.0 * c2 / d / d, -2.0 / d, -0.5 * weight / d))
             # the ridge between the valleys crosses the real axis at Im d = -1
-            owed[1.0 if d.imag > -1.0 else -1.0] -= sign
-    num = 0j
-    if descents:
-        # sum over the nodes s of W(s) * h(s)**2/sqrt(1 - s/Z), in place
-        a, inv_z, k, w = np.array(descents).T
-        r = 1.0 - inv_z[:, None] * LAGUERRE_NODES
-        np.sqrt(r, out=r)
-        h = LAGUERRE_NODES / (1.0 + r)
-        h *= k[:, None]
-        h += a[:, None]
-        h *= h
-        h /= r
-        num += w @ (h @ LAGUERRE_WEIGHTS)
-    if segments:
-        a, span, z, w = np.array(segments).T[:, :, None]
-
-        def integrand(tau):
-            # on x = a + tau*span, q(x) = q(a) - Z*tau*(2 - tau)
-            x = a + span * tau
-            return w * x * x * np.exp(z * (tau * (tau - 2.0)))
-
-        # atol well below the 1e-10 of the visibility; rtol because up to an
-        # uphill saddle (Re Z >= -4) the segment is up to e**4 times the
-        # whole, and its round-off with it. Near tau = 0 the integrand falls
-        # as exp(-2*Re Z*tau): one more panel per unit of Re Z
-        panels = 8 + math.ceil(reach)
-        num += integrate(integrand, 0.0, 1.0, rtol=1e-14, atol=1e-12,
-                         panels=panels)[0].sum()
-    for valley, k in owed.items():
-        if k:
-            num += k * _half_gaussian(c1, c2, x_star, valley)
-    if not cmath.isfinite(num):
-        raise NumericalFailureError("thermal average is not finite",
-                                    diagnostics={"phase": phase})
-    return complex(num), den
+            owed[0 if d.imag > -1.0 else 1] -= sign
+    # near tau = 0 a segment's integrand falls as exp(-2*Re Z*tau): at least
+    # one more panel per unit of Re Z, in steps of 8 so that a batch has
+    # few panel counts (at most six)
+    panels = 8 * (1 + math.ceil(reach / 8.0))
+    return den, (phase, c1, c2, x_star, owed), descents, segments, panels
 
 
 def _half_gaussian(c1, c2, x_star, valley):
@@ -291,7 +342,10 @@ def visibility(config: TrapFieldConfig, t_s: float,
                renormalize: bool = True) -> float:
     """Ramsey fringe envelope: modulus of the thermal dephasing
     characteristic function. The detuning drops out exactly."""
-    num, den = _raw_integrals(config, t_s)
+    return _envelope(*_raw_integrals(config, t_s), renormalize)
+
+
+def _envelope(num, den, renormalize=True):
     return float(min(1.0, abs(num) / den) if renormalize else min(abs(num), den))
 
 
@@ -299,23 +353,55 @@ def t2_star(config: TrapFieldConfig, horizon_s: float = DEFAULT_HORIZON_S) -> fl
     """First time the visibility envelope falls to 1/e, by bracket doubling
     then bisection to T2_STAR_REL_TOL. Returns math.inf if the envelope
     stays above 1/e out to the horizon."""
-    # the envelope is 1 at t = 0 exactly: there _raw_integrals returns the
+    # one visibility call per probe, the unit the benchmark's trace counts
+    return _first_crossings(
+        lambda _, times: [visibility(config, t) for t in times], 1, horizon_s)[0]
+
+
+def _t2_stars(configs):
+    """t2_star of each of configs at the default horizon, solved in
+    lockstep: one _integrals pass per step over every unsolved config."""
+    def envelope(indices, times):
+        return [_envelope(num, den) for num, den in
+                _integrals([(configs[i], t) for i, t in zip(indices, times)])]
+
+    return _first_crossings(envelope, len(configs), DEFAULT_HORIZON_S)
+
+
+def _first_crossings(envelope, n, horizon_s):
+    """First 1/e crossings of n envelopes, each by bracket doubling from
+    1e-4 s then bisection to T2_STAR_REL_TOL; math.inf for one still above
+    1/e past horizon_s. envelope(indices, times) returns the envelope of
+    each listed one at its time. Each follows its own probe sequence, so a
+    root does not depend on the others."""
+    # the envelope is 1 at t = 0 exactly: there _integrals returns the
     # density's mass as the phasor integral
     target = 1.0 / math.e
-    lo = 0.0
-    hi = 1e-4
-    while visibility(config, hi) > target:
-        lo = hi
-        hi *= 2.0
-        if hi > horizon_s:
-            return math.inf
-    while hi - lo > T2_STAR_REL_TOL * hi:
-        mid = 0.5 * (lo + hi)
-        if visibility(config, mid) > target:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
+    lo, hi = [0.0] * n, [1e-4] * n
+    doubling = [True] * n
+    roots = [math.inf] * n
+    active = list(range(n))
+    while active:
+        probes = [hi[i] if doubling[i] else 0.5 * (lo[i] + hi[i]) for i in active]
+        unsolved = []
+        for i, t, value in zip(active, probes, envelope(active, probes)):
+            if doubling[i] and value > target:
+                lo[i] = t
+                hi[i] = 2.0 * t
+                if hi[i] > horizon_s:
+                    continue
+            elif doubling[i]:
+                doubling[i] = False
+            elif value > target:
+                lo[i] = t
+            else:
+                hi[i] = t
+            if doubling[i] or hi[i] - lo[i] > T2_STAR_REL_TOL * hi[i]:
+                unsolved.append(i)
+            else:
+                roots[i] = 0.5 * (lo[i] + hi[i])
+        active = unsolved
+    return roots
 
 
 def combine_coherence(t1_s: float, t2_prime_s: float, t2_star_s: float) -> float:
@@ -337,7 +423,8 @@ def combine_coherence(t1_s: float, t2_prime_s: float, t2_star_s: float) -> float
 def coherence_vs_depth(base: TrapFieldConfig, ratios, t1_s: float,
                        t2_prime_s: float):
     """Coherence time tau versus depth ratio U_a/U_M at fixed field and
-    temperature. Returns [(ratio, tau_s), ...] in input order."""
+    temperature. Returns [(ratio, tau_s), ...] in input order. The T2* of
+    every distinct ratio is solved together, in lockstep."""
     ratios = [float(r) for r in ratios]
     if any(r <= 0 for r in ratios):
         raise InvalidArgumentError("depth ratios must be positive")
@@ -345,12 +432,10 @@ def coherence_vs_depth(base: TrapFieldConfig, ratios, t1_s: float,
     u_magic = magic_depth(base.coeffs, base.b_field_gauss)
     if u_magic >= 0:
         raise UnphysicalConfigurationError("magic depth is not a trap at this field")
-
-    def one(ratio):
-        cfg = replace(base, mean_depth_hz=ratio * u_magic)
-        return ratio, combine_coherence(t1_s, t2_prime_s, t2_star(cfg))
-
-    return ordered_map(one, ratios)
+    distinct = list(dict.fromkeys(ratios))
+    solved = dict(zip(distinct, _t2_stars(
+        [replace(base, mean_depth_hz=r * u_magic) for r in distinct])))
+    return [(r, combine_coherence(t1_s, t2_prime_s, solved[r])) for r in ratios]
 
 
 def ramsey_trace(config: TrapFieldConfig, times_s,
@@ -363,5 +448,6 @@ def ramsey_trace(config: TrapFieldConfig, times_s,
 def visibility_curve(config: TrapFieldConfig, times_s,
                      renormalize: bool = True) -> VisibilityCurve:
     times = tuple(float(t) for t in times_s)
-    vis = ordered_map(lambda t: visibility(config, t, renormalize), times)
+    vis = [_envelope(num, den, renormalize)
+           for num, den in _integrals([(config, t) for t in times])]
     return VisibilityCurve(times, tuple(vis))

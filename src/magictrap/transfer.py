@@ -12,7 +12,7 @@ from dataclasses import dataclass, replace
 from enum import Enum
 
 from .errors import InvalidArgumentError, TimelineError, UnphysicalConfigurationError
-from .ramsey import TrapFieldConfig, combine_coherence, t2_star
+from .ramsey import TrapFieldConfig, _t2_stars, combine_coherence
 
 
 class Phase(str, Enum):
@@ -139,7 +139,8 @@ def coherence_budget(tl: TransferTimeline, post_transfer_temperature_k: float,
     post-transfer temperature. The register trap is the first Hold
     segment's configuration (the first segment if no Hold exists).
     Measured T2* values can be passed in to supersede the model on either
-    side.
+    side. The model T2* of every distinct trap the report needs is solved
+    together, in lockstep, once per trap.
     """
     verdict = validate_timeline(tl)
     if not verdict.ok:
@@ -153,16 +154,17 @@ def coherence_budget(tl: TransferTimeline, post_transfer_temperature_k: float,
     for measured in (t2star_static_s, t2star_mobile_s):
         if measured is not None:  # checked before any root solve
             combine_coherence(tl.t1_s, tl.t2prime_s, measured)
-    solved = {}
-
-    def model_t2_star(cfg):
-        if cfg not in solved:  # configs are frozen: one solve per trap
-            solved[cfg] = t2_star(cfg)
-        return solved[cfg]
+    mobile_cfg = replace(static, temperature_k=post_transfer_temperature_k)
+    # the static trap is one of the segments'
+    traps = [seg.config for seg in tl.segments]
+    if t2star_mobile_s is None:
+        traps.append(mobile_cfg)
+    traps = list(dict.fromkeys(traps))
+    model_t2_star = dict(zip(traps, _t2_stars(traps)))
 
     per_segment = []
     for seg in tl.segments:
-        model_t2 = model_t2_star(seg.config)
+        model_t2 = model_t2_star[seg.config]
         used = seg.t2_override_s if seg.t2_override_s is not None else model_t2
         factor = math.exp(-seg.duration_s / used) if seg.duration_s > 0 else 1.0
         per_segment.append(SegmentBudget(seg.phase, seg.duration_s, used,
@@ -179,10 +181,9 @@ def coherence_budget(tl: TransferTimeline, post_transfer_temperature_k: float,
         retained *= entry.amplitude_factor
 
     ts_static = (t2star_static_s if t2star_static_s is not None
-                 else model_t2_star(static))
-    mobile_cfg = replace(static, temperature_k=post_transfer_temperature_k)
+                 else model_t2_star[static])
     ts_mobile = (t2star_mobile_s if t2star_mobile_s is not None
-                 else model_t2_star(mobile_cfg))
+                 else model_t2_star[mobile_cfg])
     tau_static = combine_coherence(tl.t1_s, tl.t2prime_s, ts_static)
     tau_mobile = combine_coherence(tl.t1_s, tl.t2prime_s, ts_mobile)
     loss = 1.0 - tau_mobile / tau_static

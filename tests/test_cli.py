@@ -162,7 +162,7 @@ class TestCurves:
             self, capsys, coeffs_file, monkeypatch):
         from magictrap import ramsey
         calls = []
-        monkeypatch.setattr(ramsey, "t2_star", lambda cfg: calls.append(cfg))
+        monkeypatch.setattr(ramsey, "_integrals", calls.append)
         code, out, err = run(capsys, [
             "coherence-curve", "--coeffs", coeffs_file, "--b-field", "3.115",
             "--temp-uk", "17", "--t1", "0", "--t2prime", "0.3"])
@@ -410,9 +410,9 @@ class TestTransferCommand:
 
     def test_negative_measured_t2star_rejected_before_any_solve(
             self, capsys, coeffs_file, tmp_path, monkeypatch):
-        from magictrap import transfer
+        from magictrap import ramsey
         calls = []
-        monkeypatch.setattr(transfer, "t2_star", lambda cfg: calls.append(cfg))
+        monkeypatch.setattr(ramsey, "_integrals", calls.append)
         timeline = self.write_inputs(tmp_path, coeffs_file)
         code, out, err = run(capsys, [
             "transfer", "--coeffs", coeffs_file, "--timeline", timeline,

@@ -6,6 +6,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from magictrap import ramsey
 from magictrap.constants import hz_from_kelvin
 from magictrap.dls import TrapCoefficients, dls, dls_minimum, magic_depth
 from magictrap.errors import (
@@ -89,6 +90,16 @@ class TestConfig:
         with pytest.raises(InvalidArgumentError) as info:
             TrapFieldConfig(MEASURED, B0, -4e6, 1e300)
         assert info.value.code == "invalid-argument"
+
+    def test_phase_per_second_past_float_range_rejected(self):
+        # at 1e150 K the shift's spread over kB*T/h overflows per second;
+        # at 1e140 K it does not, and the kernel still runs
+        with pytest.raises(InvalidArgumentError) as info:
+            TrapFieldConfig(MEASURED, B0, -4e6, 1e150)
+        assert info.value.code == "invalid-argument"
+        hot = TrapFieldConfig(MEASURED, B0, -4e6, 1e140)
+        assert visibility(hot, 0.0) == 1.0
+        assert 0.0 <= visibility(hot, 1.0) < 1e-200
 
 
 class TestResidualShift:
@@ -263,6 +274,62 @@ class TestT2Star:
                 assert len(probes) == expected_probes - 1
 
 
+class TestLockstep:
+    """The batch paths against their scalar calls, bit for bit."""
+
+    RATIOS = [round(0.5 + 0.05 * i, 2) for i in range(21)] + [0.3, 2.0]
+
+    @pytest.mark.parametrize("temperature_uk", [2, 8, 17, 40])
+    def test_lockstep_t2_star_equals_scalar(self, temperature_uk):
+        configs = [config(temperature_uk * 1e-6, ratio=r) for r in self.RATIOS]
+        assert ramsey._t2_stars(configs) == [t2_star(cfg) for cfg in configs]
+
+    def test_horizon_reached_in_a_batch(self):
+        cold = config(1e-9)
+        assert t2_star(cold) == math.inf
+        configs = [config(17e-6), cold, config(8e-6, ratio=1.2)]
+        roots = ramsey._t2_stars(configs)
+        assert roots == [t2_star(cfg) for cfg in configs]
+        assert roots[1] == math.inf and math.isfinite(roots[0])
+
+    def test_repeated_ratios_equal_their_scalar_calls(self):
+        ratios = [1.0, 0.8, 1.0]
+        assert coherence_vs_depth(config(17e-6), ratios, 4.0, 0.3) == [
+            (r, combine_coherence(4.0, 0.3, t2_star(config(17e-6, ratio=r))))
+            for r in ratios]
+
+    @pytest.mark.parametrize("temperature_uk", [2, 8, 17, 40])
+    def test_visibility_curve_equals_scalar(self, temperature_uk):
+        times = [0.02 * i for i in range(101)]
+        for ratio in (0.8, 1.0, 1.5):
+            cfg = config(temperature_uk * 1e-6, ratio=ratio)
+            for renormalize in (True, False):
+                assert visibility_curve(cfg, times, renormalize).visibility == tuple(
+                    visibility(cfg, t, renormalize) for t in times)
+        # the grid mixes points with a segment end and points without
+        segmented = [bool(ramsey._ends(config(17e-6), t)[3]) for t in times[1:]]
+        assert any(segmented) and not all(segmented)
+
+    def test_batch_kernel_equals_one_point_calls(self):
+        # raw integrals, whose last bits the clipped envelope can hide:
+        # configs and times interleaved in one batch
+        times = [0.0] + [10.0 ** (k / 4) for k in range(-24, 13)] + [
+            0.1 * k for k in range(1, 21)]
+        points = [(config(temperature_uk * 1e-6, ratio=ratio, detuning_hz=30.0), t)
+                  for t in times for temperature_uk in (2, 8, 17, 40)
+                  for ratio in (0.5, 1.0, 1.5, 2.0)]
+        assert ramsey._integrals(points) == [
+            ramsey._raw_integrals(cfg, t) for cfg, t in points]
+
+    def test_segments_of_different_reach_in_one_batch(self):
+        # lower ends at Z with Re Z from 3.9 to 39, so four panel counts
+        points = [config_at(z, 17) for z in (polar(3.9, 0), 10 + 7.9j,
+                                              20 - 7.9j, 39 + 1j)]
+        assert len({ramsey._ends(cfg, t)[4] for cfg, t in points}) == 4
+        assert ramsey._integrals(points) == [
+            ramsey._raw_integrals(cfg, t) for cfg, t in points]
+
+
 class TestCombineCoherence:
     def test_quoted_composition(self):
         assert combine_coherence(4.0, 0.3, 1.5) == pytest.approx(
@@ -347,7 +414,7 @@ class TestCoherenceCurve:
             self, monkeypatch, t1_s, t2_prime_s):
         from magictrap import ramsey
         calls = []
-        monkeypatch.setattr(ramsey, "t2_star", lambda cfg: calls.append(cfg))
+        monkeypatch.setattr(ramsey, "_integrals", calls.append)
         with pytest.raises(InvalidArgumentError) as info:
             coherence_vs_depth(config(17e-6), [0.5, 1.0, 1.5], t1_s, t2_prime_s)
         assert info.value.code == "invalid-argument"

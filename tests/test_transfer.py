@@ -152,16 +152,16 @@ class TestBudget:
         # trap; at 8 uK the post-transfer trap is the static one as well
         from magictrap import ramsey, transfer
 
-        calls = []
+        handed = []
 
-        def counted(cfg):
-            calls.append(cfg)
-            return ramsey.t2_star(cfg)
+        def counted(configs):
+            handed.extend(configs)
+            return ramsey._t2_stars(configs)
 
-        monkeypatch.setattr(transfer, "t2_star", counted)
+        monkeypatch.setattr(transfer, "_t2_stars", counted)
         timeline = reference_timeline()
         report = coherence_budget(timeline, post_uk * 1e-6)
-        assert len(calls) == solves
+        assert len(handed) == len(set(handed)) == solves
         assert [entry.t2_model_s for entry in report.per_segment] == [
             ramsey.t2_star(seg.config) for seg in timeline.segments]
         assert report.t2star_static_s == ramsey.t2_star(STATIC)
@@ -244,9 +244,9 @@ class TestBudget:
             coherence_budget(reference_timeline(), 4e-6)
 
     def test_cooling_rejected_before_any_solve(self, monkeypatch):
-        from magictrap import transfer
+        from magictrap import ramsey
         calls = []
-        monkeypatch.setattr(transfer, "t2_star", lambda cfg: calls.append(cfg))
+        monkeypatch.setattr(ramsey, "_integrals", calls.append)
         with pytest.raises(UnphysicalConfigurationError) as info:
             coherence_budget(reference_timeline(), 4e-6)
         assert info.value.code == "unphysical-configuration"
@@ -256,9 +256,9 @@ class TestBudget:
         (-1.0, 1.9), (6.6, 0.0), (6.6, math.nan), (None, -math.inf)])
     def test_bad_measured_t2star_rejected_before_any_solve(
             self, monkeypatch, static_s, mobile_s):
-        from magictrap import transfer
+        from magictrap import ramsey
         calls = []
-        monkeypatch.setattr(transfer, "t2_star", lambda cfg: calls.append(cfg))
+        monkeypatch.setattr(ramsey, "_integrals", calls.append)
         with pytest.raises(InvalidArgumentError) as info:
             coherence_budget(reference_timeline(), 16e-6,
                              t2star_static_s=static_s, t2star_mobile_s=mobile_s)
