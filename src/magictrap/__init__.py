@@ -7,7 +7,6 @@ from .dls import (
     AtomicInput,
     TrapCoefficients,
     coeffs_from_atomic,
-    depth_from_linear_dls,
     dls,
     dls_minimum,
     effective_field,
@@ -34,12 +33,11 @@ from .ramsey import (
     combine_coherence,
     ramsey_population,
     ramsey_trace,
-    residual_shift,
     t2_star,
     visibility,
     visibility_curve,
 )
-from .thermal import ThermalEnsemble, mean_energy, pdf, sample, truncation_mass
+from .thermal import ThermalEnsemble, sample, truncation_mass
 from .transfer import (
     BudgetReport,
     Phase,
@@ -72,7 +70,6 @@ __all__ = [
     "coherence_budget",
     "coherence_vs_depth",
     "combine_coherence",
-    "depth_from_linear_dls",
     "dls",
     "dls_minimum",
     "effective_field",
@@ -84,11 +81,8 @@ __all__ = [
     "magic_depth",
     "magic_depth_sigma",
     "make_dls_dataset",
-    "mean_energy",
-    "pdf",
     "ramsey_population",
     "ramsey_trace",
-    "residual_shift",
     "sample",
     "synth_dls",
     "t2_star",

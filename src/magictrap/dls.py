@@ -129,14 +129,3 @@ def effective_field(vector_to_scalar_ratio: float, depth_hz: float) -> float:
     _require_finite(vector_to_scalar_ratio=vector_to_scalar_ratio)
     return vector_to_scalar_ratio * abs(depth_hz) / (2.0 * CONSTANTS.bohr_magneton_over_h)
 
-
-def depth_from_linear_dls(measured_dls_hz: float, beta1: float) -> float:
-    """Invert the linear-polarization shift model: depth = shift / beta1.
-
-    Used to calibrate the trap depth from a measured shift in a linearly
-    polarized trap, where beta2 and beta4 vanish.
-    """
-    _require_finite(measured_dls_hz=measured_dls_hz, beta1=beta1)
-    if beta1 == 0:
-        raise InvalidArgumentError("beta1 = 0: linear model not invertible")
-    return measured_dls_hz / beta1

@@ -248,27 +248,28 @@ def magic_depth_sigma(fit: FitResult, beta1: float, b_field_gauss: float) -> flo
 
 
 def _normalize_samples(samples):
-    ts, vals, sigmas = [], [], []
-    given = True
-    for row in samples:
-        if len(row) == 2:
-            t, v = row
-            s = 1.0
-            given = False
-        else:
-            t, v, s = row
-            if not s > 0:
-                raise InvalidArgumentError("sigmas must be positive")
-        ts.append(float(t))
-        vals.append(float(v))
-        sigmas.append(float(s))
-    ts, vals = np.array(ts), np.array(vals)
+    """Times, values, sigmas (1 where not given) and whether sigmas were
+    given, sorted by time, from rows that are all (t, v) or all
+    (t, v, sigma)."""
+    try:
+        rows = np.asarray(samples, dtype=float)
+    except (TypeError, ValueError):
+        raise InvalidArgumentError(
+            "samples must be numeric rows of one width, (t, v) or (t, v, sigma)") from None
+    if rows.ndim != 2 or rows.shape[1] not in (2, 3):
+        raise InvalidArgumentError("samples must be rows of (t, v) or (t, v, sigma)",
+                                   {"shape": rows.shape})
+    given = rows.shape[1] == 3
+    ts, vals = rows[:, 0], rows[:, 1]
+    sigmas = rows[:, 2] if given else np.ones(len(rows))
+    if not (sigmas > 0).all():
+        raise InvalidArgumentError("sigmas must be positive")
     if not np.isfinite(ts).all():
         raise InvalidArgumentError("sample times must be finite")
     if not np.isfinite(vals).all():
         raise InvalidArgumentError("sample values must be finite")
     order = np.argsort(ts, kind="stable")
-    return ts[order], vals[order], np.array(sigmas)[order], given
+    return ts[order], vals[order], sigmas[order], given
 
 
 def _spectrum_peak(t, y):

@@ -157,16 +157,6 @@ def bottom_depth(mean_depth_hz: float, temperature_k: float) -> float:
     return u0
 
 
-def residual_shift(coeffs: TrapCoefficients, temperature_k: float,
-                   energy_hz: float) -> float:
-    """Residual quadratic shift of an atom at energy E when the mean depth
-    sits at the vertex: beta4 * ((E - 3*kB*T/h)/2)**2."""
-    if energy_hz < 0:
-        raise InvalidArgumentError("energy must be >= 0")
-    half_dev = 0.5 * (energy_hz - 3.0 * hz_from_kelvin(temperature_k))
-    return coeffs.beta4 * half_dev * half_dev
-
-
 def _raw_integrals(config: TrapFieldConfig, t_s: float):
     """_integrals of the one point (config, t)."""
     return _integrals(((config, t_s),))[0]

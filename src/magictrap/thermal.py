@@ -47,65 +47,47 @@ def truncation_mass(ens: ThermalEnsemble) -> float:
     return _gamma_p(3, ens.truncation_hz / ens.theta_hz)
 
 
-def pdf(ens: ThermalEnsemble, energy_hz, renormalize: bool = True):
-    """Density (1/Hz) at the given energy; zero above the truncation.
-
-    With renormalize=True (default) the truncated density integrates to 1;
-    with renormalize=False the raw untruncated form is returned, which is
-    what a literal truncated-integral average uses.
-    """
-    e = np.asarray(energy_hz, dtype=float)
-    if np.any(e < 0):
-        raise InvalidArgumentError("energy must be >= 0")
-    theta = ens.theta_hz
-    x = e / theta
-    raw = 0.5 * x * x * np.exp(-x) / theta
-    raw = np.where(e > ens.truncation_hz, 0.0, raw)
-    if renormalize:
-        mass = truncation_mass(ens)
-        if mass <= 0:
-            raise InvalidArgumentError("zero-mass ensemble: truncation too small")
-        raw = raw / mass
-    if np.isscalar(energy_hz):
-        return float(raw)
-    return raw
-
-
-def mean_energy(ens: ThermalEnsemble) -> float:
-    """Mean energy in Hz: 3*theta untruncated, strictly less when truncated."""
-    theta = ens.theta_hz
-    x = ens.truncation_hz / theta
-    mass = _gamma_p(3, x)
-    if mass <= 0:
-        raise InvalidArgumentError("zero-mass ensemble: truncation too small")
-    return 3.0 * theta * _gamma_p(4, x) / mass
+PASS_DRAWS = 2**20     # Gamma(3) draws per pass of the rejection loop, at most
+DRAW_BUDGET = 2**26    # expected draws of one call, at most
 
 
 def sample(ens: ThermalEnsemble, n: int, seed: int) -> np.ndarray:
     """n i.i.d. energies (Hz) from the truncated density, deterministic per
-    seed. Exact Gamma(3) draws of E/theta from the untruncated form,
-    rejecting any beyond the truncation; acceptance rate is the truncation
-    mass."""
+    seed.
+
+    x = E/theta of the untruncated density is Gamma(3) distributed, which is
+    exactly the sum of three Exp(1) draws: x = -log(U1*U2*U3) with U in
+    (0, 1]. Draws beyond the truncation X are rejected, so a call needs n/mass
+    draws on average (mass = P(3, X)). Each pass draws the expected remaining
+    count plus five standard deviations, at most PASS_DRAWS. A request whose
+    expected draws n/mass exceed DRAW_BUDGET raises a coded
+    InvalidArgumentError, with n and mass in its diagnostics, before drawing.
+    """
     if n < 1:
         raise InvalidArgumentError("sample size must be >= 1")
     theta = ens.theta_hz
     xmax = ens.truncation_hz / theta
     mass = truncation_mass(ens)
-    if mass < 1e-12:
-        raise InvalidArgumentError("truncation mass too small to sample")
+    if not n <= DRAW_BUDGET * mass:
+        raise InvalidArgumentError(
+            f"sample needs n/mass draws, more than the budget of {DRAW_BUDGET}",
+            {"n": n, "mass": mass})
     rng = np.random.default_rng(seed)
     out = np.empty(n)
     filled = 0
-    for _ in range(10_000):
-        if filled >= n:
-            break
-        batch = max(1024, int((n - filled) / mass * 1.2))
-        x = rng.gamma(3.0, size=batch)
+    while filled < n:
+        need = n - filled
+        batch = (need + 5.0 * math.sqrt(need * (1.0 - mass))) / mass
+        u = rng.random((3, min(PASS_DRAWS, math.ceil(batch))))
+        np.subtract(1.0, u, out=u)  # (0, 1]: the log stays finite
+        x = u[0]
+        x *= u[1]
+        x *= u[2]
+        np.log(x, out=x)
+        np.negative(x, out=x)
         x = x[x <= xmax]
-        take = min(x.size, n - filled)
+        take = min(x.size, need)
         out[filled:filled + take] = x[:take]
         filled += take
-    if filled < n:
-        raise InvalidArgumentError("sampler failed to fill request")
-    return out * theta
-
+    out *= theta
+    return out

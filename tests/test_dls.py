@@ -9,7 +9,6 @@ from magictrap.dls import (
     AtomicInput,
     TrapCoefficients,
     coeffs_from_atomic,
-    depth_from_linear_dls,
     dls,
     dls_minimum,
     effective_field,
@@ -188,23 +187,6 @@ class TestEffectiveField:
     def test_positive_depth_rejected(self):
         with pytest.raises(ConventionViolationError):
             effective_field(0.2518, 1.0)
-
-
-class TestDepthCalibration:
-    def test_inverts_linear_model(self):
-        assert depth_from_linear_dls(-367.0, 3.67e-4) == pytest.approx(
-            -1.0e6, rel=1e-12)
-        assert depth_from_linear_dls(0.0, 3.67e-4) == 0.0
-
-    @given(st.floats(min_value=-1e7, max_value=0.0))
-    def test_round_trip(self, depth):
-        shift = dls(LINEAR, 0.0, depth)
-        assert depth_from_linear_dls(shift, LINEAR.beta1) == pytest.approx(
-            depth, rel=1e-12, abs=1e-9)
-
-    def test_zero_beta1_rejected(self):
-        with pytest.raises(InvalidArgumentError):
-            depth_from_linear_dls(-100.0, 0.0)
 
 
 class TestCoefficientValidation:

