@@ -28,7 +28,6 @@ from .ramsey import (
     RamseyTrace,
     TrapFieldConfig,
     VisibilityCurve,
-    bottom_depth,
     coherence_vs_depth,
     combine_coherence,
     ramsey_population,
@@ -65,7 +64,6 @@ __all__ = [
     "TrapCoefficients",
     "TrapFieldConfig",
     "VisibilityCurve",
-    "bottom_depth",
     "coeffs_from_atomic",
     "coherence_budget",
     "coherence_vs_depth",

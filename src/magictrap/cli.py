@@ -374,7 +374,7 @@ def build_parser():
     p = sub.add_parser("t2star", parents=[common, coeffs_arg, field_args],
                        help="1/e decay time of the envelope")
     p.add_argument("--horizon", type=float, default=DEFAULT_HORIZON_S,
-                   help="give up and report inf beyond this time (s)")
+                   help="give up and report inf beyond this time (s, finite and > 0)")
     p.set_defaults(handler=_cmd_t2star)
 
     p = sub.add_parser("coherence-curve", parents=[common, coeffs_arg,

@@ -99,10 +99,13 @@ class TrapFieldConfig:
         theta = hz_from_kelvin(self.temperature_k)
         if not math.isfinite(theta):
             raise InvalidArgumentError("temperature too high: kB*T/h is not finite")
-        # the thermal average's constants (k1, k2, X, P(3, X)), once per
-        # config: k1, k2 are its phase coefficients p1, p2 per second, so
-        # that a zero coefficient stays 0 at any finite t
-        u0 = self.mean_depth_hz - 1.5 * theta  # bottom_depth_hz, < 0 here
+        # U0 = U_a - (3/2)*kB*T/h < 0, set here and not a field so that ==,
+        # hash, repr and replace see the fields alone
+        u0 = self.mean_depth_hz - 1.5 * theta
+        object.__setattr__(self, "bottom_depth_hz", u0)
+        # the thermal average's constants (k1, k2, X, P(3, X)) and carrier
+        # rate, once per config: k1, k2 are its phase coefficients p1, p2 per
+        # second, so that a zero coefficient stays 0 at any finite t
         c = self.coeffs
         k1 = math.pi * theta * (c.beta1 + c.beta2 * self.b_field_gauss + 2.0 * c.beta4 * u0)
         k2 = 0.5 * math.pi * c.beta4 * theta * theta
@@ -111,12 +114,10 @@ class TrapFieldConfig:
                 "phase per second past float range: the shift across kB*T/h "
                 "is not finite")
         x_end = abs(u0) / theta
+        # the detuning plus the bottom shift that _integrals leaves out
+        carrier = 2.0 * math.pi * (self.detuning_hz + dls(c, self.b_field_gauss, u0))
         object.__setattr__(self, "_kernel_constants",
-                           (k1, k2, x_end, _gamma_p(3, x_end)))
-
-    @property
-    def bottom_depth_hz(self) -> float:
-        return bottom_depth(self.mean_depth_hz, self.temperature_k)
+                           (k1, k2, x_end, _gamma_p(3, x_end), carrier))
 
     @property
     def ensemble(self) -> ThermalEnsemble:
@@ -145,16 +146,6 @@ class VisibilityCurve:
             raise InvalidArgumentError("times and visibility must match in length")
         if any(v < 0 or v > 1 for v in self.visibility):
             raise InvalidArgumentError("visibility must lie in [0, 1]")
-
-
-def bottom_depth(mean_depth_hz: float, temperature_k: float) -> float:
-    """Depth at the trap minimum: U0 = U_a - (3/2)*kB*T/h, signed Hz."""
-    u0 = mean_depth_hz - 1.5 * hz_from_kelvin(temperature_k)
-    if u0 >= 0:
-        raise UnphysicalConfigurationError("ensemble hotter than the trap")
-    if mean_depth_hz > 0:
-        raise ConventionViolationError("mean depth must be <= 0 Hz (signed)")
-    return u0
 
 
 def _raw_integrals(config: TrapFieldConfig, t_s: float):
@@ -187,19 +178,68 @@ def _integrals(points):
     leave them out (they overflow where x* is high); in opposite valleys
     they add the full Gaussian through x*.
 
-    Each point's ends are classified in Python; then the descent ends of
-    all points share one numpy pass, and their segment ends one
-    quadrature.integrate call per panel count. Each step is elementwise or
+    One pass classifies each point's two ends, tagged with its index:
+    descent ends into one list, segment ends into the group of the point's
+    panel count. All descent ends then share one numpy pass, each group one
+    quadrature.integrate call, and a point sums its values in the order of
+    its ends, then adds its half-Gaussians. Each step is elementwise or
     reduces within one end, and a point's panel count is its own, so a
     point's result does not depend on the rest of the batch.
     """
-    points = [_ends(config, t_s) for config, t_s in points]
-    descents = [end for _, _, ends, _, _ in points for end in ends]
+    sums, descents, by_panels = [], [], {}  # sums: [num, den, saddle] per point
+    for i, (config, t_s) in enumerate(points):
+        t_s = float(t_s)
+        if not 0 <= t_s < math.inf:
+            raise InvalidArgumentError("time must be finite and >= 0")
+        k1, k2, x_end, den, _ = config._kernel_constants
+        p1, p2 = k1 * t_s, k2 * t_s
+        # the slope p1 + 2*p2*x is largest in modulus at one end of [0, x_end]
+        phase = t_s * (x_end * max(abs(k1), abs(k1 + 2.0 * k2 * x_end)))
+        if not phase < math.inf:
+            raise NumericalFailureError("phase spread past float range",
+                                        diagnostics={"phase": phase})
+        if phase == 0.0:
+            sums.append([complex(den), den, None])  # the phasor is the density
+            continue
+        c1, c2 = complex(-1.0, p1), complex(0.0, p2)
+        x_star = -c1 / (2.0 * c2) if p2 else None
+        segments = []
+        reach = 0.0  # largest Re Z of a segment
+        owed = [0.0, 0.0]  # multiples of H(+1) and H(-1) to add
+        for sign, a in ((1.0, 0.0), (-1.0, x_end)):
+            d = complex(-1.0, p1 + 2.0 * p2 * a)  # q'(a)
+            # Z = q(a) - q(x*) = q'(a)**2/(4*c2), written so that it cannot
+            # overflow where q'(a) is large: the descent path from a has its
+            # branch point at s = Z
+            z = 0.5 * (a - x_star) * d if p2 else math.inf
+            # this end's sign * exp(q(a)); past a = 745 it underflows: a
+            # descent end keeps only its half-Gaussian, a segment end adds
+            # nothing (its saddle is at most e**4 higher)
+            weight = sign * cmath.exp(a * (c1 + c2 * a)) if math.exp(-a) else 0.0
+            if abs(z) <= 4.0 or (z.real > 0.0 and abs(z.imag) <= SEGMENT_IM_Z
+                                  and abs(z) <= SEGMENT_Z_MAX):
+                if weight:
+                    segments.append((i, (a, x_star - a, z, 0.5 * (x_star - a) * weight)))
+                    reach = max(reach, z.real)
+            else:
+                if weight:
+                    # h(s) = a - 2s/(d + d*sqrt(1 - s/Z)), stable as c2 -> 0,
+                    # and dh/ds = -1/(d*sqrt(1 - s/Z))
+                    descents.append((i, (a, 4.0 * c2 / d / d, -2.0 / d, -0.5 * weight / d)))
+                # the ridge between the valleys crosses the real axis at Im d = -1
+                owed[0 if d.imag > -1.0 else 1] -= sign
+        if segments:
+            # near tau = 0 a segment's integrand falls as exp(-2*Re Z*tau): at
+            # least one more panel per unit of Re Z, in steps of 8 so that a
+            # batch has few panel counts (at most six)
+            by_panels.setdefault(8 * (1 + math.ceil(reach / 8.0)), []).extend(segments)
+        sums.append([0j, den, (phase, c1, c2, x_star, owed)])
     if descents:
         # sum over the nodes s of W(s) * h(s)**2/sqrt(1 - s/Z), in place,
         # each row on its own (a matrix product rounds a row differently
         # with the number of rows)
-        a, inv_z, k, w = np.array(descents).T
+        owners, ends = zip(*descents)
+        a, inv_z, k, w = np.array(ends).T
         r = 1.0 - inv_z[:, None] * LAGUERRE_NODES
         np.sqrt(r, out=r)
         h = LAGUERRE_NODES / (1.0 + r)
@@ -208,14 +248,11 @@ def _integrals(points):
         h *= h
         h /= r
         h *= LAGUERRE_WEIGHTS
-        descended = iter((w * np.add.reduce(h, axis=1)).tolist())
-    by_panels = {}
-    for _, _, _, segments, panels in points:
-        if segments:
-            by_panels.setdefault(panels, []).extend(segments)
-    integrated = {}
+        for i, value in zip(owners, (w * np.add.reduce(h, axis=1)).tolist()):
+            sums[i][0] += value
     for panels, segments in by_panels.items():
-        a, span, z, w = np.array(segments).T[:, :, None]
+        owners, ends = zip(*segments)
+        a, span, z, w = np.array(ends).T[:, :, None]
 
         def integrand(tau):
             # on x = a + tau*span, q(x) = q(a) - Z*tau*(2 - tau)
@@ -225,78 +262,21 @@ def _integrals(points):
         # atol well below the 1e-10 of the visibility; rtol because up to an
         # uphill saddle (Re Z >= -4) the segment is up to e**4 times the
         # whole, and its round-off with it
-        integrated[panels] = iter(integrate(integrand, 0.0, 1.0, rtol=1e-14,
-                                            atol=1e-12, panels=panels)[0].tolist())
+        values, _ = integrate(integrand, 0.0, 1.0, rtol=1e-14, atol=1e-12, panels=panels)
+        for i, value in zip(owners, values.tolist()):
+            sums[i][0] += value
     out = []
-    for den, saddle, descents, segments, panels in points:
-        if saddle is None:
-            out.append((complex(den), den))  # no phase: the phasor is the density
-            continue
-        num = 0j
-        for _ in descents:
-            num += next(descended)
-        if segments:
-            values = integrated[panels]
-            for _ in segments:
-                num += next(values)
-        phase, c1, c2, x_star, owed = saddle
-        for valley, k in ((1.0, owed[0]), (-1.0, owed[1])):
-            if k:
-                num += k * _half_gaussian(c1, c2, x_star, valley)
-        if not cmath.isfinite(num):
-            raise NumericalFailureError("thermal average is not finite",
-                                        diagnostics={"phase": phase})
+    for num, den, saddle in sums:
+        if saddle is not None:
+            phase, c1, c2, x_star, owed = saddle
+            for valley, k in ((1.0, owed[0]), (-1.0, owed[1])):
+                if k:
+                    num += k * _half_gaussian(c1, c2, x_star, valley)
+            if not cmath.isfinite(num):
+                raise NumericalFailureError("thermal average is not finite",
+                                            diagnostics={"phase": phase})
         out.append((complex(num), den))
     return out
-
-
-def _ends(config: TrapFieldConfig, t_s: float):
-    """Classify the two ends of one point for _integrals: (den, saddle,
-    descents, segments, panels), saddle being None where the phase is 0."""
-    t_s = float(t_s)
-    if not 0 <= t_s < math.inf:
-        raise InvalidArgumentError("time must be finite and >= 0")
-    k1, k2, x_end, den = config._kernel_constants
-    p1, p2 = k1 * t_s, k2 * t_s
-    # the slope p1 + 2*p2*x is largest in modulus at one end of [0, x_end]
-    phase = t_s * (x_end * max(abs(k1), abs(k1 + 2.0 * k2 * x_end)))
-    if not phase < math.inf:
-        raise NumericalFailureError("phase spread past float range",
-                                    diagnostics={"phase": phase})
-    if phase == 0.0:
-        return den, None, (), (), 0
-    c1, c2 = complex(-1.0, p1), complex(0.0, p2)
-    x_star = -c1 / (2.0 * c2) if p2 else None
-    descents, segments = [], []
-    reach = 0.0  # largest Re Z of a segment
-    owed = [0.0, 0.0]  # multiples of H(+1) and H(-1) to add
-    for sign, a in ((1.0, 0.0), (-1.0, x_end)):
-        d = complex(-1.0, p1 + 2.0 * p2 * a)  # q'(a)
-        # Z = q(a) - q(x*) = q'(a)**2/(4*c2), written so that it cannot
-        # overflow where q'(a) is large: the descent path from a has its
-        # branch point at s = Z
-        z = 0.5 * (a - x_star) * d if p2 else math.inf
-        # this end's sign * exp(q(a)); past a = 745 it underflows: a descent
-        # end keeps only its half-Gaussian, a segment end adds nothing (its
-        # saddle is at most e**4 higher)
-        weight = sign * cmath.exp(a * (c1 + c2 * a)) if math.exp(-a) else 0.0
-        if abs(z) <= 4.0 or (z.real > 0.0 and abs(z.imag) <= SEGMENT_IM_Z
-                              and abs(z) <= SEGMENT_Z_MAX):
-            if weight:
-                segments.append((a, x_star - a, z, 0.5 * (x_star - a) * weight))
-                reach = max(reach, z.real)
-        else:
-            if weight:
-                # h(s) = a - 2s/(d + d*sqrt(1 - s/Z)), stable as c2 -> 0,
-                # and dh/ds = -1/(d*sqrt(1 - s/Z))
-                descents.append((a, 4.0 * c2 / d / d, -2.0 / d, -0.5 * weight / d))
-            # the ridge between the valleys crosses the real axis at Im d = -1
-            owed[0 if d.imag > -1.0 else 1] -= sign
-    # near tau = 0 a segment's integrand falls as exp(-2*Re Z*tau): at least
-    # one more panel per unit of Re Z, in steps of 8 so that a batch has
-    # few panel counts (at most six)
-    panels = 8 * (1 + math.ceil(reach / 8.0))
-    return den, (phase, c1, c2, x_star, owed), descents, segments, panels
 
 
 def _half_gaussian(c1, c2, x_star, valley):
@@ -314,9 +294,7 @@ def ramsey_population(config: TrapFieldConfig, t_s: float,
     """Thermally averaged Ramsey population at free-evolution time t."""
     t_s = float(t_s)  # the carrier too is Python float arithmetic
     num, den = _raw_integrals(config, t_s)
-    # the carrier: detuning plus the bottom shift that _raw_integrals leaves out
-    bottom = dls(config.coeffs, config.b_field_gauss, config.bottom_depth_hz)
-    phase = t_s * (2.0 * math.pi * (config.detuning_hz + bottom))
+    phase = t_s * config._kernel_constants[4]  # times the carrier rate
     if not math.isfinite(phase):
         raise NumericalFailureError("Ramsey carrier phase is not finite",
                                     diagnostics={"phase": phase})
@@ -342,7 +320,9 @@ def _envelope(num, den, renormalize=True):
 def t2_star(config: TrapFieldConfig, horizon_s: float = DEFAULT_HORIZON_S) -> float:
     """First time the visibility envelope falls to 1/e, by bracket doubling
     then bisection to T2_STAR_REL_TOL. Returns math.inf if the envelope
-    stays above 1/e out to the horizon."""
+    stays above 1/e out to the horizon, 0 < horizon_s < inf."""
+    if not 0 < horizon_s < math.inf:
+        raise InvalidArgumentError(f"horizon_s must be finite and > 0, got {horizon_s!r}")
     # one visibility call per probe, the unit the benchmark's trace counts
     return _first_crossings(
         lambda _, times: [visibility(config, t) for t in times], 1, horizon_s)[0]

@@ -145,6 +145,8 @@ def coherence_budget(tl: TransferTimeline, post_transfer_temperature_k: float,
     verdict = validate_timeline(tl)
     if not verdict.ok:
         raise TimelineError(f"{verdict.code}: {verdict.message}")
+    if not math.isfinite(post_transfer_temperature_k):
+        raise InvalidArgumentError("post-transfer temperature must be finite")
     static = _static_config(tl)
     if not post_transfer_temperature_k >= static.temperature_k:
         raise UnphysicalConfigurationError(

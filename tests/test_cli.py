@@ -193,6 +193,15 @@ class TestScalars:
         assert float(parse_doc(out)["t2_star_s"]) == pytest.approx(1.5,
                                                                    rel=0.30)
 
+    @pytest.mark.parametrize("horizon", ["nan", "0", "-1", "inf"])
+    def test_t2star_horizon_outside_domain(self, capsys, coeffs_file, horizon):
+        code, out, err = run(capsys, [
+            "t2star", "--coeffs", coeffs_file, "--b-field", "3.115",
+            "--depth-mk", "0.201", "--temp-uk", "17", "--horizon", horizon])
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: invalid-argument: horizon_s")
+
     def test_beff(self, capsys):
         code, out, err = run(capsys, ["beff", "--depth-mk", "0.6"])
         assert code == 0
@@ -421,6 +430,17 @@ class TestTransferCommand:
         assert out == ""
         assert err.startswith("error: invalid-argument:")
         assert calls == []
+
+    def test_non_finite_post_transfer_temperature(self, capsys, coeffs_file,
+                                                  tmp_path):
+        timeline = self.write_inputs(tmp_path, coeffs_file)
+        code, out, err = run(capsys, [
+            "transfer", "--coeffs", coeffs_file, "--timeline", timeline,
+            "--post-temp-uk", "nan"])
+        assert code == 1
+        assert out == ""
+        assert err == ("error: invalid-argument: post-transfer temperature "
+                       "must be finite\n")
 
     @pytest.mark.parametrize("edit", [
         lambda doc: [],

@@ -13,12 +13,10 @@ from magictrap.errors import (
     ConventionViolationError,
     InvalidArgumentError,
     NumericalFailureError,
-    UnphysicalConfigurationError,
 )
 from magictrap.ramsey import (
     RamseyTrace,
     TrapFieldConfig,
-    bottom_depth,
     coherence_vs_depth,
     combine_coherence,
     ramsey_population,
@@ -56,6 +54,10 @@ def trapezoid_population(cfg, t, n=300_000):
     return float(np.trapezoid(weight * p0, x) / np.trapezoid(weight, x))
 
 
+def bottom_depth(mean_depth_hz, temperature_k):
+    return TrapFieldConfig(MEASURED, B0, mean_depth_hz, temperature_k).bottom_depth_hz
+
+
 class TestDepthGeometry:
     def test_bottom_depth_value(self):
         value = bottom_depth(-4.1973e6, 17e-6)
@@ -73,14 +75,13 @@ class TestDepthGeometry:
         d2 = u_a - bottom_depth(u_a, 20e-6)
         assert d2 == pytest.approx(2.0 * d1, rel=1e-12)
 
-    def test_hot_ensemble_rejected(self):
-        # a nominal depth above the thermal offset leaves no trap at all
-        with pytest.raises(UnphysicalConfigurationError):
-            bottom_depth(1.0e6, 17e-6)
-
     def test_positive_mean_depth_rejected(self):
-        with pytest.raises(ConventionViolationError):
-            bottom_depth(1.0, 17e-6)
+        # any positive mean depth breaks the signed convention, however far
+        # above the thermal offset it lies
+        for mean_depth_hz in (1.0, 1.0e6):
+            with pytest.raises(ConventionViolationError) as info:
+                bottom_depth(mean_depth_hz, 17e-6)
+            assert info.value.code == "convention-violation"
 
 
 class TestConfig:
@@ -241,6 +242,16 @@ class TestT2Star:
     def test_zero_temperature_sentinel(self):
         assert t2_star(config(1e-9), horizon_s=50.0) == math.inf
 
+    @pytest.mark.parametrize("horizon_s", [math.nan, 0.0, -1.0, math.inf])
+    def test_horizon_outside_domain_rejected_before_any_probe(
+            self, monkeypatch, horizon_s):
+        calls = []
+        monkeypatch.setattr(ramsey, "_integrals", calls.append)
+        with pytest.raises(InvalidArgumentError, match="horizon_s") as info:
+            t2_star(config(17e-6), horizon_s=horizon_s)
+        assert info.value.code == "invalid-argument"
+        assert calls == []
+
     def test_matches_the_solver_that_probed_t0(self, monkeypatch):
         # the solver t2_star replaced took its target from a probe at t = 0;
         # the envelope is 1 there, so the roots agree bit for bit
@@ -277,6 +288,19 @@ class TestT2Star:
                 assert len(probes) == expected_probes - 1
 
 
+def integrate_spy(monkeypatch):
+    """Pass every quadrature call of the kernel through, and return the
+    list its panel counts are appended to."""
+    panels, integrate = [], ramsey.integrate
+
+    def spy(*args, **kwargs):
+        panels.append(kwargs["panels"])
+        return integrate(*args, **kwargs)
+
+    monkeypatch.setattr(ramsey, "integrate", spy)
+    return panels
+
+
 class TestLockstep:
     """The batch paths against their scalar calls, bit for bit."""
 
@@ -302,15 +326,21 @@ class TestLockstep:
             for r in ratios]
 
     @pytest.mark.parametrize("temperature_uk", [2, 8, 17, 40])
-    def test_visibility_curve_equals_scalar(self, temperature_uk):
+    def test_visibility_curve_equals_scalar(self, temperature_uk, monkeypatch):
         times = [0.02 * i for i in range(101)]
         for ratio in (0.8, 1.0, 1.5):
             cfg = config(temperature_uk * 1e-6, ratio=ratio)
             for renormalize in (True, False):
                 assert visibility_curve(cfg, times, renormalize).visibility == tuple(
                     visibility(cfg, t, renormalize) for t in times)
-        # the grid mixes points with a segment end and points without
-        segmented = [bool(ramsey._ends(config(17e-6), t)[3]) for t in times[1:]]
+        # the grid mixes points with a segment end and points without: a
+        # one-point call integrates only for a point with a segment end
+        panels = integrate_spy(monkeypatch)
+        segmented = []
+        for t in times[1:]:
+            panels.clear()
+            ramsey._raw_integrals(config(17e-6), t)
+            segmented.append(bool(panels))
         assert any(segmented) and not all(segmented)
 
     def test_batch_kernel_equals_one_point_calls(self):
@@ -324,11 +354,14 @@ class TestLockstep:
         assert ramsey._integrals(points) == [
             ramsey._raw_integrals(cfg, t) for cfg, t in points]
 
-    def test_segments_of_different_reach_in_one_batch(self):
-        # lower ends at Z with Re Z from 3.9 to 39, so four panel counts
+    def test_segments_of_different_reach_in_one_batch(self, monkeypatch):
+        # lower ends at Z with Re Z from 3.9 to 39, so four panel counts,
+        # one quadrature call each
         points = [config_at(z, 17) for z in (polar(3.9, 0), 10 + 7.9j,
                                               20 - 7.9j, 39 + 1j)]
-        assert len({ramsey._ends(cfg, t)[4] for cfg, t in points}) == 4
+        panels = integrate_spy(monkeypatch)
+        ramsey._integrals(points)
+        assert len(panels) == len(set(panels)) == 4
         assert ramsey._integrals(points) == [
             ramsey._raw_integrals(cfg, t) for cfg, t in points]
 
