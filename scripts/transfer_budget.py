@@ -10,7 +10,8 @@ sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
 from magictrap import coherence_budget
 from magictrap.acceptance import MEASURED_COEFFS, reference_transfer_timeline
-from magictrap.datafiles import write_budget, write_coefficients, write_timeline
+from magictrap.datafiles import (budget_table, write_coefficients, write_table,
+                                 write_timeline)
 
 
 def print_report(tag, report):
@@ -44,7 +45,7 @@ def main():
     print_report("measured T2* endpoints (6.6 s -> 1.9 s)", measured)
     print_report("model T2* endpoints", model)
 
-    write_budget(args.outdir / "transfer_budget.csv", measured)
+    write_table(args.outdir / "transfer_budget.csv", *budget_table(measured))
 
     write_coefficients(args.outdir / "measured_coeffs.toml", MEASURED_COEFFS)
     write_timeline(args.outdir / "transfer_timeline.json", timeline)

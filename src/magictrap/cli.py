@@ -2,7 +2,8 @@
 
 Every subcommand writes its primary result as a flat key-value document to
 stdout; ``--out`` adds a CSV table and ``--plot`` a static SVG where the
-command produces a curve. Exit codes: 0 success, 1 domain or I/O error,
+command produces a curve. Both are written before the document, so a failed
+write leaves stdout empty. Exit codes: 0 success, 1 domain or I/O error,
 2 usage error.
 """
 import argparse
@@ -43,8 +44,17 @@ def _config_from_args(args, coeffs):
     )
 
 
-def _emit(args, pairs):
+def _emit(args, pairs, table=None, plot=None):
+    """The one output path: the ``plot`` (series, x_label, y_label) if
+    ``--plot`` is set, then the ``table`` (header, rows) if ``--out`` is set,
+    then the key-value document. An artifact that cannot be written raises
+    before stdout is touched, so a failed call prints nothing there."""
+    if plot is not None and args.plot:
+        svg.line_plot(args.plot, *plot)
+    if table is not None and args.out:
+        datafiles.write_table(args.out, *table)
     datafiles.write_keyvalue(sys.stdout, pairs, args.precision)
+    return 0
 
 
 def _cmd_magic(args):
@@ -58,8 +68,7 @@ def _cmd_magic(args):
     ]
     if coeffs.beta2 != 0:
         pairs.append(("zero_crossing_gauss", zero_crossing_field(coeffs)))
-    _emit(args, pairs)
-    return 0
+    return _emit(args, pairs)
 
 
 def _cmd_dls_curve(args):
@@ -69,7 +78,7 @@ def _cmd_dls_curve(args):
     depths_mk = np.linspace(args.depth_mk_min, args.depth_mk_max, args.points)
     shifts = [dls(coeffs, args.b_field, datafiles.depth_hz_from_mk(d))
               for d in depths_mk]
-    _emit(args, [
+    return _emit(args, [
         ("b_field_gauss", args.b_field),
         ("points", args.points),
         ("depth_mk_min", args.depth_mk_min),
@@ -77,25 +86,19 @@ def _cmd_dls_curve(args):
         ("dls_min_hz", dls_minimum(coeffs, args.b_field)),
         ("magic_depth_mk",
          datafiles.mk_from_depth_hz(magic_depth(coeffs, args.b_field))),
-    ])
-    rows = list(zip([float(d) for d in depths_mk], [float(s) for s in shifts]))
-    if args.out:
-        datafiles.write_table(args.out, ("depth_mk", "dls_hz"), rows)
-    if args.plot:
-        svg.line_plot(args.plot,
-                      [(f"B = {args.b_field:g} G", depths_mk, shifts)],
-                      "trap depth (mK)", "differential light shift (Hz)")
-    return 0
+    ], table=(("depth_mk", "dls_hz"),
+              zip([float(d) for d in depths_mk], [float(s) for s in shifts])),
+       plot=([(f"B = {args.b_field:g} G", depths_mk, shifts)],
+             "trap depth (mK)", "differential light shift (Hz)"))
 
 
 def _cmd_beff(args):
     depth = datafiles.depth_hz_from_mk(args.depth_mk)
-    _emit(args, [
+    return _emit(args, [
         ("vector_to_scalar_ratio", args.ratio),
         ("depth_mk", args.depth_mk),
         ("b_eff_gauss", effective_field(args.ratio, depth)),
     ])
-    return 0
 
 
 def _fit_pairs(result):
@@ -130,8 +133,7 @@ def _cmd_fit_dls(args):
         pairs.append((f"u_m_hz_at_{ds.b_field_gauss:g}G",
                       magic_depth(fitted, ds.b_field_gauss)))
         pairs.append((f"u_m_sigma_hz_at_{ds.b_field_gauss:g}G", sigma))
-    _emit(args, pairs)
-    return 0
+    return _emit(args, pairs)
 
 
 def _trace_command(args, kind):
@@ -142,16 +144,10 @@ def _trace_command(args, kind):
     times = np.linspace(0.0, args.t_max, args.points)
     renormalize = not args.no_renormalize
     if kind == "population":
-        trace = ramsey_trace(config, times, renormalize)
-        values = trace.population
-        header = ("t_s", "population")
-        label = "population"
+        values = ramsey_trace(config, times, renormalize).population
     else:
-        curve = visibility_curve(config, times, renormalize)
-        values = curve.visibility
-        header = ("t_s", "visibility")
-        label = "visibility"
-    _emit(args, [
+        values = visibility_curve(config, times, renormalize).visibility
+    return _emit(args, [
         ("b_field_gauss", args.b_field),
         ("depth_mk", args.depth_mk),
         ("temp_uk", args.temp_uk),
@@ -159,28 +155,21 @@ def _trace_command(args, kind):
         ("renormalized", renormalize),
         ("t_max_s", args.t_max),
         ("points", args.points),
-        (f"{label}_final", values[-1]),
-    ])
-    if args.out:
-        datafiles.write_table(args.out, header,
-                              list(zip((float(t) for t in times), values)))
-    if args.plot:
-        svg.line_plot(args.plot, [(label, list(times), list(values))],
-                      "time (s)", label)
-    return 0
+        (f"{kind}_final", values[-1]),
+    ], table=(("t_s", kind), zip((float(t) for t in times), values)),
+       plot=([(kind, list(times), list(values))], "time (s)", kind))
 
 
 def _cmd_t2star(args):
     coeffs = datafiles.read_coefficients(args.coeffs)
     config = _config_from_args(args, coeffs)
     value = t2_star(config, horizon_s=args.horizon)
-    _emit(args, [
+    return _emit(args, [
         ("b_field_gauss", args.b_field),
         ("depth_mk", args.depth_mk),
         ("temp_uk", args.temp_uk),
         ("t2_star_s", value),
     ])
-    return 0
 
 
 def _cmd_coherence_curve(args):
@@ -196,12 +185,7 @@ def _cmd_coherence_curve(args):
     ratios = [args.ratio_min + k * args.ratio_step for k in range(n_steps + 1)]
     curve = coherence_vs_depth(base, ratios, args.t1, args.t2prime)
     peak_ratio, peak_tau = max(curve, key=lambda item: item[1])
-    # every tau can be infinite: plot first, so a failed plot prints nothing
-    if args.plot:
-        svg.line_plot(args.plot,
-                      [("tau", [r for r, _ in curve], [t for _, t in curve])],
-                      "depth ratio U_a/U_M", "coherence time (s)")
-    _emit(args, [
+    return _emit(args, [
         ("b_field_gauss", args.b_field),
         ("temp_uk", args.temp_uk),
         ("t1_s", args.t1),
@@ -209,27 +193,23 @@ def _cmd_coherence_curve(args):
         ("magic_depth_mk", datafiles.mk_from_depth_hz(u_magic)),
         ("peak_ratio", peak_ratio),
         ("peak_tau_s", peak_tau),
-    ])
-    if args.out:
-        datafiles.write_table(args.out, ("ratio", "tau_s"), curve)
-    return 0
+    ], table=(("ratio", "tau_s"), curve),
+       plot=([("tau", [r for r, _ in curve], [t for _, t in curve])],
+             "depth ratio U_a/U_M", "coherence time (s)"))
 
 
 def _cmd_fit_ramsey(args):
     samples = datafiles.read_ramsey_csv(args.input)
     result = fit_damped_sinusoid(samples)
-    _emit(args, _fit_pairs(result))
-    if args.plot:
-        t_data = [row[0] for row in samples]
-        p_data = [row[1] for row in samples]
-        grid = np.linspace(min(t_data), max(t_data), 400)
-        p = result.parameters
-        model = (p["offset"] + 0.5 * p["v0"] * np.exp(-grid / p["tau"])
-                 * np.cos(2 * np.pi * p["delta"] * grid + p["phi"]))
-        svg.line_plot(args.plot,
-                      [("data", t_data, p_data), ("fit", list(grid), list(model))],
-                      "time (s)", "population")
-    return 0
+    t_data = [row[0] for row in samples]
+    p_data = [row[1] for row in samples]
+    grid = np.linspace(min(t_data), max(t_data), 400)
+    p = result.parameters
+    model = (p["offset"] + 0.5 * p["v0"] * np.exp(-grid / p["tau"])
+             * np.cos(2 * np.pi * p["delta"] * grid + p["phi"]))
+    return _emit(args, _fit_pairs(result),
+                 plot=([("data", t_data, p_data), ("fit", list(grid), list(model))],
+                       "time (s)", "population"))
 
 
 def _cmd_transfer(args):
@@ -257,10 +237,7 @@ def _cmd_transfer(args):
     ]
     for i, note in enumerate(report.notes):
         pairs.append((f"note_{i}", note))
-    _emit(args, pairs)
-    if args.out:
-        datafiles.write_budget(args.out, report)
-    return 0
+    return _emit(args, pairs, table=datafiles.budget_table(report))
 
 
 def _cmd_convert(args):
@@ -274,8 +251,7 @@ def _cmd_convert(args):
                   ("depth_hz_signed", datafiles.depth_hz_from_mk(args.mk))]
     if not pairs:
         raise InvalidArgumentError("convert needs one of --kelvin, --hz, --mk")
-    _emit(args, pairs)
-    return 0
+    return _emit(args, pairs)
 
 
 def _cmd_selftest(args):

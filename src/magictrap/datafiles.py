@@ -32,6 +32,9 @@ def write_keyvalue(stream, pairs, precision=9):
 def depth_hz_from_mk(depth_mk: float) -> float:
     """CLI/file convention: depths are entered positive in mK and stored as
     negative frequencies."""
+    if not math.isfinite(depth_mk):
+        raise InvalidArgumentError(
+            f"trap depth must be finite, got {depth_mk} mK")
     if depth_mk < 0:
         raise InvalidArgumentError("enter trap depths as positive mK values")
     return -hz_from_kelvin(depth_mk * 1e-3)
@@ -89,13 +92,14 @@ def write_table(path, header, rows):
                              for v in row])
 
 
-def write_budget(path, report):
-    """CSV of a coherence budget, one row per transfer segment."""
-    write_table(path, ("phase", "duration_s", "t2_used_s", "t2_model_s",
-                       "amplitude_factor", "used_override"),
-                [(e.phase.value, e.duration_s, e.t2_used_s, e.t2_model_s,
-                  e.amplitude_factor, int(e.used_override))
-                 for e in report.per_segment])
+def budget_table(report):
+    """(header, rows) of a coherence budget for write_table, one row per
+    transfer segment."""
+    return (("phase", "duration_s", "t2_used_s", "t2_model_s",
+             "amplitude_factor", "used_override"),
+            [(e.phase.value, e.duration_s, e.t2_used_s, e.t2_model_s,
+              e.amplitude_factor, int(e.used_override))
+             for e in report.per_segment])
 
 
 def _read_csv_rows(path, minimum_columns):

@@ -16,6 +16,28 @@ def coeffs_file(tmp_path):
     return str(path)
 
 
+def write_timeline_doc(tmp_path):
+    """A legal four-segment transfer timeline; returns its path."""
+    doc = {
+        "t1_s": 4.0,
+        "t2prime_s": 0.3,
+        "segments": [
+            {"phase": "Overlap", "duration_s": 1e-4, "depth_mk": 0.37,
+             "temperature_uk": 14.0, "b_field_gauss": 3.115,
+             "t2_override_s": 0.025},
+            {"phase": "Move", "duration_s": 2e-3, "depth_mk": 0.2,
+             "temperature_uk": 14.0, "b_field_gauss": 3.115},
+            {"phase": "Return", "duration_s": 1e-4, "depth_mk": 0.2,
+             "temperature_uk": 14.0, "b_field_gauss": 3.115},
+            {"phase": "Hold", "duration_s": 0.0, "depth_mk": 0.2014,
+             "temperature_uk": 8.0, "b_field_gauss": 3.115},
+        ],
+    }
+    path = tmp_path / "timeline.json"
+    path.write_text(json.dumps(doc))
+    return str(path)
+
+
 def parse_doc(text):
     doc = {}
     for line in text.strip().splitlines():
@@ -214,6 +236,20 @@ class TestScalars:
         assert err.startswith("error: invalid-argument:")
         assert len(err.splitlines()) == 1      # no diagnostics to print
 
+    @pytest.mark.parametrize("argv,value", [
+        (["t2star", "--coeffs", "COEFFS", "--b-field", "3.115",
+          "--depth-mk", "nan", "--temp-uk", "17"], "nan"),
+        (["beff", "--depth-mk", "inf"], "inf"),
+        (["convert", "--mk", "nan"], "nan"),
+        (["dls-curve", "--coeffs", "COEFFS", "--b-field", "3.115",
+          "--depth-mk-max", "nan", "--points", "3"], "nan")])
+    def test_non_finite_depth_is_named(self, capsys, coeffs_file, argv, value):
+        code, out, err = run(capsys, [coeffs_file if a == "COEFFS" else a
+                                      for a in argv])
+        assert (code, out) == (1, "")
+        assert err == (f"error: invalid-argument: trap depth must be finite, "
+                       f"got {value} mK\n")
+
     def test_convert(self, capsys):
         code, out, err = run(capsys, ["convert", "--mk", "0.2"])
         assert code == 0
@@ -253,6 +289,47 @@ class TestScalars:
             "--depth-mk", "0.2", "--temp-uk", "17", "--points", "0"])
         assert code == 1
         assert "invalid-argument" in err
+
+
+class TestArtifactsBeforeDocument:
+    """An artifact that cannot be written fails the call before the
+    document reaches stdout."""
+
+    @pytest.mark.parametrize("command,flag", [
+        ("dls-curve", "--out"), ("dls-curve", "--plot"),
+        ("ramsey", "--out"), ("ramsey", "--plot"),
+        ("visibility", "--out"), ("visibility", "--plot"),
+        ("coherence-curve", "--out"), ("coherence-curve", "--plot"),
+        ("fit-ramsey", "--plot"), ("transfer", "--out")])
+    def test_unwritable_artifact_leaves_stdout_empty(self, capsys, coeffs_file,
+                                                     tmp_path, command, flag):
+        from magictrap.datafiles import write_table
+        field = ["--coeffs", coeffs_file, "--b-field", "3.115"]
+        trap = field + ["--depth-mk", "0.2014", "--temp-uk", "17",
+                        "--t-max", "1", "--points", "3"]
+        if command == "fit-ramsey":
+            t = np.linspace(0.0, 0.4, 100)
+            path = tmp_path / "trace.csv"
+            write_table(path, ("t_s", "p"), list(zip(
+                t, 0.5 + 0.5 * np.exp(-t / 0.2) * np.cos(2 * np.pi * 50.0 * t))))
+            argv = ["--input", str(path)]
+        elif command == "transfer":
+            timeline = write_timeline_doc(tmp_path)
+            argv = ["--coeffs", coeffs_file, "--timeline", timeline,
+                    "--post-temp-uk", "16", "--t2star-static", "6.6",
+                    "--t2star-mobile", "1.9"]
+        elif command == "coherence-curve":
+            argv = field + ["--temp-uk", "8", "--t1", "4", "--t2prime", "0.3",
+                            "--ratio-min", "0.9", "--ratio-max", "1.1",
+                            "--ratio-step", "0.1"]
+        elif command == "dls-curve":
+            argv = field + ["--points", "5"]
+        else:
+            argv = trap
+        missing = tmp_path / "no-such-dir" / "artifact"
+        code, out, err = run(capsys, [command, *argv, flag, str(missing)])
+        assert (code, out) == (1, "")
+        assert err == f"error: file-not-found: {missing}\n"
 
 
 class TestFits:
@@ -382,28 +459,8 @@ class TestSelftestPlumbing:
 
 
 class TestTransferCommand:
-    def write_inputs(self, tmp_path, coeffs_file):
-        doc = {
-            "t1_s": 4.0,
-            "t2prime_s": 0.3,
-            "segments": [
-                {"phase": "Overlap", "duration_s": 1e-4, "depth_mk": 0.37,
-                 "temperature_uk": 14.0, "b_field_gauss": 3.115,
-                 "t2_override_s": 0.025},
-                {"phase": "Move", "duration_s": 2e-3, "depth_mk": 0.2,
-                 "temperature_uk": 14.0, "b_field_gauss": 3.115},
-                {"phase": "Return", "duration_s": 1e-4, "depth_mk": 0.2,
-                 "temperature_uk": 14.0, "b_field_gauss": 3.115},
-                {"phase": "Hold", "duration_s": 0.0, "depth_mk": 0.2014,
-                 "temperature_uk": 8.0, "b_field_gauss": 3.115},
-            ],
-        }
-        path = tmp_path / "timeline.json"
-        path.write_text(json.dumps(doc))
-        return str(path)
-
     def test_budget_with_measured_t2(self, capsys, coeffs_file, tmp_path):
-        timeline = self.write_inputs(tmp_path, coeffs_file)
+        timeline = write_timeline_doc(tmp_path)
         out_csv = tmp_path / "budget.csv"
         code, out, err = run(capsys, [
             "transfer", "--coeffs", coeffs_file, "--timeline", timeline,
@@ -422,7 +479,7 @@ class TestTransferCommand:
         from magictrap import ramsey
         calls = []
         monkeypatch.setattr(ramsey, "_integrals", calls.append)
-        timeline = self.write_inputs(tmp_path, coeffs_file)
+        timeline = write_timeline_doc(tmp_path)
         code, out, err = run(capsys, [
             "transfer", "--coeffs", coeffs_file, "--timeline", timeline,
             "--post-temp-uk", "16", "--t2star-static", "-1"])
@@ -433,7 +490,7 @@ class TestTransferCommand:
 
     def test_non_finite_post_transfer_temperature(self, capsys, coeffs_file,
                                                   tmp_path):
-        timeline = self.write_inputs(tmp_path, coeffs_file)
+        timeline = write_timeline_doc(tmp_path)
         code, out, err = run(capsys, [
             "transfer", "--coeffs", coeffs_file, "--timeline", timeline,
             "--post-temp-uk", "nan"])
@@ -449,7 +506,7 @@ class TestTransferCommand:
     ], ids=["top-level-list", "null-t1", "number-segment"])
     def test_malformed_timeline_is_a_coded_error(self, capsys, coeffs_file,
                                                  tmp_path, edit):
-        self.write_inputs(tmp_path, coeffs_file)
+        write_timeline_doc(tmp_path)
         path = tmp_path / "timeline.json"
         path.write_text(json.dumps(edit(json.loads(path.read_text()))))
         code, out, err = run(capsys, [
