@@ -7,6 +7,7 @@ write leaves stdout empty. Exit codes: 0 success, 1 domain or I/O error,
 2 usage error.
 """
 import argparse
+import math
 import sys
 
 import numpy as np
@@ -33,6 +34,10 @@ from .ramsey import (
 )
 from .transfer import coherence_budget, validate_timeline
 
+#: most points a grid may have (the README's grids have 21 to 201), so that a
+#: typo cannot exhaust memory or run for hours
+MAX_GRID_POINTS = 10_000
+
 
 def _config_from_args(args, coeffs):
     return TrapFieldConfig(
@@ -42,6 +47,14 @@ def _config_from_args(args, coeffs):
         temperature_k=args.temp_uk * 1e-6,
         detuning_hz=getattr(args, "detuning_hz", 0.0),
     )
+
+
+def _check_grid(points, what):
+    """Raise invalid-argument unless 1 <= points <= MAX_GRID_POINTS, NaN
+    and inf included; every grid command calls it before any work."""
+    if not 1 <= points <= MAX_GRID_POINTS:
+        raise InvalidArgumentError(
+            f"{what} must be between 1 and {MAX_GRID_POINTS}, got {points}")
 
 
 def _emit(args, pairs, table=None, plot=None):
@@ -72,8 +85,7 @@ def _cmd_magic(args):
 
 
 def _cmd_dls_curve(args):
-    if args.points < 1:
-        raise InvalidArgumentError("--points must be >= 1")
+    _check_grid(args.points, "--points")
     coeffs = datafiles.read_coefficients(args.coeffs)
     depths_mk = np.linspace(args.depth_mk_min, args.depth_mk_max, args.points)
     shifts = [dls(coeffs, args.b_field, datafiles.depth_hz_from_mk(d))
@@ -137,8 +149,7 @@ def _cmd_fit_dls(args):
 
 
 def _trace_command(args, kind):
-    if args.points < 1:
-        raise InvalidArgumentError("--points must be >= 1")
+    _check_grid(args.points, "--points")
     coeffs = datafiles.read_coefficients(args.coeffs)
     config = _config_from_args(args, coeffs)
     times = np.linspace(0.0, args.t_max, args.points)
@@ -173,16 +184,20 @@ def _cmd_t2star(args):
 
 
 def _cmd_coherence_curve(args):
-    if args.ratio_step <= 0 or args.ratio_max < args.ratio_min:
-        raise InvalidArgumentError("ratio grid must have positive step and "
-                                   "ratio-max >= ratio-min")
+    lo, hi, step = args.ratio_min, args.ratio_max, args.ratio_step
+    if not (math.isfinite(lo) and math.isfinite(hi) and 0 < step < math.inf
+            and lo <= hi):
+        raise InvalidArgumentError("ratio grid must be finite, with positive "
+                                   "step and ratio-max >= ratio-min")
+    # capped before rounding: the span can overflow to inf
+    n_steps = round(min((hi - lo) / step, MAX_GRID_POINTS))
+    _check_grid(n_steps + 1, "ratio count")
     coeffs = datafiles.read_coefficients(args.coeffs)
     u_magic = magic_depth(coeffs, args.b_field)
     base = TrapFieldConfig(coeffs=coeffs, b_field_gauss=args.b_field,
                            mean_depth_hz=u_magic,
                            temperature_k=args.temp_uk * 1e-6)
-    n_steps = int(round((args.ratio_max - args.ratio_min) / args.ratio_step))
-    ratios = [args.ratio_min + k * args.ratio_step for k in range(n_steps + 1)]
+    ratios = [lo + k * step for k in range(n_steps + 1)]
     curve = coherence_vs_depth(base, ratios, args.t1, args.t2prime)
     peak_ratio, peak_tau = max(curve, key=lambda item: item[1])
     return _emit(args, [

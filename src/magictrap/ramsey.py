@@ -170,7 +170,9 @@ def _integrals(points):
     integral from a to the saddle x* = -c1/(2*c2), along any path. With
     Z = q(a) - q(x*) = q'(a)**2/(4*c2), an end with |Z| <= 4, or with Z in
     the box 0 < Re Z, |Im Z| <= SEGMENT_IM_Z, |Z| <= SEGMENT_Z_MAX, takes
-    the straight segment to x* by quadrature.integrate. Any other end follows
+    the straight segment to x*: one fixed GK15 pass of quadrature.integrate
+    on panels sized from Re Z, which raises rather than refines if it misses
+    its tolerance (on no tested point has it). Any other end follows
     its steepest-descent path q(h(s)) = q(a) - s into a valley v of
     exp(c2*x**2) by Gauss-Laguerre in s (Huybrechs & Vandewalle, SIAM J.
     Numer. Anal. 44, 1026 (2006)), then climbs back to x* by the exact
@@ -181,10 +183,10 @@ def _integrals(points):
     One pass classifies each point's two ends, tagged with its index:
     descent ends into one list, segment ends into the group of the point's
     panel count. All descent ends then share one numpy pass, each group one
-    quadrature.integrate call, and a point sums its values in the order of
+    quadrature.integrate pass, and a point sums its values in the order of
     its ends, then adds its half-Gaussians. Each step is elementwise or
-    reduces within one end, and a point's panel count is its own, so a
-    point's result does not depend on the rest of the batch.
+    reduces within one end, and a point's panel count is its own and never
+    refined, so a point's result does not depend on the rest of the batch.
     """
     sums, descents, by_panels = [], [], {}  # sums: [num, den, saddle] per point
     for i, (config, t_s) in enumerate(points):
@@ -259,10 +261,7 @@ def _integrals(points):
             x = a + span * tau
             return w * x * x * np.exp(z * (tau * (tau - 2.0)))
 
-        # atol well below the 1e-10 of the visibility; rtol because up to an
-        # uphill saddle (Re Z >= -4) the segment is up to e**4 times the
-        # whole, and its round-off with it
-        values, _ = integrate(integrand, 0.0, 1.0, rtol=1e-14, atol=1e-12, panels=panels)
+        values = integrate(integrand, panels=panels)
         for i, value in zip(owners, values.tolist()):
             sums[i][0] += value
     out = []

@@ -291,6 +291,75 @@ class TestScalars:
         assert "invalid-argument" in err
 
 
+class TestGridChecks:
+    """A bad or oversized grid is an invalid-argument before any work: no
+    coefficient file read, no np.linspace, no T2* solve."""
+
+    RATIO = ["coherence-curve", "--coeffs", "COEFFS", "--b-field", "3.115",
+             "--temp-uk", "8", "--t1", "4", "--t2prime", "0.3"]
+    TRAP = ["--coeffs", "COEFFS", "--b-field", "3.115", "--depth-mk", "0.2",
+            "--temp-uk", "17"]
+
+    @pytest.fixture
+    def no_work(self, monkeypatch):
+        from magictrap import cli, datafiles, ramsey
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("work done before the grid check")
+
+        for owner, name in ((np, "linspace"), (datafiles, "read_coefficients"),
+                            (ramsey, "t2_star"), (ramsey, "_t2_stars"),
+                            (cli, "coherence_vs_depth")):
+            monkeypatch.setattr(owner, name, refuse)
+
+    @pytest.mark.parametrize("argv", [
+        RATIO + ["--ratio-min", "nan"],
+        RATIO + ["--ratio-max", "nan"],
+        RATIO + ["--ratio-step", "nan"],
+        RATIO + ["--ratio-min=-inf"],
+        RATIO + ["--ratio-max", "inf"],
+        RATIO + ["--ratio-step", "inf"],
+        RATIO + ["--ratio-step", "1e-9"],
+        RATIO + ["--ratio-min=-1e308", "--ratio-max", "1e308"],
+        RATIO + ["--ratio-min", "0", "--ratio-max", "10000", "--ratio-step", "1"],
+        ["dls-curve", "--coeffs", "COEFFS", "--b-field", "3.115",
+         "--points", "1000000000"],
+        ["dls-curve", "--coeffs", "COEFFS", "--b-field", "3.115", "--points", "0"],
+        ["ramsey", *TRAP, "--points", "1000000000"],
+        ["visibility", *TRAP, "--points", "10001"]],
+        ids=lambda argv: " ".join([argv[0], *argv[-2:]]))
+    def test_bad_grid_is_rejected_first(self, capsys, no_work, argv):
+        code, out, err = run(capsys, ["missing.toml" if a == "COEFFS" else a
+                                      for a in argv])
+        assert (code, out) == (1, "")
+        assert err.startswith("error: invalid-argument:")
+        assert len(err.splitlines()) == 1
+
+    def test_largest_ratio_grid_passes_the_check(self, capsys, monkeypatch,
+                                                 coeffs_file):
+        from magictrap import cli
+
+        def stub(base, ratios, t1_s, t2_prime_s):
+            seen.append(ratios)
+            return [(r, 1.0) for r in ratios]
+
+        seen = []
+        monkeypatch.setattr(cli, "coherence_vs_depth", stub)
+        argv = [coeffs_file if a == "COEFFS" else a for a in self.RATIO]
+        code, out, err = run(capsys, argv + ["--ratio-min", "0", "--ratio-max",
+                                             "9999", "--ratio-step", "1"])
+        assert (code, err) == (0, "")
+        assert len(seen[0]) == cli.MAX_GRID_POINTS
+
+    def test_largest_points_grid_passes_the_check(self, capsys, coeffs_file):
+        from magictrap.cli import MAX_GRID_POINTS
+        code, out, err = run(capsys, [
+            "dls-curve", "--coeffs", coeffs_file, "--b-field", "3.115",
+            "--points", str(MAX_GRID_POINTS)])
+        assert (code, err) == (0, "")
+        assert parse_doc(out)["points"] == str(MAX_GRID_POINTS)
+
+
 class TestArtifactsBeforeDocument:
     """An artifact that cannot be written fails the call before the
     document reaches stdout."""
