@@ -8,9 +8,10 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
-from magictrap import TrapFieldConfig, coherence_vs_depth, magic_depth
 from magictrap.acceptance import MEASURED_COEFFS, WORKING_B_FIELD
 from magictrap.datafiles import write_table
+from magictrap.dls import magic_depth
+from magictrap.ramsey import TrapFieldConfig, coherence_vs_depth
 from magictrap.svg import line_plot
 
 

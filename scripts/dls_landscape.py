@@ -10,9 +10,9 @@ import numpy as np
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
-from magictrap import dls, dls_minimum, magic_depth
 from magictrap.acceptance import MEASURED_COEFFS, WORKING_B_FIELD
 from magictrap.datafiles import depth_hz_from_mk, mk_from_depth_hz, write_table
+from magictrap.dls import dls, dls_minimum, magic_depth
 from magictrap.svg import line_plot
 
 

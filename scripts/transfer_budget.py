@@ -8,10 +8,10 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
-from magictrap import coherence_budget
 from magictrap.acceptance import MEASURED_COEFFS, reference_transfer_timeline
 from magictrap.datafiles import (budget_table, write_coefficients, write_table,
                                  write_timeline)
+from magictrap.transfer import coherence_budget
 
 
 def print_report(tag, report):

@@ -37,6 +37,8 @@ from .transfer import coherence_budget, validate_timeline
 #: most points a grid may have (the README's grids have 21 to 201), so that a
 #: typo cannot exhaust memory or run for hours
 MAX_GRID_POINTS = 10_000
+#: most significant digits --precision may ask for: a double holds 17
+MAX_PRECISION = 17
 
 
 def _config_from_args(args, coeffs):
@@ -297,7 +299,8 @@ def build_parser():
 
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--precision", type=int, default=9,
-                        help="significant digits in stdout values (default 9)")
+                        help="significant digits in stdout values, 1 to "
+                             f"{MAX_PRECISION} (default 9)")
     coeffs_arg = argparse.ArgumentParser(add_help=False)
     coeffs_arg.add_argument("--coeffs", required=True, metavar="FILE",
                             help="flat key-value coefficients file")
@@ -424,8 +427,10 @@ def main(argv=None) -> int:
     if args.command is None:
         parser.error("a subcommand is required (see --help)")
     try:
-        if args.precision < 1:
-            raise InvalidArgumentError("--precision must be >= 1")
+        if not 1 <= args.precision <= MAX_PRECISION:
+            raise InvalidArgumentError(
+                f"--precision must be between 1 and {MAX_PRECISION}, "
+                f"got {args.precision}")
         return args.handler(args)
     except FileNotFoundError as exc:
         sys.stderr.write(f"error: file-not-found: {exc.filename}\n")

@@ -103,21 +103,25 @@ class TrapFieldConfig:
         # hash, repr and replace see the fields alone
         u0 = self.mean_depth_hz - 1.5 * theta
         object.__setattr__(self, "bottom_depth_hz", u0)
-        # the thermal average's constants (k1, k2, X, P(3, X)) and carrier
-        # rate, once per config: k1, k2 are its phase coefficients p1, p2 per
-        # second, so that a zero coefficient stays 0 at any finite t
+        # the thermal average's constants (k1, k2, X, phase spread, P(3, X))
+        # and carrier rate, once per config: k1, k2 are its phase
+        # coefficients p1, p2 per second, so that a zero coefficient stays 0
+        # at any finite t
         c = self.coeffs
         k1 = math.pi * theta * (c.beta1 + c.beta2 * self.b_field_gauss + 2.0 * c.beta4 * u0)
         k2 = 0.5 * math.pi * c.beta4 * theta * theta
-        if not (math.isfinite(k1) and math.isfinite(k2)):
-            raise InvalidArgumentError(
-                "phase per second past float range: the shift across kB*T/h "
-                "is not finite")
         x_end = abs(u0) / theta
+        # phase spread per second: the slope k1 + 2*k2*x is largest in
+        # modulus at one end of [0, x_end]
+        spread = x_end * max(abs(k1), abs(k1 + 2.0 * k2 * x_end))
         # the detuning plus the bottom shift that _integrals leaves out
         carrier = 2.0 * math.pi * (self.detuning_hz + dls(c, self.b_field_gauss, u0))
+        if not all(map(math.isfinite, (k1, k2, spread, carrier))):
+            raise InvalidArgumentError(
+                "phase per second past float range: the shift across the "
+                "trap or the carrier rate is not finite")
         object.__setattr__(self, "_kernel_constants",
-                           (k1, k2, x_end, _gamma_p(3, x_end), carrier))
+                           (k1, k2, x_end, spread, _gamma_p(3, x_end), carrier))
 
     @property
     def ensemble(self) -> ThermalEnsemble:
@@ -193,10 +197,9 @@ def _integrals(points):
         t_s = float(t_s)
         if not 0 <= t_s < math.inf:
             raise InvalidArgumentError("time must be finite and >= 0")
-        k1, k2, x_end, den, _ = config._kernel_constants
+        k1, k2, x_end, spread, den, _ = config._kernel_constants
         p1, p2 = k1 * t_s, k2 * t_s
-        # the slope p1 + 2*p2*x is largest in modulus at one end of [0, x_end]
-        phase = t_s * (x_end * max(abs(k1), abs(k1 + 2.0 * k2 * x_end)))
+        phase = t_s * spread
         if not phase < math.inf:
             raise NumericalFailureError("phase spread past float range",
                                         diagnostics={"phase": phase})
@@ -293,7 +296,7 @@ def ramsey_population(config: TrapFieldConfig, t_s: float,
     """Thermally averaged Ramsey population at free-evolution time t."""
     t_s = float(t_s)  # the carrier too is Python float arithmetic
     num, den = _raw_integrals(config, t_s)
-    phase = t_s * config._kernel_constants[4]  # times the carrier rate
+    phase = t_s * config._kernel_constants[5]  # times the carrier rate
     if not math.isfinite(phase):
         raise NumericalFailureError("Ramsey carrier phase is not finite",
                                     diagnostics={"phase": phase})

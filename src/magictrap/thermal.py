@@ -3,6 +3,7 @@ at the finite trap depth: density p(E) = E**2/(2*theta**3) * exp(-E/theta)
 with theta = kB*T/h, renormalized over [0, truncation]. Energies in Hz.
 """
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -63,6 +64,8 @@ def sample(ens: ThermalEnsemble, n: int, seed: int) -> np.ndarray:
     expected draws n/mass exceed DRAW_BUDGET raises a coded
     InvalidArgumentError, with n and mass in its diagnostics, before drawing.
     """
+    if isinstance(n, bool) or not isinstance(n, numbers.Integral):
+        raise InvalidArgumentError(f"sample size must be an integer, got {n!r}")
     if n < 1:
         raise InvalidArgumentError("sample size must be >= 1")
     theta = ens.theta_hz

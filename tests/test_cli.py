@@ -250,14 +250,27 @@ class TestScalars:
         assert err == (f"error: invalid-argument: trap depth must be finite, "
                        f"got {value} mK\n")
 
+    @pytest.mark.parametrize("argv", [
+        ["t2star", "--coeffs", "COEFFS", "--b-field", "3.115",
+         "--depth-mk", "5e152", "--temp-uk", "17"],
+        ["coherence-curve", "--coeffs", "COEFFS", "--b-field", "3.115",
+         "--temp-uk", "8", "--t1", "4", "--t2prime", "0.3",
+         "--ratio-min", "1e300", "--ratio-max", "1e300"]])
+    def test_phase_spread_past_float_range_is_a_domain_error(
+            self, capsys, coeffs_file, argv):
+        code, out, err = run(capsys, [coeffs_file if a == "COEFFS" else a
+                                      for a in argv])
+        assert (code, out) == (1, "")
+        assert err.startswith("error: invalid-argument: phase per second")
+
     def test_convert(self, capsys):
         code, out, err = run(capsys, ["convert", "--mk", "0.2"])
         assert code == 0
         assert float(parse_doc(out)["depth_hz_signed"]) < 0
 
-    @pytest.mark.parametrize("precision", ["0", "-1"])
-    def test_precision_below_one_rejected(self, capsys, monkeypatch,
-                                          coeffs_file, precision):
+    @pytest.mark.parametrize("precision", ["0", "-1", "18", "100000000000"])
+    def test_precision_outside_1_to_17_rejected(self, capsys, monkeypatch,
+                                                coeffs_file, precision):
         from magictrap import cli
 
         def no_work(*args, **kwargs):
@@ -271,6 +284,11 @@ class TestScalars:
             assert code == 1
             assert out == ""
             assert err.startswith("error: invalid-argument:")
+
+    def test_precision_17_accepted(self, capsys):
+        code, out, err = run(capsys, ["convert", "--hz", "0.1", "--precision", "17"])
+        assert (code, err) == (0, "")
+        assert parse_doc(out)["hz"] == "0.10000000000000001"
 
     def test_convert_needs_input(self, capsys):
         code, out, err = run(capsys, ["convert"])

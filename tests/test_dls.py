@@ -1,4 +1,8 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import assume, given
@@ -201,3 +205,18 @@ class TestCoefficientValidation:
     def test_nonfinite_rejected(self):
         with pytest.raises(InvalidArgumentError):
             TrapCoefficients(math.nan, -0.99e-4, 4.6e-12)
+
+
+@pytest.mark.parametrize("module", ["dls", "constants", "errors", "svg"])
+def test_numpy_free_module_imports_without_numpy(module):
+    # the package __init__ imports nothing, so the scalar model costs no
+    # numpy start-up
+    code = (f"import sys\n"
+            f"import magictrap.{module}\n"
+            f"assert 'numpy' not in sys.modules, sorted(sys.modules)\n")
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr

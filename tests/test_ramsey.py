@@ -101,6 +101,16 @@ class TestConfig:
         assert visibility(hot, 0.0) == 1.0
         assert 0.0 <= visibility(hot, 1.0) < 1e-200
 
+    def test_spread_and_carrier_past_float_range_rejected(self):
+        # at -1e160 Hz k1 and k2 are finite, but the spread x_end*|k1| and
+        # the carrier rate overflow; at -1e150 Hz both are finite
+        with pytest.raises(InvalidArgumentError) as info:
+            TrapFieldConfig(MEASURED, B0, -1e160, 17e-6)
+        assert info.value.code == "invalid-argument"
+        deep = TrapFieldConfig(MEASURED, B0, -1e150, 17e-6)
+        assert visibility(deep, 0.0) == 1.0
+        assert ramsey_population(deep, 0.0) == 1.0
+
 
 def residual_shift(temperature_k, energy_hz):
     """Vertex expansion of the shift of an atom of energy E when the mean

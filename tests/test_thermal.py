@@ -194,6 +194,21 @@ class TestSampling:
         with pytest.raises(InvalidArgumentError):
             sample(ThermalEnsemble(T17), 0, seed=1)
 
+    @pytest.mark.parametrize("n", [2.5, 3.0, True, False, np.True_, "3", None])
+    def test_non_integer_size_rejected_before_drawing(self, n, monkeypatch):
+        requests = []
+        monkeypatch.setattr(np.random, "default_rng",
+                            lambda seed: GuardedGenerator(seed, 0, requests))
+        with pytest.raises(InvalidArgumentError) as info:
+            sample(ThermalEnsemble(T17), n, seed=1)
+        assert info.value.code == "invalid-argument"
+        assert requests == []
+
+    @pytest.mark.parametrize("n", [np.int64(5), np.int32(5), np.uint8(5)])
+    def test_numpy_integer_size_accepted(self, n):
+        assert np.array_equal(sample(ThermalEnsemble(T17), n, seed=3),
+                              sample(ThermalEnsemble(T17), 5, seed=3))
+
     @pytest.mark.parametrize("trunc_over_theta", [1.0, 3.0, 12.0, math.inf])
     def test_moments_match_closed_forms(self, trunc_over_theta):
         n = 200_000
