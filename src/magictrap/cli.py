@@ -89,6 +89,13 @@ def _cmd_magic(args):
 def _cmd_dls_curve(args):
     _check_grid(args.points, "--points")
     coeffs = datafiles.read_coefficients(args.coeffs)
+    # both terms of the shift grow in size with |depth|, which is largest at
+    # a bound, so finite shifts at both bounds keep the whole grid finite
+    for bound in (args.depth_mk_min, args.depth_mk_max):
+        if not math.isfinite(dls(coeffs, args.b_field,
+                                 datafiles.depth_hz_from_mk(bound))):
+            raise InvalidArgumentError(
+                f"shift at depth {bound} mK is past float range")
     depths_mk = np.linspace(args.depth_mk_min, args.depth_mk_max, args.points)
     shifts = [dls(coeffs, args.b_field, datafiles.depth_hz_from_mk(d))
               for d in depths_mk]

@@ -25,10 +25,13 @@ KB_OVER_H = CONSTANTS.boltzmann_kb / CONSTANTS.planck_h
 
 
 def hz_from_kelvin(temperature_k: float) -> float:
-    """Convert an energy kB*T to a frequency E/h. Signed, linear."""
-    if not math.isfinite(temperature_k):
-        raise InvalidArgumentError("temperature must be finite")
-    return temperature_k * KB_OVER_H
+    """Convert an energy kB*T to a frequency E/h. Signed, linear; finite
+    up to about 8.6e297 K, and invalid-argument past that or for NaN."""
+    frequency_hz = temperature_k * KB_OVER_H
+    if not math.isfinite(frequency_hz):
+        raise InvalidArgumentError(
+            f"kB*T/h must be finite, got T = {temperature_k!r} K")
+    return frequency_hz
 
 
 def kelvin_from_hz(frequency_hz: float) -> float:

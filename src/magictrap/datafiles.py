@@ -18,8 +18,6 @@ CSV_FLOAT_FORMAT = "%.12g"
 
 def format_value(value, precision=9):
     if isinstance(value, float):
-        if math.isinf(value):
-            return "inf" if value > 0 else "-inf"
         return f"{value:.{precision}g}"
     return str(value)
 
@@ -37,7 +35,11 @@ def depth_hz_from_mk(depth_mk: float) -> float:
             f"trap depth must be finite, got {depth_mk} mK")
     if depth_mk < 0:
         raise InvalidArgumentError("enter trap depths as positive mK values")
-    return -hz_from_kelvin(depth_mk * 1e-3)
+    try:
+        return -hz_from_kelvin(depth_mk * 1e-3)
+    except InvalidArgumentError:  # named as a depth, not a temperature
+        raise InvalidArgumentError(
+            f"trap depth {depth_mk} mK is past float range in Hz") from None
 
 
 def mk_from_depth_hz(depth_hz: float) -> float:

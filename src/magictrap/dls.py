@@ -88,7 +88,9 @@ def magic_depth(coeffs: TrapCoefficients, b_field_gauss: float) -> float:
     _require_finite(b_field_gauss=b_field_gauss)
     if coeffs.beta4 == 0:
         raise NoMagicPointError("beta4 = 0: shift is linear in depth, no vertex")
-    return -(coeffs.beta1 + coeffs.beta2 * b_field_gauss) / (2.0 * coeffs.beta4)
+    u_magic = -(coeffs.beta1 + coeffs.beta2 * b_field_gauss) / (2.0 * coeffs.beta4)
+    _require_finite(magic_depth_hz=u_magic)
+    return u_magic
 
 
 def dls_minimum(coeffs: TrapCoefficients, b_field_gauss: float) -> float:
@@ -97,7 +99,9 @@ def dls_minimum(coeffs: TrapCoefficients, b_field_gauss: float) -> float:
     if coeffs.beta4 == 0:
         raise NoMagicPointError("beta4 = 0: shift is linear in depth, no vertex")
     linear = coeffs.beta1 + coeffs.beta2 * b_field_gauss
-    return -linear * linear / (4.0 * coeffs.beta4)
+    minimum = -linear * linear / (4.0 * coeffs.beta4)
+    _require_finite(dls_minimum_hz=minimum)
+    return minimum
 
 
 def zero_crossing_field(coeffs: TrapCoefficients) -> float:
@@ -127,5 +131,7 @@ def effective_field(vector_to_scalar_ratio: float, depth_hz: float) -> float:
     given signed depth: ratio * |U| / (2 * mu_B/h). Linear in |U|."""
     _check_depth(depth_hz)
     _require_finite(vector_to_scalar_ratio=vector_to_scalar_ratio)
-    return vector_to_scalar_ratio * abs(depth_hz) / (2.0 * CONSTANTS.bohr_magneton_over_h)
+    field = vector_to_scalar_ratio * abs(depth_hz) / (2.0 * CONSTANTS.bohr_magneton_over_h)
+    _require_finite(effective_field_gauss=field)
+    return field
 

@@ -97,8 +97,6 @@ class TrapFieldConfig:
             if not math.isfinite(getattr(self, name)):
                 raise InvalidArgumentError(f"{name} must be finite")
         theta = hz_from_kelvin(self.temperature_k)
-        if not math.isfinite(theta):
-            raise InvalidArgumentError("temperature too high: kB*T/h is not finite")
         # U0 = U_a - (3/2)*kB*T/h < 0, set here and not a field so that ==,
         # hash, repr and replace see the fields alone
         u0 = self.mean_depth_hz - 1.5 * theta
@@ -331,13 +329,18 @@ def t2_star(config: TrapFieldConfig, horizon_s: float = DEFAULT_HORIZON_S) -> fl
 
 
 def _t2_stars(configs):
-    """t2_star of each of configs at the default horizon, solved in
-    lockstep: one _integrals pass per step over every unsolved config."""
+    """t2_star of each of configs at the default horizon, one root per
+    input. Each distinct config is solved once, all in lockstep: one
+    _integrals pass per step over every unsolved config."""
+    distinct = list(dict.fromkeys(configs))
+
     def envelope(indices, times):
         return [_envelope(num, den) for num, den in
-                _integrals([(configs[i], t) for i, t in zip(indices, times)])]
+                _integrals([(distinct[i], t) for i, t in zip(indices, times)])]
 
-    return _first_crossings(envelope, len(configs), DEFAULT_HORIZON_S)
+    roots = dict(zip(distinct, _first_crossings(envelope, len(distinct),
+                                                DEFAULT_HORIZON_S)))
+    return [roots[config] for config in configs]
 
 
 def _first_crossings(envelope, n, horizon_s):
@@ -396,7 +399,7 @@ def coherence_vs_depth(base: TrapFieldConfig, ratios, t1_s: float,
                        t2_prime_s: float):
     """Coherence time tau versus depth ratio U_a/U_M at fixed field and
     temperature. Returns [(ratio, tau_s), ...] in input order. The T2* of
-    every distinct ratio is solved together, in lockstep."""
+    every distinct depth is solved together, in lockstep."""
     ratios = [float(r) for r in ratios]
     if any(r <= 0 for r in ratios):
         raise InvalidArgumentError("depth ratios must be positive")
@@ -404,10 +407,9 @@ def coherence_vs_depth(base: TrapFieldConfig, ratios, t1_s: float,
     u_magic = magic_depth(base.coeffs, base.b_field_gauss)
     if u_magic >= 0:
         raise UnphysicalConfigurationError("magic depth is not a trap at this field")
-    distinct = list(dict.fromkeys(ratios))
-    solved = dict(zip(distinct, _t2_stars(
-        [replace(base, mean_depth_hz=r * u_magic) for r in distinct])))
-    return [(r, combine_coherence(t1_s, t2_prime_s, solved[r])) for r in ratios]
+    t2_stars = _t2_stars([replace(base, mean_depth_hz=r * u_magic) for r in ratios])
+    return [(r, combine_coherence(t1_s, t2_prime_s, t2))
+            for r, t2 in zip(ratios, t2_stars)]
 
 
 def ramsey_trace(config: TrapFieldConfig, times_s,

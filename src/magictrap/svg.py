@@ -33,7 +33,7 @@ def _fmt(value):
     return f"{value:.6g}"
 
 
-def line_plot(path, series, x_label, y_label, title=""):
+def line_plot(path, series, x_label, y_label):
     """Write an SVG plot of one or more (label, xs, ys) series."""
     xs_all = [x for _, xs, _ in series for x in xs]
     ys_all = [y for _, _, ys in series for y in ys if math.isfinite(y)]
@@ -62,10 +62,6 @@ def line_plot(path, series, x_label, y_label, title=""):
         f'height="{_HEIGHT:.0f}" viewBox="0 0 {_WIDTH:.0f} {_HEIGHT:.0f}">',
         f'<rect width="{_WIDTH:.0f}" height="{_HEIGHT:.0f}" fill="white"/>',
     ]
-    if title:
-        parts.append(
-            f'<text x="{_WIDTH/2:.1f}" y="18" text-anchor="middle" '
-            f'font-family="sans-serif" font-size="14">{title}</text>')
     # axes
     parts.append(
         f'<path d="M {px(x_lo):.2f} {py(y_lo):.2f} H {px(x_hi):.2f}" '

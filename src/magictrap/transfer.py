@@ -156,17 +156,15 @@ def coherence_budget(tl: TransferTimeline, post_transfer_temperature_k: float,
     for measured in (t2star_static_s, t2star_mobile_s):
         if measured is not None:  # checked before any root solve
             combine_coherence(tl.t1_s, tl.t2prime_s, measured)
-    mobile_cfg = replace(static, temperature_k=post_transfer_temperature_k)
-    # the static trap is one of the segments'
-    traps = [seg.config for seg in tl.segments]
-    if t2star_mobile_s is None:
-        traps.append(mobile_cfg)
-    traps = list(dict.fromkeys(traps))
-    model_t2_star = dict(zip(traps, _t2_stars(traps)))
+    # the static trap is one of the segments'; the mobile one needs a solve
+    # only when no measured value supersedes it
+    mobile = (replace(static, temperature_k=post_transfer_temperature_k)
+              if t2star_mobile_s is None else static)
+    *model_t2_star, model_static, model_mobile = _t2_stars(
+        [seg.config for seg in tl.segments] + [static, mobile])
 
     per_segment = []
-    for seg in tl.segments:
-        model_t2 = model_t2_star[seg.config]
+    for seg, model_t2 in zip(tl.segments, model_t2_star):
         used = seg.t2_override_s if seg.t2_override_s is not None else model_t2
         factor = math.exp(-seg.duration_s / used) if seg.duration_s > 0 else 1.0
         per_segment.append(SegmentBudget(seg.phase, seg.duration_s, used,
@@ -182,10 +180,8 @@ def coherence_budget(tl: TransferTimeline, post_transfer_temperature_k: float,
     for entry in per_segment:
         retained *= entry.amplitude_factor
 
-    ts_static = (t2star_static_s if t2star_static_s is not None
-                 else model_t2_star[static])
-    ts_mobile = (t2star_mobile_s if t2star_mobile_s is not None
-                 else model_t2_star[mobile_cfg])
+    ts_static = t2star_static_s if t2star_static_s is not None else model_static
+    ts_mobile = t2star_mobile_s if t2star_mobile_s is not None else model_mobile
     tau_static = combine_coherence(tl.t1_s, tl.t2prime_s, ts_static)
     tau_mobile = combine_coherence(tl.t1_s, tl.t2prime_s, ts_mobile)
     loss = 1.0 - tau_mobile / tau_static

@@ -263,6 +263,23 @@ class TestScalars:
         assert (code, out) == (1, "")
         assert err.startswith("error: invalid-argument: phase per second")
 
+    @pytest.mark.parametrize("argv", [
+        ["magic", "--b-field", "1e308", "--coeffs", "COEFFS"],
+        ["convert", "--kelvin", "1e308"],
+        ["convert", "--mk", "1e306"],
+        ["beff", "--ratio", "1e308", "--depth-mk", "0.6"],
+        ["dls-curve", "--b-field", "3.115", "--coeffs", "COEFFS",
+         "--depth-mk-max", "1e300", "--points", "3", "--out", "OUT"]])
+    def test_result_past_float_range_is_a_domain_error(
+            self, capsys, coeffs_file, tmp_path, argv):
+        table = tmp_path / "table.csv"
+        code, out, err = run(capsys, [
+            {"COEFFS": coeffs_file, "OUT": str(table)}.get(a, a) for a in argv])
+        assert (code, out) == (1, "")
+        assert err.startswith("error: invalid-argument:")
+        assert len(err.splitlines()) == 1
+        assert not table.exists()
+
     def test_convert(self, capsys):
         code, out, err = run(capsys, ["convert", "--mk", "0.2"])
         assert code == 0

@@ -1,6 +1,7 @@
 import json
 import math
 
+import numpy as np
 import pytest
 
 from magictrap import datafiles
@@ -186,6 +187,9 @@ class TestTimeline:
 class TestFormatting:
     def test_infinity(self):
         assert datafiles.format_value(math.inf) == "inf"
+        assert datafiles.format_value(-math.inf) == "-inf"
+        assert datafiles.format_value(math.nan) == "nan"
+        assert datafiles.format_value(np.float64("inf")) == "inf"
 
     def test_precision(self):
         assert datafiles.format_value(1.0 / 3.0, precision=12) == "0.333333333333"

@@ -329,6 +329,19 @@ class TestLockstep:
         assert roots == [t2_star(cfg) for cfg in configs]
         assert roots[1] == math.inf and math.isfinite(roots[0])
 
+    def test_repeated_configs_are_solved_once(self, monkeypatch):
+        first_crossings, sizes = ramsey._first_crossings, []
+
+        def counted(envelope, n, horizon_s):
+            sizes.append(n)
+            return first_crossings(envelope, n, horizon_s)
+
+        monkeypatch.setattr(ramsey, "_first_crossings", counted)
+        configs = [config(17e-6), config(8e-6), config(17e-6)]
+        roots = ramsey._t2_stars(configs)
+        assert sizes == [2]
+        assert roots == [roots[0], roots[1], roots[0]]
+
     def test_repeated_ratios_equal_their_scalar_calls(self):
         ratios = [1.0, 0.8, 1.0]
         assert coherence_vs_depth(config(17e-6), ratios, 4.0, 0.3) == [

@@ -1,15 +1,25 @@
-"""Replay the README's CLI block: the scripts write the inputs, then every
-command runs through ``cli.main`` on them and must exit 0 with nothing on
-stderr."""
+"""Replay the README's CLI block: scripts/make_inputs.py writes the inputs,
+then every command runs through ``cli.main`` on them and must exit 0 with
+nothing on stderr. The inputs themselves must hold the reference values."""
 import re
 import runpy
 import shlex
 import sys
 from pathlib import Path
 
+import pytest
+
+from magictrap.acceptance import MEASURED_COEFFS, reference_transfer_timeline
 from magictrap.cli import main
+from magictrap.datafiles import read_coefficients, read_dls_csv, read_timeline
+from magictrap.fitting import fit_dls_global
 
 ROOT = Path(__file__).resolve().parents[1]
+
+
+def run_script(path, outdir, monkeypatch, *args):
+    monkeypatch.setattr(sys, "argv", [path, *args, "--outdir", str(outdir)])
+    runpy.run_path(str(ROOT / path), run_name="__main__")
 
 
 def readme_cli_block():
@@ -25,12 +35,10 @@ def readme_cli_block():
 def test_readme_cli_block_runs(tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
     commands = readme_cli_block()
-    assert commands[0][:2] == ["python", "scripts/dls_landscape.py"]
+    assert commands[0] == ["python", "scripts/make_inputs.py"]
     for argv in commands:
         if argv[0] == "python":
-            monkeypatch.setattr(sys, "argv",
-                                [argv[1], *argv[2:], "--outdir", str(tmp_path / "out")])
-            runpy.run_path(str(ROOT / argv[1]), run_name="__main__")
+            run_script(argv[1], tmp_path / "out", monkeypatch, *argv[2:])
             code = 0
         elif argv[1:] == ["selftest"]:
             # tests/test_acceptance.py runs the same checks
@@ -40,3 +48,15 @@ def test_readme_cli_block_runs(tmp_path, monkeypatch, capsys):
             code = main(argv[1:])
         err = capsys.readouterr().err
         assert (code, err) == (0, ""), " ".join(argv)
+
+
+def test_make_inputs_hold_the_reference_values(tmp_path, monkeypatch):
+    run_script("scripts/make_inputs.py", tmp_path, monkeypatch)
+    assert read_coefficients(tmp_path / "measured_coeffs.toml") == MEASURED_COEFFS
+    assert (read_timeline(tmp_path / "transfer_timeline.json", MEASURED_COEFFS)
+            == reference_transfer_timeline())
+    # the shift table is exact model output, so the fit returns the model
+    fit = fit_dls_global(read_dls_csv(tmp_path / "dls_landscape.csv"),
+                         beta1_fixed=3.47e-4)
+    assert fit.parameters["beta2"] == pytest.approx(-0.99e-4, rel=1e-9)
+    assert fit.parameters["beta4"] == pytest.approx(4.6e-12, rel=1e-9)

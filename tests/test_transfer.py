@@ -150,18 +150,18 @@ class TestBudget:
                                               solves):
         # Move and Return share the mover; the Hold segment is the static
         # trap; at 8 uK the post-transfer trap is the static one as well
-        from magictrap import ramsey, transfer
+        from magictrap import ramsey
 
-        handed = []
+        first_crossings, sizes = ramsey._first_crossings, []
 
-        def counted(configs):
-            handed.extend(configs)
-            return ramsey._t2_stars(configs)
+        def counted(envelope, n, horizon_s):
+            sizes.append(n)
+            return first_crossings(envelope, n, horizon_s)
 
-        monkeypatch.setattr(transfer, "_t2_stars", counted)
+        monkeypatch.setattr(ramsey, "_first_crossings", counted)
         timeline = reference_timeline()
         report = coherence_budget(timeline, post_uk * 1e-6)
-        assert len(handed) == len(set(handed)) == solves
+        assert sizes == [solves]  # one lockstep solve, one root per trap
         assert [entry.t2_model_s for entry in report.per_segment] == [
             ramsey.t2_star(seg.config) for seg in timeline.segments]
         assert report.t2star_static_s == ramsey.t2_star(STATIC)
