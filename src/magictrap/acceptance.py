@@ -34,10 +34,8 @@ from .transfer import (
 
 # the two coefficient sets exercised throughout: fitted values from the
 # 830 nm sigma+ trap, and the atomic-theory set for the same trap
-MEASURED_COEFFS = TrapCoefficients(beta1=3.47e-4, beta2=-0.99e-4,
-                                   beta4=4.6e-12, polarization_a=1.0)
-THEORY_COEFFS = TrapCoefficients(beta1=3.47e-4, beta2=-1.03e-4,
-                                 beta4=4.64e-12, polarization_a=1.0)
+MEASURED_COEFFS = TrapCoefficients(beta1=3.47e-4, beta2=-0.99e-4, beta4=4.6e-12)
+THEORY_COEFFS = TrapCoefficients(beta1=3.47e-4, beta2=-1.03e-4, beta4=4.64e-12)
 WORKING_B_FIELD = 3.115  # gauss
 VECTOR_TO_SCALAR_RATIO = 0.2518  # ground-state polarizability ratio at 830 nm
 

@@ -12,7 +12,7 @@ import sys
 
 import numpy as np
 
-from . import __version__, acceptance, datafiles, svg
+from . import __version__, acceptance, datafiles, fitting, svg
 from .constants import CONSTANTS, hz_from_kelvin, kelvin_from_hz
 from .dls import (
     TrapCoefficients,
@@ -25,13 +25,13 @@ from .dls import (
 from .errors import InvalidArgumentError, MagicTrapError
 from .fitting import fit_damped_sinusoid, fit_dls_global, magic_depth_sigma
 from .ramsey import (
-    DEFAULT_HORIZON_S,
     TrapFieldConfig,
     coherence_vs_depth,
     ramsey_trace,
     t2_star,
     visibility_curve,
 )
+from .thermal import truncation_mass
 from .transfer import coherence_budget, validate_timeline
 
 #: most points a grid may have (the README's grids have 21 to 201), so that a
@@ -162,17 +162,16 @@ def _trace_command(args, kind):
     coeffs = datafiles.read_coefficients(args.coeffs)
     config = _config_from_args(args, coeffs)
     times = np.linspace(0.0, args.t_max, args.points)
-    renormalize = not args.no_renormalize
     if kind == "population":
-        values = ramsey_trace(config, times, renormalize).population
+        values = ramsey_trace(config, times).population
     else:
-        values = visibility_curve(config, times, renormalize).visibility
+        values = visibility_curve(config, times).visibility
     return _emit(args, [
         ("b_field_gauss", args.b_field),
         ("depth_mk", args.depth_mk),
         ("temp_uk", args.temp_uk),
         ("detuning_hz", getattr(args, "detuning_hz", 0.0)),
-        ("renormalized", renormalize),
+        ("truncation_mass", truncation_mass(config.ensemble)),
         ("t_max_s", args.t_max),
         ("points", args.points),
         (f"{kind}_final", values[-1]),
@@ -183,7 +182,7 @@ def _trace_command(args, kind):
 def _cmd_t2star(args):
     coeffs = datafiles.read_coefficients(args.coeffs)
     config = _config_from_args(args, coeffs)
-    value = t2_star(config, horizon_s=args.horizon)
+    value = t2_star(config)
     return _emit(args, [
         ("b_field_gauss", args.b_field),
         ("depth_mk", args.depth_mk),
@@ -228,9 +227,7 @@ def _cmd_fit_ramsey(args):
     t_data = [row[0] for row in samples]
     p_data = [row[1] for row in samples]
     grid = np.linspace(min(t_data), max(t_data), 400)
-    p = result.parameters
-    model = (p["offset"] + 0.5 * p["v0"] * np.exp(-grid / p["tau"])
-             * np.cos(2 * np.pi * p["delta"] * grid + p["phi"]))
+    model, _ = fitting._damped_sinusoid(tuple(result.parameters.values()), grid, 0.0, 1.0)
     return _emit(args, _fit_pairs(result),
                  plot=([("data", t_data, p_data), ("fit", list(grid), list(model))],
                        "time (s)", "population"))
@@ -360,8 +357,6 @@ def build_parser():
     p.add_argument("--detuning-hz", type=float, default=0.0)
     p.add_argument("--t-max", type=float, default=0.4)
     p.add_argument("--points", type=int, default=201)
-    p.add_argument("--no-renormalize", action="store_true",
-                   help="use the raw truncated density (literal average)")
     p.set_defaults(handler=lambda a: _trace_command(a, "population"))
 
     p = sub.add_parser("visibility", parents=[common, coeffs_arg, field_args,
@@ -369,13 +364,10 @@ def build_parser():
                        help="Ramsey fringe envelope")
     p.add_argument("--t-max", type=float, default=2.0)
     p.add_argument("--points", type=int, default=101)
-    p.add_argument("--no-renormalize", action="store_true")
     p.set_defaults(handler=lambda a: _trace_command(a, "visibility"))
 
     p = sub.add_parser("t2star", parents=[common, coeffs_arg, field_args],
                        help="1/e decay time of the envelope")
-    p.add_argument("--horizon", type=float, default=DEFAULT_HORIZON_S,
-                   help="give up and report inf beyond this time (s, finite and > 0)")
     p.set_defaults(handler=_cmd_t2star)
 
     p = sub.add_parser("coherence-curve", parents=[common, coeffs_arg,

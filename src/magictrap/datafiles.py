@@ -48,7 +48,8 @@ def mk_from_depth_hz(depth_hz: float) -> float:
 
 def read_coefficients(path) -> TrapCoefficients:
     """Parse a flat key-value coefficients file (TOML-style `key = value`
-    lines; `#` comments)."""
+    lines; `#` comments). Keys other than the three coefficients are
+    ignored."""
     values = {}
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
@@ -69,7 +70,6 @@ def read_coefficients(path) -> TrapCoefficients:
             beta1=values["beta1"],
             beta2=values["beta2_per_gauss"],
             beta4=values["beta4_per_hz"],
-            polarization_a=values.get("polarization_A", 1.0),
         )
     except KeyError as exc:
         raise InvalidArgumentError(
@@ -81,7 +81,6 @@ def write_coefficients(path, coeffs: TrapCoefficients):
         fh.write(f"beta1 = {coeffs.beta1!r}\n")
         fh.write(f"beta2_per_gauss = {coeffs.beta2!r}\n")
         fh.write(f"beta4_per_hz = {coeffs.beta4!r}\n")
-        fh.write(f"polarization_A = {coeffs.polarization_a!r}\n")
 
 
 def write_table(path, header, rows):

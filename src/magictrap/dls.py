@@ -31,21 +31,17 @@ def _require_finite(**values):
 
 @dataclass(frozen=True)
 class TrapCoefficients:
-    """Shift-model coefficients: beta1 (dimensionless), beta2 (1/G),
-    beta4 (1/Hz), and the degree of circular polarization in [-1, 1]."""
+    """Shift-model coefficients: beta1 (dimensionless), beta2 (1/G) and
+    beta4 (1/Hz)."""
 
     beta1: float
     beta2: float
     beta4: float
-    polarization_a: float = 1.0
 
     def __post_init__(self):
-        _require_finite(beta1=self.beta1, beta2=self.beta2, beta4=self.beta4,
-                        polarization_a=self.polarization_a)
+        _require_finite(beta1=self.beta1, beta2=self.beta2, beta4=self.beta4)
         if self.beta4 < 0:
             raise InvalidArgumentError("beta4 must be >= 0")
-        if abs(self.polarization_a) > 1:
-            raise InvalidArgumentError("|polarization_a| must be <= 1")
 
 
 @dataclass(frozen=True)
@@ -122,8 +118,7 @@ def coeffs_from_atomic(atomic: AtomicInput) -> TrapCoefficients:
     ratio = atomic.vector_to_scalar_ratio
     beta2 = -2.0 * a * CONSTANTS.bohr_magneton_over_h * ratio / nu0_hz
     beta4 = (a * a / (2.0 * nu0_hz)) * ratio * ratio
-    return TrapCoefficients(beta1=atomic.beta1, beta2=beta2, beta4=beta4,
-                            polarization_a=a)
+    return TrapCoefficients(beta1=atomic.beta1, beta2=beta2, beta4=beta4)
 
 
 def effective_field(vector_to_scalar_ratio: float, depth_hz: float) -> float:

@@ -177,12 +177,15 @@ def _finish(names, values, unscaled_cov, chi2, dof, sigmas_given):
                      float(chi2), int(dof))
 
 
+@np.errstate(over="ignore", invalid="ignore")  # the checks below report overflow
 def fit_dls_global(datasets, beta1_fixed: float, free_beta1: bool = False) -> FitResult:
     """Weighted linear least squares for the depth-quadratic shift model
     over several bias fields, beta1 held fixed (optionally freed).
 
     The model shift = (beta1 + beta2*B)*U + beta4*U**2 is linear in
     (beta2, beta4); the normal equations are solved with column scaling.
+    A fit whose input, chi^2, parameters or covariance leave float range
+    is an invalid-argument.
     """
     datasets = list(datasets)
     if len({ds.b_field_gauss for ds in datasets}) < 2:
@@ -209,9 +212,13 @@ def fit_dls_global(datasets, beta1_fixed: float, free_beta1: bool = False) -> Fi
         names = ("beta2", "beta4")
         design = np.column_stack([b * u, u * u])
         target = y - beta1_fixed * u
+    past_range = ("shift fit is past float range (beta1 "
+                  + ("free)" if free_beta1 else f"fixed at {beta1_fixed!r})"))
 
     aw = design / sig[:, None]
     yw = target / sig
+    if not (np.isfinite(aw).all() and np.isfinite(yw).all()):
+        raise InvalidArgumentError(past_range)  # before cond, which fails on nan
     col_scale = np.linalg.norm(aw, axis=0)
     if np.any(col_scale == 0):
         raise RankDeficiencyError("a design column is identically zero")
@@ -228,8 +235,13 @@ def fit_dls_global(datasets, beta1_fixed: float, free_beta1: bool = False) -> Fi
     cov = np.linalg.inv(normal) / np.outer(col_scale, col_scale)
     resid = yw - aw @ params
     chi2 = float(resid @ resid)
-    dof = len(rows) - len(names)
-    return _finish(names, params, cov, chi2, dof, sigmas_given)
+    if not (math.isfinite(chi2) and np.isfinite(params).all()
+            and np.isfinite(cov).all()):
+        raise InvalidArgumentError(past_range)
+    fit = _finish(names, params, cov, chi2, len(rows) - len(names), sigmas_given)
+    if not np.isfinite(fit.covariance).all():  # scaled by chi^2/dof
+        raise InvalidArgumentError(past_range)
+    return fit
 
 
 def magic_depth_sigma(fit: FitResult, beta1: float, b_field_gauss: float) -> float:

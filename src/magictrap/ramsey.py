@@ -35,10 +35,10 @@ from .parallel import ordered_map
 from .quadrature import integrate
 from .thermal import ThermalEnsemble, _gamma_p
 
-#: root-finding horizon for t2_star before returning the infinity sentinel
-DEFAULT_HORIZON_S = 1e4
 #: relative width of the final t2_star bracket
 T2_STAR_REL_TOL = 1e-4
+#: t2_star returns math.inf for an envelope still above 1/e past this time
+T2_STAR_HORIZON_S = 1e4
 #: an end whose descent path has its branch point s = Z within |Z| <= 4, or
 #: in the box 0 < Re Z <= SEGMENT_Z_MAX, |Im Z| <= SEGMENT_IM_Z, near the
 #: positive s axis, goes by the straight segment to the saddle instead:
@@ -289,66 +289,60 @@ def _half_gaussian(c1, c2, x_star, valley):
     return 0.5 * scale * (valley * even - x_star / c2)
 
 
-def ramsey_population(config: TrapFieldConfig, t_s: float,
-                      renormalize: bool = True) -> float:
-    """Thermally averaged Ramsey population at free-evolution time t."""
+def ramsey_population(config: TrapFieldConfig, t_s: float) -> float:
+    """Thermally averaged Ramsey population at free-evolution time t; times
+    thermal.truncation_mass it is the literal truncated-density average."""
     t_s = float(t_s)  # the carrier too is Python float arithmetic
     num, den = _raw_integrals(config, t_s)
     phase = t_s * config._kernel_constants[5]  # times the carrier rate
     if not math.isfinite(phase):
         raise NumericalFailureError("Ramsey carrier phase is not finite",
                                     diagnostics={"phase": phase})
-    # den is the mass of the raw density: the literal average over it is
-    # the renormalized one scaled by it
-    mixed = (cmath.exp(1j * phase) * num).real
-    value = 0.5 * (1.0 + mixed / den) if renormalize else 0.5 * (den + mixed)
+    value = 0.5 * (1.0 + (cmath.exp(1j * phase) * num).real / den)
     # |num| <= den holds for the exact integrals; clip only their round-off
     return float(min(1.0, max(0.0, value)))
 
 
-def visibility(config: TrapFieldConfig, t_s: float,
-               renormalize: bool = True) -> float:
+def visibility(config: TrapFieldConfig, t_s: float) -> float:
     """Ramsey fringe envelope: modulus of the thermal dephasing
-    characteristic function. The detuning drops out exactly."""
-    return _envelope(*_raw_integrals(config, t_s), renormalize)
+    characteristic function, normalized as in ramsey_population. The
+    detuning drops out exactly."""
+    return _envelope(*_raw_integrals(config, t_s))
 
 
-def _envelope(num, den, renormalize=True):
-    return float(min(1.0, abs(num) / den) if renormalize else min(abs(num), den))
+def _envelope(num, den):
+    return float(min(1.0, abs(num) / den))
 
 
-def t2_star(config: TrapFieldConfig, horizon_s: float = DEFAULT_HORIZON_S) -> float:
+def t2_star(config: TrapFieldConfig) -> float:
     """First time the visibility envelope falls to 1/e, by bracket doubling
     then bisection to T2_STAR_REL_TOL. Returns math.inf if the envelope
-    stays above 1/e out to the horizon, 0 < horizon_s < inf."""
-    if not 0 < horizon_s < math.inf:
-        raise InvalidArgumentError(f"horizon_s must be finite and > 0, got {horizon_s!r}")
+    stays above 1/e out to T2_STAR_HORIZON_S."""
     # one visibility call per probe, the unit the benchmark's trace counts
     return _first_crossings(
-        lambda _, times: [visibility(config, t) for t in times], 1, horizon_s)[0]
+        lambda _, times: [visibility(config, t) for t in times], 1)[0]
 
 
 def _t2_stars(configs):
-    """t2_star of each of configs at the default horizon, one root per
-    input. Each distinct config is solved once, all in lockstep: one
-    _integrals pass per step over every unsolved config."""
+    """t2_star of each of configs, one root per input. Each distinct
+    config is solved once, all in lockstep: one _integrals pass per step
+    over every unsolved config."""
     distinct = list(dict.fromkeys(configs))
 
     def envelope(indices, times):
         return [_envelope(num, den) for num, den in
                 _integrals([(distinct[i], t) for i, t in zip(indices, times)])]
 
-    roots = dict(zip(distinct, _first_crossings(envelope, len(distinct),
-                                                DEFAULT_HORIZON_S)))
+    roots = dict(zip(distinct, _first_crossings(envelope, len(distinct))))
     return [roots[config] for config in configs]
 
 
-def _first_crossings(envelope, n, horizon_s):
+def _first_crossings(envelope, n):
     """First 1/e crossings of n envelopes, each by bracket doubling from
     1e-4 s then bisection to T2_STAR_REL_TOL; math.inf for one still above
-    1/e past horizon_s. envelope(indices, times) returns the envelope of
-    each listed one at its time. Each follows its own probe sequence, so a
-    root does not depend on the others."""
+    1/e past T2_STAR_HORIZON_S. envelope(indices, times) returns the
+    envelope of each listed one at its time. Each follows its own probe
+    sequence, so a root does not depend on the others."""
     # the envelope is 1 at t = 0 exactly: there _integrals returns the
     # density's mass as the phasor integral
     target = 1.0 / math.e
@@ -363,7 +357,7 @@ def _first_crossings(envelope, n, horizon_s):
             if doubling[i] and value > target:
                 lo[i] = t
                 hi[i] = 2.0 * t
-                if hi[i] > horizon_s:
+                if hi[i] > T2_STAR_HORIZON_S:
                     continue
             elif doubling[i]:
                 doubling[i] = False
@@ -382,7 +376,8 @@ def _first_crossings(envelope, n, horizon_s):
 def combine_coherence(t1_s: float, t2_prime_s: float, t2_star_s: float) -> float:
     """Total Ramsey decay time: 1/tau = 1/T1 + 1/T2' + 1/T2*.
 
-    Infinite contributions are allowed and drop out.
+    Infinite contributions are allowed and drop out. A total rate past
+    float range (a time below about 1e-308 s) is an invalid-argument.
     """
     for name, value in (("t1_s", t1_s), ("t2_prime_s", t2_prime_s),
                         ("t2_star_s", t2_star_s)):
@@ -392,6 +387,10 @@ def combine_coherence(t1_s: float, t2_prime_s: float, t2_star_s: float) -> float
     for value in (t1_s, t2_prime_s, t2_star_s):
         if not math.isinf(value):
             rate += 1.0 / value
+    if not math.isfinite(rate):
+        raise InvalidArgumentError(
+            f"1/T1 + 1/T2' + 1/T2* is past float range for T1 = {t1_s!r} s, "
+            f"T2' = {t2_prime_s!r} s, T2* = {t2_star_s!r} s")
     return math.inf if rate == 0.0 else 1.0 / rate
 
 
@@ -412,16 +411,13 @@ def coherence_vs_depth(base: TrapFieldConfig, ratios, t1_s: float,
             for r, t2 in zip(ratios, t2_stars)]
 
 
-def ramsey_trace(config: TrapFieldConfig, times_s,
-                 renormalize: bool = True) -> RamseyTrace:
+def ramsey_trace(config: TrapFieldConfig, times_s) -> RamseyTrace:
     times = tuple(float(t) for t in times_s)
-    pops = ordered_map(lambda t: ramsey_population(config, t, renormalize), times)
+    pops = ordered_map(lambda t: ramsey_population(config, t), times)
     return RamseyTrace(times, tuple(pops))
 
 
-def visibility_curve(config: TrapFieldConfig, times_s,
-                     renormalize: bool = True) -> VisibilityCurve:
+def visibility_curve(config: TrapFieldConfig, times_s) -> VisibilityCurve:
     times = tuple(float(t) for t in times_s)
-    vis = [_envelope(num, den, renormalize)
-           for num, den in _integrals([(config, t) for t in times])]
+    vis = [_envelope(num, den) for num, den in _integrals([(config, t) for t in times])]
     return VisibilityCurve(times, tuple(vis))

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from magictrap.cli import main
-from magictrap.datafiles import write_coefficients
+from magictrap.datafiles import depth_hz_from_mk, write_coefficients
 from magictrap.dls import TrapCoefficients
 
 
@@ -13,6 +13,21 @@ from magictrap.dls import TrapCoefficients
 def coeffs_file(tmp_path):
     path = tmp_path / "exp.toml"
     write_coefficients(path, TrapCoefficients(3.47e-4, -0.99e-4, 4.6e-12))
+    return str(path)
+
+
+@pytest.fixture
+def shift_table(tmp_path):
+    """Exact model shifts at four bias fields; returns the CSV path."""
+    from magictrap.datafiles import write_table
+    from magictrap.dls import dls
+    coeffs = TrapCoefficients(3.47e-4, -0.99e-4, 4.6e-12)
+    rows = []
+    for b in (2.8, 3.0, 3.115, 3.3):
+        for depth_mk in (0.05, 0.1, 0.15, 0.2, 0.25, 0.3):
+            rows.append((b, depth_mk, dls(coeffs, b, depth_hz_from_mk(depth_mk))))
+    path = tmp_path / "dls.csv"
+    write_table(path, ("b_field_gauss", "depth_mk", "dls_hz"), rows)
     return str(path)
 
 
@@ -137,6 +152,22 @@ class TestCurves:
         first = float(lines[1].split(",")[1])
         assert first == 1.0
 
+    @pytest.mark.parametrize("command", ["ramsey", "visibility"])
+    def test_document_prints_the_truncation_mass(self, capsys, coeffs_file,
+                                                 command):
+        # the literal average over the truncated density is this mass
+        # times each printed value
+        from magictrap.ramsey import TrapFieldConfig
+        from magictrap.thermal import truncation_mass
+        cfg = TrapFieldConfig(TrapCoefficients(3.47e-4, -0.99e-4, 4.6e-12),
+                              3.115, depth_hz_from_mk(0.12), 40e-6)
+        code, out, err = run(capsys, [
+            command, "--coeffs", coeffs_file, "--b-field", "3.115",
+            "--depth-mk", "0.12", "--temp-uk", "40", "--points", "3"])
+        assert (code, err) == (0, "")
+        assert parse_doc(out)["truncation_mass"] == (
+            f"{truncation_mass(cfg.ensemble):.9g}")
+
     def test_long_time_envelope_converges(self, capsys, coeffs_file):
         # once the ensemble has dephased the envelope sits far below the
         # relative tolerance of its own integral
@@ -215,15 +246,6 @@ class TestScalars:
         assert float(parse_doc(out)["t2_star_s"]) == pytest.approx(1.5,
                                                                    rel=0.30)
 
-    @pytest.mark.parametrize("horizon", ["nan", "0", "-1", "inf"])
-    def test_t2star_horizon_outside_domain(self, capsys, coeffs_file, horizon):
-        code, out, err = run(capsys, [
-            "t2star", "--coeffs", coeffs_file, "--b-field", "3.115",
-            "--depth-mk", "0.201", "--temp-uk", "17", "--horizon", horizon])
-        assert code == 1
-        assert out == ""
-        assert err.startswith("error: invalid-argument: horizon_s")
-
     def test_beff(self, capsys):
         code, out, err = run(capsys, ["beff", "--depth-mk", "0.6"])
         assert code == 0
@@ -269,16 +291,31 @@ class TestScalars:
         ["convert", "--mk", "1e306"],
         ["beff", "--ratio", "1e308", "--depth-mk", "0.6"],
         ["dls-curve", "--b-field", "3.115", "--coeffs", "COEFFS",
-         "--depth-mk-max", "1e300", "--points", "3", "--out", "OUT"]])
+         "--depth-mk-max", "1e300", "--points", "3", "--out", "OUT"],
+        # 1/T past float range: rejected before any T2* solve
+        ["transfer", "--coeffs", "COEFFS", "--timeline", "TIMELINE",
+         "--post-temp-uk", "16", "--t2star-static", "1e-320",
+         "--t2star-mobile", "1.9", "--out", "OUT"],
+        ["coherence-curve", "--coeffs", "COEFFS", "--b-field", "3.115",
+         "--temp-uk", "17", "--t1", "1e-320", "--t2prime", "0.3",
+         "--out", "OUT"],
+        # beta1*U overflows (1e308) or the residuals do (1e300)
+        ["fit-dls", "--input", "SHIFTS", "--beta1", "1e300"],
+        ["fit-dls", "--input", "SHIFTS", "--beta1", "1e308"]])
     def test_result_past_float_range_is_a_domain_error(
-            self, capsys, coeffs_file, tmp_path, argv):
+            self, capsys, coeffs_file, shift_table, tmp_path, monkeypatch, argv):
+        from magictrap import ramsey
+        calls = []
+        monkeypatch.setattr(ramsey, "_integrals", calls.append)
         table = tmp_path / "table.csv"
         code, out, err = run(capsys, [
-            {"COEFFS": coeffs_file, "OUT": str(table)}.get(a, a) for a in argv])
+            {"COEFFS": coeffs_file, "OUT": str(table), "SHIFTS": shift_table,
+             "TIMELINE": write_timeline_doc(tmp_path)}.get(a, a) for a in argv])
         assert (code, out) == (1, "")
         assert err.startswith("error: invalid-argument:")
         assert len(err.splitlines()) == 1
         assert not table.exists()
+        assert calls == []
 
     def test_convert(self, capsys):
         code, out, err = run(capsys, ["convert", "--mk", "0.2"])
@@ -437,19 +474,8 @@ class TestArtifactsBeforeDocument:
 
 
 class TestFits:
-    def test_fit_dls(self, capsys, coeffs_file, tmp_path):
-        from magictrap.datafiles import write_table
-        from magictrap.dls import dls
-        coeffs = TrapCoefficients(3.47e-4, -0.99e-4, 4.6e-12)
-        rows = []
-        for b in (2.8, 3.0, 3.115, 3.3):
-            for depth_mk in (0.05, 0.1, 0.15, 0.2, 0.25, 0.3):
-                from magictrap.datafiles import depth_hz_from_mk
-                rows.append((b, depth_mk,
-                             dls(coeffs, b, depth_hz_from_mk(depth_mk))))
-        path = tmp_path / "dls.csv"
-        write_table(path, ("b_field_gauss", "depth_mk", "dls_hz"), rows)
-        code, out, err = run(capsys, ["fit-dls", "--input", str(path),
+    def test_fit_dls(self, capsys, shift_table):
+        code, out, err = run(capsys, ["fit-dls", "--input", shift_table,
                                       "--beta1", "3.47e-4"])
         assert code == 0
         doc = parse_doc(out)

@@ -10,7 +10,7 @@ from magictrap.constants import hz_from_kelvin
 from magictrap.dls import TrapCoefficients
 from magictrap.errors import InvalidArgumentError
 
-COEFFS = TrapCoefficients(3.47e-4, -0.99e-4, 4.6e-12, polarization_a=1.0)
+COEFFS = TrapCoefficients(3.47e-4, -0.99e-4, 4.6e-12)
 
 
 class TestCoefficientFiles:

@@ -28,7 +28,7 @@ from magictrap.errors import (
 
 MEASURED = TrapCoefficients(3.47e-4, -0.99e-4, 4.6e-12)
 THEORY = TrapCoefficients(3.47e-4, -1.03e-4, 4.64e-12)
-LINEAR = TrapCoefficients(3.67e-4, 0.0, 0.0, polarization_a=0.0)
+LINEAR = TrapCoefficients(3.67e-4, 0.0, 0.0)
 B0 = 3.115
 
 coeff_strategy = st.builds(
@@ -199,8 +199,9 @@ class TestCoefficientValidation:
             TrapCoefficients(3.47e-4, -0.99e-4, -1e-12)
 
     def test_polarization_bound(self):
-        with pytest.raises(InvalidArgumentError):
-            TrapCoefficients(3.47e-4, -0.99e-4, 4.6e-12, polarization_a=1.5)
+        for polarization_a in (1.5, -1.5):
+            with pytest.raises(InvalidArgumentError, match="polarization_a"):
+                AtomicInput(0.2518, 3.47e-4, polarization_a=polarization_a)
 
     def test_nonfinite_rejected(self):
         with pytest.raises(InvalidArgumentError):

@@ -61,6 +61,19 @@ class TestDlsFit:
         assert fit.parameters["beta2"] == pytest.approx(-0.99e-4, rel=1e-8)
         assert fit.parameters["beta4"] == pytest.approx(4.6e-12, rel=1e-8)
 
+    @pytest.mark.parametrize("depth_hz,shifts,free,beta1", [
+        # chi^2 overflows
+        (1.0, [1e300, -1e300, 1e300, -1e300], True, "free"),
+        # unweighted, the covariance overflows only once scaled by chi^2/dof
+        (1e-73, [1e9, -1e9, 1e9, -2e9], False, "fixed at 0.000347")])
+    def test_past_float_range_is_an_invalid_argument(self, depth_hz, shifts,
+                                                      free, beta1):
+        depths = [-depth_hz * k for k in (1, 2, 3, 4)]
+        datasets = [make_dls_dataset(b, depths, shifts) for b in (1.0, 2.0)]
+        with pytest.raises(InvalidArgumentError) as info:
+            fit_dls_global(datasets, BETA1, free_beta1=free)
+        assert str(info.value) == f"shift fit is past float range (beta1 {beta1})"
+
     def test_noisy_estimates_within_bounds(self):
         for seed in range(10):
             fit = fit_dls_global(noisy_datasets(2.0, 100 + 31 * seed),
