@@ -14,6 +14,7 @@ When per-point sigmas are supplied the reported covariance is the plain
 import cmath
 import math
 from dataclasses import dataclass, field
+from itertools import chain
 
 import numpy as np
 
@@ -220,6 +221,8 @@ def fit_dls_global(datasets, beta1_fixed: float, free_beta1: bool = False) -> Fi
     if not (np.isfinite(aw).all() and np.isfinite(yw).all()):
         raise InvalidArgumentError(past_range)  # before cond, which fails on nan
     col_scale = np.linalg.norm(aw, axis=0)
+    if not np.isfinite(col_scale).all():  # an entry past about 1e154
+        raise InvalidArgumentError(past_range)
     if np.any(col_scale == 0):
         raise RankDeficiencyError("a design column is identically zero")
     aws = aw / col_scale
@@ -263,11 +266,21 @@ def _normalize_samples(samples):
     """Times, values, sigmas (1 where not given) and whether sigmas were
     given, sorted by time, from rows that are all (t, v) or all
     (t, v, sigma)."""
+    rows = None
     try:
-        rows = np.asarray(samples, dtype=float)
-    except (TypeError, ValueError):
-        raise InvalidArgumentError(
-            "samples must be numeric rows of one width, (t, v) or (t, v, sigma)") from None
+        # tuple or list rows of one width: one pass over their cells
+        (width,) = set(map(len, samples))
+        if width in (2, 3) and set(map(type, samples)) <= {tuple, list}:
+            rows = np.fromiter(chain.from_iterable(samples), float,
+                               len(samples) * width).reshape(-1, width)
+    except (TypeError, ValueError, OverflowError):
+        pass
+    if rows is None:  # an array, or not a table of numbers: numpy says which
+        try:
+            rows = np.asarray(samples, dtype=float)
+        except (TypeError, ValueError, OverflowError):
+            raise InvalidArgumentError(
+                "samples must be numeric rows of one width, (t, v) or (t, v, sigma)") from None
     if rows.ndim != 2 or rows.shape[1] not in (2, 3):
         raise InvalidArgumentError("samples must be rows of (t, v) or (t, v, sigma)",
                                    {"shape": rows.shape})

@@ -36,7 +36,7 @@ from .quadrature import integrate
 from .thermal import ThermalEnsemble, _gamma_p
 
 #: relative width of the final t2_star bracket
-T2_STAR_REL_TOL = 1e-4
+T2_STAR_REL_TOL = 1e-12
 #: t2_star returns math.inf for an envelope still above 1/e past this time
 T2_STAR_HORIZON_S = 1e4
 #: an end whose descent path has its branch point s = Z within |Z| <= 4, or
@@ -315,12 +315,13 @@ def _envelope(num, den):
 
 
 def t2_star(config: TrapFieldConfig) -> float:
-    """First time the visibility envelope falls to 1/e, by bracket doubling
-    then bisection to T2_STAR_REL_TOL. Returns math.inf if the envelope
-    stays above 1/e out to T2_STAR_HORIZON_S."""
+    """First time the visibility envelope falls to 1/e, found to
+    T2_STAR_REL_TOL by _first_crossings. Returns math.inf if the envelope
+    provably stays above 1/e out to T2_STAR_HORIZON_S, or is still above
+    it there."""
     # one visibility call per probe, the unit the benchmark's trace counts
     return _first_crossings(
-        lambda _, times: [visibility(config, t) for t in times], 1)[0]
+        lambda _, times: [visibility(config, t) for t in times], [config])[0]
 
 
 def _t2_stars(configs):
@@ -333,43 +334,91 @@ def _t2_stars(configs):
         return [_envelope(num, den) for num, den in
                 _integrals([(distinct[i], t) for i, t in zip(indices, times)])]
 
-    roots = dict(zip(distinct, _first_crossings(envelope, len(distinct))))
+    roots = dict(zip(distinct, _first_crossings(envelope, distinct)))
     return [roots[config] for config in configs]
 
 
-def _first_crossings(envelope, n):
-    """First 1/e crossings of n envelopes, each by bracket doubling from
-    1e-4 s then bisection to T2_STAR_REL_TOL; math.inf for one still above
-    1/e past T2_STAR_HORIZON_S. envelope(indices, times) returns the
-    envelope of each listed one at its time. Each follows its own probe
-    sequence, so a root does not depend on the others."""
-    # the envelope is 1 at t = 0 exactly: there _integrals returns the
-    # density's mass as the phasor integral
-    target = 1.0 / math.e
-    lo, hi = [0.0] * n, [1e-4] * n
-    doubling = [True] * n
+def _safe_time(config: TrapFieldConfig) -> float:
+    """A time before which the envelope of config is provably above 1/e.
+
+    With f = k1*x + k2*x**2 the phase per second and any c, |E exp(i*f*t)|
+    >= E cos((f - c)*t) >= 1 - t**2 * E[(f - c)**2]/2, so for c = E f the
+    envelope exceeds 1/e below sqrt(2*(1 - 1/e)/Var f); math.inf when
+    Var f = 0. The moments of x under the truncated Gamma(3) density are
+    E x**k = (k + 2)!/2 * P(3 + k, X)/P(3, X), and Var f is taken from
+    the central ones, on coefficients scaled to at most 1 in modulus so
+    that it cannot overflow.
+    """
+    k1, k2, x_end, _, den, _ = config._kernel_constants
+    scale = max(abs(k1), abs(k2)) or 1.0
+    a, b = k1 / scale, k2 / scale
+    m1, m2, m3, m4 = (math.factorial(k + 2) / 2 * _gamma_p(3 + k, x_end) / den
+                      for k in range(1, 5))
+    # central moments of x
+    c2 = m2 - m1 * m1
+    c3 = m3 - m1 * (3.0 * m2 - 2.0 * m1 * m1)
+    c4 = m4 - m1 * (4.0 * m3 - m1 * (6.0 * m2 - 3.0 * m1 * m1))
+    # f - E f = slope*y + b*(y**2 - c2), y = x - m1
+    slope = a + 2.0 * b * m1
+    var = slope * (slope * c2 + 2.0 * b * c3) + b * b * (c4 - c2 * c2)
+    return math.sqrt(2.0 * (1.0 - 1.0 / math.e) / var) / scale if var > 0.0 else math.inf
+
+
+def _first_crossings(envelope, configs):
+    """First 1/e crossings of the envelopes of configs; math.inf for one
+    provably above 1/e to T2_STAR_HORIZON_S (its _safe_time is past it),
+    or still above 1/e there. envelope(indices, times) returns the envelope
+    of each listed config at its time.
+
+    Each brackets its crossing by doubling from its _safe_time, so no
+    earlier crossing can be skipped, then closes the bracket on
+    g = log(envelope) + 1 to T2_STAR_REL_TOL by Illinois regula falsi
+    (Dowell & Jarratt, BIT 11, 168 (1971)), bisecting whenever the secant
+    point leaves the open bracket, and returns the bracket's midpoint. Each
+    follows its own probe sequence, so a root does not depend on the others.
+    """
+    n = len(configs)
+    # the envelope is 1 at t = 0 exactly (there _integrals returns the
+    # density's mass as the phasor integral), so g = 1
+    lo, g_lo = [0.0] * n, [1.0] * n
+    hi, g_hi = [_safe_time(config) for config in configs], [None] * n  # None: doubling
+    side = [0] * n  # the end the last probe replaced: -1 lo, +1 hi
     roots = [math.inf] * n
-    active = list(range(n))
+    active = [i for i in range(n) if hi[i] <= T2_STAR_HORIZON_S]
+    probes = [hi[i] for i in active]
     while active:
-        probes = [hi[i] if doubling[i] else 0.5 * (lo[i] + hi[i]) for i in active]
-        unsolved = []
+        unsolved, following = [], []
         for i, t, value in zip(active, probes, envelope(active, probes)):
-            if doubling[i] and value > target:
-                lo[i] = t
-                hi[i] = 2.0 * t
-                if hi[i] > T2_STAR_HORIZON_S:
+            g = math.log(value) + 1.0 if value > 0.0 else -math.inf
+            if g == 0.0:  # a probe on the crossing itself
+                roots[i] = t
+                continue
+            if g_hi[i] is None and g > 0.0:
+                lo[i], g_lo[i] = t, g
+                if 2.0 * t > T2_STAR_HORIZON_S:
                     continue
-            elif doubling[i]:
-                doubling[i] = False
-            elif value > target:
-                lo[i] = t
-            else:
-                hi[i] = t
-            if doubling[i] or hi[i] - lo[i] > T2_STAR_REL_TOL * hi[i]:
                 unsolved.append(i)
+                following.append(2.0 * t)
+                continue
+            if g_hi[i] is None:
+                hi[i], g_hi[i] = t, g
+            elif g > 0.0:
+                lo[i], g_lo[i] = t, g
+                if side[i] == -1:
+                    g_hi[i] *= 0.5
+                side[i] = -1
             else:
+                hi[i], g_hi[i] = t, g
+                if side[i] == 1:
+                    g_lo[i] *= 0.5
+                side[i] = 1
+            if hi[i] - lo[i] <= T2_STAR_REL_TOL * hi[i]:
                 roots[i] = 0.5 * (lo[i] + hi[i])
-        active = unsolved
+                continue
+            secant = (lo[i] * g_hi[i] - hi[i] * g_lo[i]) / (g_hi[i] - g_lo[i])
+            unsolved.append(i)
+            following.append(secant if lo[i] < secant < hi[i] else 0.5 * (lo[i] + hi[i]))
+        active, probes = unsolved, following
     return roots
 
 

@@ -317,6 +317,20 @@ class TestScalars:
         assert not table.exists()
         assert calls == []
 
+    def test_column_norm_past_float_range_is_a_domain_error(self, capsys, tmp_path):
+        # b*U near 1e305 is finite, but the norm of its design column is not
+        path = tmp_path / "dls.csv"
+        lines = ["b_field_gauss,depth_mk,dls_hz"]
+        for b in ("1e300", "2"):
+            for depth_mk in (0.1, 0.2, 0.3):
+                lines.append(f"{b},{depth_mk},{-100.0 * depth_mk}")
+        path.write_text("\n".join(lines) + "\n")
+        code, out, err = run(capsys, ["fit-dls", "--input", str(path),
+                                      "--beta1", "3e-4"])
+        assert (code, out) == (1, "")
+        assert err.startswith("error: invalid-argument:")
+        assert len(err.splitlines()) == 1
+
     def test_convert(self, capsys):
         code, out, err = run(capsys, ["convert", "--mk", "0.2"])
         assert code == 0

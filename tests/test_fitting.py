@@ -581,6 +581,49 @@ class TestMalformedSamples:
         with pytest.raises(InvalidArgumentError, match="rows of"):
             fit(rows)
 
+    NOT_NUMERIC = "samples must be numeric rows of one width, (t, v) or (t, v, sigma)"
+    NOT_ROWS = "samples must be rows of (t, v) or (t, v, sigma)"
+
+    @pytest.mark.parametrize("malformed,message,diagnostics", [
+        ("ragged", NOT_NUMERIC, {}),
+        ("text", NOT_NUMERIC, {}),
+        ("set", NOT_NUMERIC, {}),
+        ("huge", NOT_NUMERIC, {}),
+        ("width 1", NOT_ROWS, {"shape": (100, 1)}),
+        ("width 4", NOT_ROWS, {"shape": (100, 4)}),
+        ("width 0", NOT_ROWS, {"shape": (100, 0)}),
+        ("flat", NOT_ROWS, {"shape": (100,)}),
+        ("empty", NOT_ROWS, {"shape": (0,)})])
+    def test_error_message(self, malformed, message, diagnostics):
+        rows = self.rows(3)
+        if malformed == "ragged":
+            rows[5] = rows[5][:2]
+        elif malformed == "text":
+            rows[5][1] = "high"
+        elif malformed == "set":  # a row with no order
+            rows = [r[:2] for r in rows]
+            rows[5] = set(rows[5])
+        elif malformed == "huge":
+            rows[5][0] = 10 ** 400  # an int past float range
+        elif malformed.startswith("width"):
+            rows = self.rows(4) if malformed == "width 4" else [
+                r[:int(malformed[-1])] for r in rows]
+        elif malformed == "flat":
+            rows = [r[0] for r in rows]
+        else:
+            rows = []
+        with pytest.raises(InvalidArgumentError) as info:
+            fitting._normalize_samples(rows)
+        assert (info.value.code, str(info.value)) == ("invalid-argument", message)
+        assert info.value.diagnostics == diagnostics
+
+    def test_tuples_lists_and_arrays_read_alike(self):
+        rows = self.rows(3)[::-1]  # unsorted
+        expected = fitting._normalize_samples(np.array(rows))
+        for same in ([tuple(r) for r in rows], rows):
+            for got, want in zip(fitting._normalize_samples(same), expected):
+                assert np.array_equal(got, want)
+
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf])
 class TestNonFiniteInputs:

@@ -58,6 +58,36 @@ def bottom_depth(mean_depth_hz, temperature_k):
     return TrapFieldConfig(MEASURED, B0, mean_depth_hz, temperature_k).bottom_depth_hz
 
 
+#: 2/8/17/40 uK x ratios from 0.3 to 2.0, the grid the root solver is timed on
+T2_GRID = [(temperature_uk, ratio) for temperature_uk in (2, 8, 17, 40)
+           for ratio in (0.3, 0.5, 0.8, 0.95, 1.0, 1.05, 1.2, 1.5, 2.0)]
+
+
+def tight_t2_star(cfg):
+    """The first 1/e crossing of the same kernel by a rule independent of
+    t2_star: a bracket by doubling from 1e-4 s, then bisection to 1e-14
+    relative."""
+    lo, hi = 0.0, 1e-4
+    while visibility(cfg, hi) > 1 / math.e:
+        lo, hi = hi, 2.0 * hi
+    while hi - lo > 1e-14 * hi:
+        mid = 0.5 * (lo + hi)
+        if visibility(cfg, mid) > 1 / math.e:
+            lo = mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)
+
+
+def count_visibility_calls(monkeypatch):
+    """Pass every module-level visibility call through, and return the
+    list its times are appended to."""
+    times = []
+    monkeypatch.setattr(ramsey, "visibility",
+                        lambda cfg, t: times.append(t) or visibility(cfg, t))
+    return times
+
+
 class TestDepthGeometry:
     def test_bottom_depth_value(self):
         value = bottom_depth(-4.1973e6, 17e-6)
@@ -253,40 +283,73 @@ class TestT2Star:
     def test_zero_temperature_sentinel(self):
         assert t2_star(config(1e-9)) == math.inf
 
-    def test_matches_the_solver_that_probed_t0(self, monkeypatch):
-        # the solver t2_star replaced took its target from a probe at t = 0;
-        # the envelope is 1 there, so the roots agree bit for bit
-        from magictrap import ramsey
+    def test_matches_a_tight_bisection(self):
+        for temperature_uk, ratio in T2_GRID:
+            cfg = config(temperature_uk * 1e-6, ratio=ratio)
+            assert t2_star(cfg) == pytest.approx(tight_t2_star(cfg), rel=1e-10)
 
-        def t0_probing_t2_star(cfg):
-            target = ramsey.visibility(cfg, 0.0) / math.e
-            lo, hi = 0.0, 1e-4
-            while ramsey.visibility(cfg, hi) > target:
-                lo, hi = hi, 2.0 * hi
-                if hi > ramsey.T2_STAR_HORIZON_S:
-                    return math.inf
-            for _ in range(200):
-                if hi - lo <= ramsey.T2_STAR_REL_TOL * hi:
-                    break
-                mid = 0.5 * (lo + hi)
-                if ramsey.visibility(cfg, mid) > target:
-                    lo = mid
-                else:
-                    hi = mid
-            return 0.5 * (lo + hi)
+    def test_probe_count(self, monkeypatch):
+        # the solve starts at the safe time and closes by regula falsi:
+        # 7 to 13 probes each, 9.25 on average, where doubling from 1e-4 s
+        # and bisecting to 1e-4 took 21 to 34
+        probes = count_visibility_calls(monkeypatch)
+        counts = []
+        for temperature_uk, ratio in T2_GRID:
+            probes.clear()
+            t2_star(config(temperature_uk * 1e-6, ratio=ratio))
+            counts.append(len(probes))
+        assert min(counts) >= 2 and max(counts) <= 17
+        assert sum(counts) <= 10 * len(counts)
 
-        probes = []
-        monkeypatch.setattr(ramsey, "visibility",
-                            lambda cfg, t: probes.append(t) or visibility(cfg, t))
-        for temperature_uk in (2, 8, 17, 40):
-            for ratio in (0.5, 0.8, 1.0, 1.2, 1.5):
-                cfg = config(temperature_uk * 1e-6, ratio=ratio)
-                probes.clear()
-                expected = t0_probing_t2_star(cfg)
-                expected_probes = len(probes)
-                probes.clear()
-                assert t2_star(cfg) == expected
-                assert len(probes) == expected_probes - 1
+
+class TestSafeTime:
+    """_safe_time against the envelope and against an independent
+    variance of the phase per second."""
+
+    CONFIGS = [(temperature_uk, ratio, coeffs)
+               for temperature_uk in (2, 8, 17, 40)
+               for ratio in (0.3, 0.8, 1.0, 1.2, 2.0)
+               for coeffs in (MEASURED, TrapCoefficients(MEASURED.beta1,
+                                                         MEASURED.beta2, 0.0))]
+
+    def test_envelope_above_one_over_e_below_it(self):
+        for temperature_uk, ratio, coeffs in self.CONFIGS:
+            cfg = config(temperature_uk * 1e-6, ratio=ratio, coeffs=coeffs)
+            safe = ramsey._safe_time(cfg)
+            for t in [safe * k / 16 for k in range(1, 16)] + [safe * (1 - 1e-9)]:
+                assert visibility(cfg, t) > 1 / math.e
+
+    def test_matches_the_variance_on_a_dense_grid(self):
+        for temperature_uk, ratio, coeffs in self.CONFIGS:
+            cfg = config(temperature_uk * 1e-6, ratio=ratio, coeffs=coeffs)
+            theta = hz_from_kelvin(cfg.temperature_k)
+            u0 = cfg.bottom_depth_hz
+            x = np.linspace(0.0, min(abs(u0) / theta, 60.0), 200_001)
+            weight = 0.5 * x * x * np.exp(-x)
+            weight /= np.trapezoid(weight, x)
+            linear = coeffs.beta1 + coeffs.beta2 * B0
+            u = u0 + 0.5 * theta * x
+            # phase per second from the trap bottom
+            f = 2 * np.pi * ((linear + coeffs.beta4 * u) * u
+                             - (linear + coeffs.beta4 * u0) * u0)
+            mean = np.trapezoid(weight * f, x)
+            var = np.trapezoid(weight * (f - mean) ** 2, x)
+            assert ramsey._safe_time(cfg) == pytest.approx(
+                math.sqrt(2 * (1 - 1 / math.e) / var), rel=1e-6)
+
+    @pytest.mark.parametrize("cfg", [
+        # no shift at all: the variance is 0
+        TrapFieldConfig(TrapCoefficients(0.0, 0.0, 0.0), B0, U_MAGIC, 17e-6),
+        # 1 nK at the magic depth: safe for 6e7 s
+        config(1e-9)], ids=["shift-free", "past-horizon"])
+    def test_infinite_root_without_a_probe(self, monkeypatch, cfg):
+        assert ramsey._safe_time(cfg) > ramsey.T2_STAR_HORIZON_S
+        probes = count_visibility_calls(monkeypatch)
+        assert t2_star(cfg) == math.inf
+        assert probes == []
+        monkeypatch.setattr(ramsey, "_integrals", probes.append)
+        assert ramsey._t2_stars([cfg, cfg]) == [math.inf, math.inf]
+        assert probes == []
 
 
 def integrate_spy(monkeypatch):
@@ -323,9 +386,9 @@ class TestLockstep:
     def test_repeated_configs_are_solved_once(self, monkeypatch):
         first_crossings, sizes = ramsey._first_crossings, []
 
-        def counted(envelope, n):
-            sizes.append(n)
-            return first_crossings(envelope, n)
+        def counted(envelope, configs):
+            sizes.append(len(configs))
+            return first_crossings(envelope, configs)
 
         monkeypatch.setattr(ramsey, "_first_crossings", counted)
         configs = [config(17e-6), config(8e-6), config(17e-6)]
@@ -535,15 +598,16 @@ class TestLongTimes:
                                                               abs=1e-10)
 
     def test_t2_star_is_unchanged(self):
-        # values of the adaptive interval splitter that two kernels back
-        # took the thermal average
-        frozen = {(2, 0.5): 0.3888125, (8, 1.0): 5.950200000000001,
-                  (8, 1.5): 0.092878125, (17, 0.7): 0.088234375,
-                  (40, 0.3): 0.031860937500000006,
-                  (40, 2.0): 0.008873046875000002}
+        # roots of the regula falsi solve, each also within 1e-10 of a tight
+        # bisection of the same kernel
+        frozen = {(2, 0.5): 0.38880702956797364, (8, 1.0): 5.950126696451509,
+                  (8, 1.5): 0.09287974270104182, (17, 0.7): 0.08823479291253913,
+                  (40, 0.3): 0.03185959051662812,
+                  (40, 2.0): 0.008872868567548424}
         for (temperature_uk, ratio), value in frozen.items():
-            assert t2_star(config(temperature_uk * 1e-6, ratio=ratio)) == (
-                pytest.approx(value, rel=1e-9))
+            cfg = config(temperature_uk * 1e-6, ratio=ratio)
+            assert t2_star(cfg) == pytest.approx(value, rel=1e-9)
+            assert value == pytest.approx(tight_t2_star(cfg), rel=1e-10)
 
     def test_phase_past_float_range_is_a_coded_failure(self):
         # a linear shift in a 5 mK trap at 40 uK: at 1e308 s its phase

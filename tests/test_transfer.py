@@ -154,9 +154,9 @@ class TestBudget:
 
         first_crossings, sizes = ramsey._first_crossings, []
 
-        def counted(envelope, n):
-            sizes.append(n)
-            return first_crossings(envelope, n)
+        def counted(envelope, configs):
+            sizes.append(len(configs))
+            return first_crossings(envelope, configs)
 
         monkeypatch.setattr(ramsey, "_first_crossings", counted)
         timeline = reference_timeline()
