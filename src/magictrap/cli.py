@@ -32,7 +32,7 @@ from .ramsey import (
     visibility_curve,
 )
 from .thermal import truncation_mass
-from .transfer import coherence_budget, validate_timeline
+from .transfer import coherence_budget
 
 #: most points a grid may have (the README's grids have 21 to 201), so that a
 #: typo cannot exhaust memory or run for hours
@@ -236,13 +236,6 @@ def _cmd_fit_ramsey(args):
 def _cmd_transfer(args):
     coeffs = datafiles.read_coefficients(args.coeffs)
     timeline = datafiles.read_timeline(args.timeline, coeffs)
-    verdict = validate_timeline(timeline)
-    if args.validate_only:
-        pairs = [("valid", verdict.ok)]
-        if not verdict.ok:
-            pairs += [("violation", verdict.code), ("detail", verdict.message)]
-        _emit(args, pairs)
-        return 0 if verdict.ok else 1
     report = coherence_budget(
         timeline, post_transfer_temperature_k=args.post_temp_uk * 1e-6,
         t2star_static_s=args.t2star_static, t2star_mobile_s=args.t2star_mobile)
@@ -397,7 +390,6 @@ def build_parser():
                    help="measured pre-transfer T2* (s), supersedes the model")
     p.add_argument("--t2star-mobile", type=float, default=None,
                    help="measured post-transfer T2* (s), supersedes the model")
-    p.add_argument("--validate-only", action="store_true")
     p.set_defaults(handler=_cmd_transfer)
 
     p = sub.add_parser("convert", parents=[common],

@@ -174,7 +174,9 @@ def read_timeline(path, coeffs: TrapCoefficients):
     array of segments with phase, duration_s, depth_mk, temperature_uk,
     b_field_gauss, and optional t2_override_s. A missing key, a bad value
     or a value of the wrong JSON type (a null number, a list for the
-    document) raises invalid-argument naming the file."""
+    document) raises invalid-argument naming the file. A timeline off the
+    transfer grammar, or with a negative or non-finite duration, raises the
+    TimelineError (invalid-timeline) of the TransferTimeline it builds."""
     with open(path, "r", encoding="utf-8") as fh:
         try:
             doc = json.load(fh)

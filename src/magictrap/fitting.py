@@ -13,6 +13,7 @@ When per-point sigmas are supplied the reported covariance is the plain
 """
 import cmath
 import math
+import numbers
 from dataclasses import dataclass, field
 from itertools import chain
 
@@ -218,10 +219,10 @@ def fit_dls_global(datasets, beta1_fixed: float, free_beta1: bool = False) -> Fi
 
     aw = design / sig[:, None]
     yw = target / sig
-    if not (np.isfinite(aw).all() and np.isfinite(yw).all()):
-        raise InvalidArgumentError(past_range)  # before cond, which fails on nan
     col_scale = np.linalg.norm(aw, axis=0)
-    if not np.isfinite(col_scale).all():  # an entry past about 1e154
+    # a column norm is non-finite where an entry is, or past about 1e154;
+    # checked before cond, which fails on nan
+    if not (np.isfinite(col_scale).all() and np.isfinite(yw).all()):
         raise InvalidArgumentError(past_range)
     if np.any(col_scale == 0):
         raise RankDeficiencyError("a design column is identically zero")
@@ -381,12 +382,15 @@ def _damped_sinusoid(x, t, p, sig):
     return resid, jac.T
 
 
+@np.errstate(over="ignore", invalid="ignore")  # the checks below report overflow
 def fit_damped_sinusoid(samples) -> FitResult:
     """Nonlinear least squares of
     p(t) = offset + (V0/2) * exp(-t/tau) * cos(2*pi*delta*t + phi).
 
     Initialization is deterministic: frequency and phase from the discrete
     spectrum peak, decay and amplitude from a log-envelope regression.
+    A fit whose chi^2 at the start point, final chi^2 or covariance leaves
+    float range is an invalid-argument.
     """
     t, p, sig, sigmas_given = _normalize_samples(samples)
     if t.size < 10:
@@ -400,6 +404,10 @@ def fit_damped_sinusoid(samples) -> FitResult:
         )
     v0, tau0 = _envelope_init(t, y, f0)
     x0 = np.array([v0, tau0, f0, phi0, offset0])
+    past_range = "damped-sinusoid fit is past float range"
+    r0, _ = _damped_sinusoid(x0, t, p, sig)
+    if not math.isfinite(float(r0 @ r0)):
+        raise InvalidArgumentError(past_range)  # before the solver spends its budget
 
     result = least_squares(lambda x: _damped_sinusoid(x, t, p, sig), x0)
     if result.status <= 0:
@@ -423,6 +431,8 @@ def fit_damped_sinusoid(samples) -> FitResult:
     # the covariance belongs to the reported parameters, not the solver's
     _, jac = _damped_sinusoid(np.array([amp, tau, delta, phi, off]), t, p, sig)
     jtj = jac.T @ jac
+    if not np.isfinite(jtj).all():
+        raise InvalidArgumentError(past_range)  # before cond, which fails on nan
     cond = np.linalg.cond(jtj)
     if cond > _MAX_CONDITION:
         raise ConditioningError(
@@ -432,8 +442,11 @@ def fit_damped_sinusoid(samples) -> FitResult:
     cov = np.linalg.inv(jtj)
     chi2 = float(2.0 * result.cost)
     dof = t.size - 5
-    return _finish(("v0", "tau", "delta", "phi", "offset"),
-                   (amp, tau, delta, phi, off), cov, chi2, dof, sigmas_given)
+    fit = _finish(("v0", "tau", "delta", "phi", "offset"),
+                  (amp, tau, delta, phi, off), cov, chi2, dof, sigmas_given)
+    if not (math.isfinite(fit.chi_square) and np.isfinite(fit.covariance).all()):
+        raise InvalidArgumentError(past_range)
+    return fit
 
 
 def fit_envelope(samples) -> FitResult:
@@ -467,9 +480,12 @@ def fit_envelope(samples) -> FitResult:
 def synth_dls(coeffs: TrapCoefficients, b_field_gauss: float, depths_hz,
               noise_sigma_hz: float, seed: int) -> DlsDataset:
     """Synthetic shift dataset: the model plus i.i.d. gaussian noise,
-    deterministic per seed. The oracle generator for fit round-trips."""
+    deterministic per seed, a non-negative integer. The oracle generator
+    for fit round-trips."""
     if noise_sigma_hz < 0:
         raise InvalidArgumentError("noise sigma must be >= 0")
+    if isinstance(seed, bool) or not isinstance(seed, numbers.Integral) or seed < 0:
+        raise InvalidArgumentError(f"seed must be a non-negative integer, got {seed!r}")
     depths = [float(d) for d in depths_hz]
     clean = [dls(coeffs, b_field_gauss, d) for d in depths]
     rng = np.random.default_rng(seed)

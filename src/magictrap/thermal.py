@@ -54,7 +54,7 @@ DRAW_BUDGET = 2**26    # expected draws of one call, at most
 
 def sample(ens: ThermalEnsemble, n: int, seed: int) -> np.ndarray:
     """n i.i.d. energies (Hz) from the truncated density, deterministic per
-    seed.
+    seed, a non-negative integer.
 
     x = E/theta of the untruncated density is Gamma(3) distributed, which is
     exactly the sum of three Exp(1) draws: x = -log(U1*U2*U3) with U in
@@ -68,6 +68,8 @@ def sample(ens: ThermalEnsemble, n: int, seed: int) -> np.ndarray:
         raise InvalidArgumentError(f"sample size must be an integer, got {n!r}")
     if n < 1:
         raise InvalidArgumentError("sample size must be >= 1")
+    if isinstance(seed, bool) or not isinstance(seed, numbers.Integral) or seed < 0:
+        raise InvalidArgumentError(f"seed must be a non-negative integer, got {seed!r}")
     theta = ens.theta_hz
     xmax = ens.truncation_hz / theta
     mass = truncation_mass(ens)

@@ -1,9 +1,11 @@
-"""Mobile-qubit transfer timeline: grammar validation of the phase sequence
-and a per-segment dephasing budget.
+"""Mobile-qubit transfer timeline, legal by construction, and a
+per-segment dephasing budget.
 
 A legal timeline is Hold? Overlap RampUp? Move Return RampDown? Hold?,
 where each name stands for a run of one or more consecutive segments of
 that phase (so splitting a segment in two never invalidates a timeline).
+Building a TransferTimeline off this grammar, or with a negative or
+non-finite duration, raises TimelineError.
 Each segment contributes an amplitude factor exp(-duration/T2); the
 product is the coherence retained across the transfer.
 """
@@ -48,8 +50,20 @@ class TransferSegment:
             raise InvalidArgumentError("t2 override must be positive")
 
 
+def _violation(code, message, segment=None):
+    diagnostics = {"violation": code}
+    if segment is not None:
+        diagnostics["segment"] = segment
+    return TimelineError(f"{code}: {message}", diagnostics)
+
+
 @dataclass(frozen=True)
 class TransferTimeline:
+    """A transfer sequence that matches the grammar, with every duration
+    finite and >= 0; anything else raises TimelineError at the first
+    violation, its code in diagnostics["violation"] and, where one segment
+    is to blame, that segment's index in diagnostics["segment"]."""
+
     segments: tuple
     t1_s: float
     t2prime_s: float
@@ -57,46 +71,28 @@ class TransferTimeline:
     def __post_init__(self):
         if not (self.t1_s > 0 and self.t2prime_s > 0):
             raise InvalidArgumentError("t1 and t2prime must be positive")
-
-
-@dataclass(frozen=True)
-class ValidationResult:
-    ok: bool
-    code: str = ""
-    message: str = ""
-    segment_index: int = None
-
-
-def validate_timeline(tl: TransferTimeline) -> ValidationResult:
-    """Accept iff the phase order matches the transfer grammar and every
-    duration is >= 0; otherwise report the first violation."""
-    segments = list(tl.segments)
-    if not segments:
-        return ValidationResult(False, "missing-move", "empty timeline: no Move phase")
-    for i, seg in enumerate(segments):
-        if not (seg.duration_s >= 0 and math.isfinite(seg.duration_s)):
-            return ValidationResult(False, "negative-duration",
-                                    f"segment {i} ({seg.phase.value}) has "
-                                    f"duration {seg.duration_s}", i)
-    i = 0
-    for phase, required in _GRAMMAR:
-        matched = False
-        while i < len(segments) and segments[i].phase == phase:
-            i += 1
-            matched = True
-        if required and not matched:
-            if i < len(segments):
-                return ValidationResult(
-                    False, f"missing-{phase.value.lower()}",
-                    f"expected {phase.value} before segment {i} "
-                    f"({segments[i].phase.value})", i)
-            return ValidationResult(False, f"missing-{phase.value.lower()}",
-                                    f"timeline ends before required {phase.value}")
-    if i < len(segments):
-        return ValidationResult(False, "unexpected-phase",
-                                f"segment {i} ({segments[i].phase.value}) does not "
-                                f"fit the transfer grammar", i)
-    return ValidationResult(True)
+        segments = self.segments
+        if not segments:
+            raise _violation("missing-move", "empty timeline: no Move phase")
+        for i, seg in enumerate(segments):
+            if not (seg.duration_s >= 0 and math.isfinite(seg.duration_s)):
+                raise _violation("negative-duration", f"segment {i} "
+                                 f"({seg.phase.value}) has duration {seg.duration_s}", i)
+        i = 0
+        for phase, required in _GRAMMAR:
+            start = i
+            while i < len(segments) and segments[i].phase == phase:
+                i += 1
+            if required and i == start:
+                code = f"missing-{phase.value.lower()}"
+                if i == len(segments):
+                    raise _violation(code, f"timeline ends before required {phase.value}")
+                raise _violation(code, f"expected {phase.value} before segment {i} "
+                                 f"({segments[i].phase.value})", i)
+        if i < len(segments):
+            raise _violation("unexpected-phase", f"segment {i} "
+                             f"({segments[i].phase.value}) does not fit the transfer "
+                             "grammar", i)
 
 
 @dataclass(frozen=True)
@@ -142,9 +138,6 @@ def coherence_budget(tl: TransferTimeline, post_transfer_temperature_k: float,
     side. The model T2* of every distinct trap the report needs is solved
     together, in lockstep, once per trap.
     """
-    verdict = validate_timeline(tl)
-    if not verdict.ok:
-        raise TimelineError(f"{verdict.code}: {verdict.message}")
     if not math.isfinite(post_transfer_temperature_k):
         raise InvalidArgumentError("post-transfer temperature must be finite")
     static = _static_config(tl)

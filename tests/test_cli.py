@@ -519,6 +519,30 @@ class TestFits:
         assert "cov_tau_tau" in doc
         assert plot.exists()
 
+    @pytest.mark.parametrize("scale_p,sigma", [(1e300, None), (1.0, 1e-300)],
+                             ids=["values-1e300", "sigma-1e-300"])
+    def test_fit_ramsey_past_float_range_is_a_domain_error(
+            self, capsys, tmp_path, monkeypatch, scale_p, sigma):
+        # chi^2 at the start point overflows: rejected before the solver runs
+        from magictrap import fitting
+        from magictrap.datafiles import write_table
+        solves = []
+        monkeypatch.setattr(fitting, "least_squares",
+                            lambda *a, **k: solves.append(a))
+        t = np.linspace(0.0, 0.4, 50)
+        p = scale_p * (0.5 + 0.4 * np.exp(-t / 0.2) * np.cos(2 * np.pi * 40 * t))
+        path = tmp_path / "trace.csv"
+        if sigma is None:
+            write_table(path, ("t_s", "p"), list(zip(t, p)))
+        else:
+            write_table(path, ("t_s", "p", "sigma"),
+                        list(zip(t, p, np.full(t.size, sigma))))
+        code, out, err = run(capsys, ["fit-ramsey", "--input", str(path)])
+        assert (code, out) == (1, "")
+        assert err == ("error: invalid-argument: damped-sinusoid fit is past "
+                       "float range\n")
+        assert solves == []
+
     @pytest.mark.parametrize("command,column,bad,message", [
         ("fit-ramsey", 0, "nan", "sample times must be finite"),
         ("fit-ramsey", 0, "inf", "sample times must be finite"),
@@ -661,7 +685,8 @@ class TestTransferCommand:
         assert err.startswith(f"error: invalid-argument: {path}: ")
         assert len(err.splitlines()) == 1
 
-    def test_validate_only_rejects_broken(self, capsys, coeffs_file, tmp_path):
+    def test_broken_timeline_is_a_coded_error(self, capsys, coeffs_file,
+                                             tmp_path):
         doc = {"t1_s": 4.0, "t2prime_s": 0.3, "segments": [
             {"phase": "Move", "duration_s": 1e-3, "depth_mk": 0.2,
              "temperature_uk": 14.0, "b_field_gauss": 3.115}]}
@@ -669,6 +694,11 @@ class TestTransferCommand:
         path.write_text(json.dumps(doc))
         code, out, err = run(capsys, [
             "transfer", "--coeffs", coeffs_file, "--timeline", str(path),
-            "--post-temp-uk", "16", "--validate-only"])
+            "--post-temp-uk", "16"])
         assert code == 1
-        assert parse_doc(out)["valid"] == "False"
+        assert out == ""
+        assert err.splitlines() == [
+            "error: invalid-timeline: missing-overlap: expected Overlap "
+            "before segment 0 (Move)",
+            "violation = missing-overlap",
+            "segment = 0"]

@@ -8,7 +8,7 @@ from magictrap import datafiles
 from magictrap.acceptance import MEASURED_COEFFS, reference_transfer_timeline
 from magictrap.constants import hz_from_kelvin
 from magictrap.dls import TrapCoefficients
-from magictrap.errors import InvalidArgumentError
+from magictrap.errors import InvalidArgumentError, TimelineError
 
 COEFFS = TrapCoefficients(3.47e-4, -0.99e-4, 4.6e-12)
 
@@ -182,6 +182,17 @@ class TestTimeline:
         path.write_text("{not json")
         with pytest.raises(InvalidArgumentError):
             datafiles.read_timeline(path, COEFFS)
+
+    def test_off_grammar_is_a_timeline_error(self, tmp_path):
+        doc = self.timeline_doc()
+        doc["segments"] = doc["segments"][1:2]  # a Move alone
+        path = tmp_path / "timeline.json"
+        path.write_text(json.dumps(doc))
+        with pytest.raises(TimelineError) as info:
+            datafiles.read_timeline(path, COEFFS)
+        assert info.value.code == "invalid-timeline"
+        assert info.value.diagnostics == {"violation": "missing-overlap",
+                                          "segment": 0}
 
 
 class TestFormatting:

@@ -200,6 +200,19 @@ class TestDampedSinusoidFit:
             2 * math.pi)
         assert moved.parameters["phi"] == pytest.approx(expected_phi, abs=1e-7)
 
+    def test_covariance_past_float_range_after_the_solve(self, monkeypatch):
+        # chi^2 at the start point is finite, J'J at the solution is not
+        solves = []
+        least_squares = fitting.least_squares
+        monkeypatch.setattr(fitting, "least_squares",
+                            lambda *a: solves.append(a) or least_squares(*a))
+        t = np.linspace(0.0, 0.4, 50)
+        p = sinusoid(t, v0=0.8, tau=0.2, delta=40.0)
+        with pytest.raises(InvalidArgumentError) as info:
+            fit_damped_sinusoid([(ti, pi, 1e-154) for ti, pi in zip(t, p)])
+        assert str(info.value) == "damped-sinusoid fit is past float range"
+        assert len(solves) == 1
+
     def test_too_few_samples(self):
         t = np.linspace(0.0, 0.4, 9)
         with pytest.raises(InvalidArgumentError):
@@ -540,6 +553,16 @@ class TestSynthDls:
     def test_positive_depth_rejected(self):
         with pytest.raises(ConventionViolationError):
             synth_dls(MEASURED, 3.115, [1e6, -1e6, -2e6], 0.0, seed=1)
+
+
+    @pytest.mark.parametrize("seed", [-1, 1.5, "3", None, True, False, np.True_])
+    def test_bad_seed_rejected_before_drawing(self, seed, monkeypatch):
+        generators = []
+        monkeypatch.setattr(np.random, "default_rng", generators.append)
+        with pytest.raises(InvalidArgumentError) as info:
+            synth_dls(MEASURED, 3.115, DEPTHS, 2.0, seed=seed)
+        assert info.value.code == "invalid-argument"
+        assert generators == []
 
 
 class TestDatasetValidation:

@@ -1,6 +1,9 @@
 """Replay the README's CLI block: scripts/make_inputs.py writes the inputs,
 then every command runs through ``cli.main`` on them and must exit 0 with
-nothing on stderr. The inputs themselves must hold the reference values."""
+nothing on stderr. The inputs themselves must hold the reference values,
+and every option the README names must exist."""
+import argparse
+import ast
 import re
 import runpy
 import shlex
@@ -10,7 +13,7 @@ from pathlib import Path
 import pytest
 
 from magictrap.acceptance import MEASURED_COEFFS, reference_transfer_timeline
-from magictrap.cli import main
+from magictrap.cli import build_parser, main
 from magictrap.datafiles import read_coefficients, read_dls_csv, read_timeline
 from magictrap.fitting import fit_dls_global
 
@@ -60,3 +63,31 @@ def test_make_inputs_hold_the_reference_values(tmp_path, monkeypatch):
                          beta1_fixed=3.47e-4)
     assert fit.parameters["beta2"] == pytest.approx(-0.99e-4, rel=1e-9)
     assert fit.parameters["beta4"] == pytest.approx(4.6e-12, rel=1e-9)
+
+
+def parser_options(parser):
+    """Every option string of `parser` and of its subcommands."""
+    options = set()
+    for action in parser._actions:
+        options.update(action.option_strings)
+        if isinstance(action, argparse._SubParsersAction):
+            for sub in action.choices.values():
+                options |= parser_options(sub)
+    return options
+
+
+def script_options(path):
+    """The option strings a script passes to add_argument."""
+    tree = ast.parse((ROOT / path).read_text(encoding="utf-8"))
+    calls = [node for node in ast.walk(tree) if isinstance(node, ast.Call)
+             and getattr(node.func, "attr", "") == "add_argument"]
+    return {arg.value for call in calls for arg in call.args
+            if isinstance(arg, ast.Constant) and str(arg.value).startswith("--")}
+
+
+def test_readme_names_only_existing_options():
+    text = (ROOT / "README.md").read_text(encoding="utf-8")
+    named = set(re.findall(r"(?<![\w-])--[a-z][a-z0-9-]*", text))
+    known = parser_options(build_parser()) | script_options("scripts/make_inputs.py")
+    assert "--outdir" in known and "--post-temp-uk" in known
+    assert named and named <= known, sorted(named - known)

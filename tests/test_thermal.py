@@ -204,6 +204,16 @@ class TestSampling:
         assert info.value.code == "invalid-argument"
         assert requests == []
 
+    @pytest.mark.parametrize("seed", [-1, 1.5, "3", None, True, False, np.True_])
+    def test_bad_seed_rejected_before_drawing(self, seed, monkeypatch):
+        # None would draw from fresh OS entropy: not deterministic per seed
+        generators = []
+        monkeypatch.setattr(np.random, "default_rng", generators.append)
+        with pytest.raises(InvalidArgumentError) as info:
+            sample(ThermalEnsemble(T17), 5, seed=seed)
+        assert info.value.code == "invalid-argument"
+        assert generators == []
+
     @pytest.mark.parametrize("n", [np.int64(5), np.int32(5), np.uint8(5)])
     def test_numpy_integer_size_accepted(self, n):
         assert np.array_equal(sample(ThermalEnsemble(T17), n, seed=3),

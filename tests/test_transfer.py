@@ -18,7 +18,6 @@ from magictrap.transfer import (
     TransferSegment,
     TransferTimeline,
     coherence_budget,
-    validate_timeline,
 )
 
 MEASURED = TrapCoefficients(3.47e-4, -0.99e-4, 4.6e-12)
@@ -48,9 +47,19 @@ def reference_timeline():
     ), t1_s=4.0, t2prime_s=0.3)
 
 
+def violation(segments):
+    """The diagnostics of the TimelineError that building raises."""
+    with pytest.raises(TimelineError) as info:
+        TransferTimeline(tuple(segments), 4.0, 0.3)
+    assert str(info.value).startswith(info.value.diagnostics["violation"] + ": ")
+    return info.value.diagnostics
+
+
 class TestValidation:
+    """A timeline checks its grammar and durations when it is built."""
+
     def test_documented_sequence_accepted(self):
-        assert validate_timeline(reference_timeline()).ok
+        assert len(reference_timeline().segments) == 4
 
     def test_full_grammar_accepted(self):
         timeline = TransferTimeline((
@@ -62,7 +71,7 @@ class TestValidation:
             segment(Phase.RAMP_DOWN, 1e-4, MOVER),
             segment(Phase.HOLD, 0.1),
         ), t1_s=4.0, t2prime_s=0.3)
-        assert validate_timeline(timeline).ok
+        assert len(timeline.segments) == 7
 
     def test_split_segments_stay_legal(self):
         timeline = TransferTimeline((
@@ -73,44 +82,54 @@ class TestValidation:
             segment(Phase.RETURN, 1e-4, MOVER),
             segment(Phase.HOLD, 0.0),
         ), t1_s=4.0, t2prime_s=0.3)
-        assert validate_timeline(timeline).ok
+        assert len(timeline.segments) == 6
 
     def test_empty_timeline(self):
-        verdict = validate_timeline(TransferTimeline((), 4.0, 0.3))
-        assert not verdict.ok
-        assert verdict.code == "missing-move"
+        # no segment is to blame
+        assert violation(()) == {"violation": "missing-move"}
 
     def test_negative_duration(self):
-        timeline = TransferTimeline((
+        assert violation((
             segment(Phase.OVERLAP, -1e-4, OVERLAP, override=0.025),
             segment(Phase.MOVE, 2e-3, MOVER),
             segment(Phase.RETURN, 1e-4, MOVER),
-        ), 4.0, 0.3)
-        verdict = validate_timeline(timeline)
-        assert not verdict.ok
-        assert verdict.code == "negative-duration"
-        assert verdict.segment_index == 0
+        )) == {"violation": "negative-duration", "segment": 0}
+
+    @pytest.mark.parametrize("duration", [math.nan, math.inf])
+    def test_non_finite_duration(self, duration):
+        assert violation((
+            segment(Phase.OVERLAP, 1e-4, OVERLAP, override=0.025),
+            segment(Phase.MOVE, duration, MOVER),
+            segment(Phase.RETURN, 1e-4, MOVER),
+        )) == {"violation": "negative-duration", "segment": 1}
+
+    def test_missing_overlap(self):
+        assert violation((segment(Phase.MOVE, 1e-3, MOVER),)) == {
+            "violation": "missing-overlap", "segment": 0}
 
     def test_missing_return(self):
-        timeline = TransferTimeline((
+        assert violation((
             segment(Phase.OVERLAP, 1e-4, OVERLAP, override=0.025),
             segment(Phase.MOVE, 2e-3, MOVER),
             segment(Phase.HOLD, 0.1),
-        ), 4.0, 0.3)
-        verdict = validate_timeline(timeline)
-        assert not verdict.ok
-        assert verdict.code == "missing-return"
+        )) == {"violation": "missing-return", "segment": 2}
+        # the timeline ends early: no segment is to blame
+        assert violation((
+            segment(Phase.OVERLAP, 1e-4, OVERLAP, override=0.025),
+            segment(Phase.MOVE, 2e-3, MOVER),
+        )) == {"violation": "missing-return"}
 
     def test_out_of_order_phase(self):
-        timeline = TransferTimeline((
+        assert violation((
             segment(Phase.OVERLAP, 1e-4, OVERLAP, override=0.025),
             segment(Phase.MOVE, 2e-3, MOVER),
             segment(Phase.RETURN, 1e-4, MOVER),
             segment(Phase.OVERLAP, 1e-4, OVERLAP, override=0.025),
-        ), 4.0, 0.3)
-        verdict = validate_timeline(timeline)
-        assert not verdict.ok
-        assert verdict.code in ("unexpected-phase", "missing-move")
+        )) == {"violation": "unexpected-phase", "segment": 3}
+
+    def test_grammar_checked_after_t1_and_t2prime(self):
+        with pytest.raises(InvalidArgumentError):
+            TransferTimeline((), 0.0, 0.3)
 
 
 class TestSegmentT2:
@@ -233,11 +252,6 @@ class TestBudget:
                                                      rel=1e-12)
         assert len(a.notes) == 1
         assert b.notes == a.notes
-
-    def test_invalid_timeline_rejected(self):
-        broken = TransferTimeline((segment(Phase.MOVE, 1e-3, MOVER),), 4.0, 0.3)
-        with pytest.raises(TimelineError):
-            coherence_budget(broken, 16e-6)
 
     def test_cooling_rejected(self):
         with pytest.raises(UnphysicalConfigurationError):
