@@ -8,8 +8,15 @@ Three fit problems, one result shape:
   spectrum-based initialization;
 * pure-exponential fits of visibility envelopes in log space.
 
-When per-point sigmas are supplied the reported covariance is the plain
-(J' W J)^-1; when they default to 1 it is rescaled by chi^2/dof.
+All three solve and judge their normal equations in one place: the
+weighted design (or Jacobian) has its columns scaled to unit norm, and
+`condition_number` is that of the scaled normal matrix, so it does not
+depend on the units of the parameters. The two time fits work in times
+divided by a power of two near their span, so no fit depends on the unit of
+its times. When per-point sigmas are supplied the reported covariance is
+the plain (J' W J)^-1; when they default to 1 it is rescaled by
+chi^2/dof. A fit whose input, chi^2, parameters or covariance leave float
+range is an invalid-argument.
 """
 import cmath
 import math
@@ -170,11 +177,37 @@ class FitResult:
         return math.sqrt(max(self.covariance[i, i], 0.0))
 
 
-def _finish(names, values, unscaled_cov, chi2, dof, sigmas_given):
+def _normal_solve(a, y, past_range):
+    """Least squares of a x = y through the normal equations of `a` with
+    its columns scaled to unit norm: x (None when y is None) and the
+    covariance (a'a)^-1."""
+    scale = np.linalg.norm(a, axis=0)
+    # a column norm is non-finite where an entry is, or past about 1e154;
+    # checked before cond, which fails on nan
+    if not (np.isfinite(scale).all() and (y is None or np.isfinite(y).all())):
+        raise InvalidArgumentError(past_range)
+    if np.any(scale == 0):
+        raise RankDeficiencyError("a design column is identically zero")
+    scaled = a / scale
+    normal = scaled.T @ scaled
+    cond = np.linalg.cond(normal)
+    if cond > _MAX_CONDITION:
+        raise ConditioningError(
+            f"normal equations too ill-conditioned (cond = {cond:.3e})",
+            diagnostics={"condition_number": float(cond)},
+        )
+    x = None if y is None else np.linalg.solve(normal, scaled.T @ y) / scale
+    return x, np.linalg.inv(normal) / np.outer(scale, scale)
+
+
+def _finish(names, values, unscaled_cov, chi2, dof, sigmas_given, past_range):
     cov = np.asarray(unscaled_cov, dtype=float)
     if not sigmas_given:
         cov = cov * (chi2 / dof)
     cov = 0.5 * (cov + cov.T)
+    if not (math.isfinite(chi2) and np.isfinite(values).all()
+            and np.isfinite(cov).all()):
+        raise InvalidArgumentError(past_range)
     return FitResult(dict(zip(names, (float(v) for v in values))), cov,
                      float(chi2), int(dof))
 
@@ -198,10 +231,7 @@ def fit_dls_global(datasets, beta1_fixed: float, free_beta1: bool = False) -> Fi
     rows = [(ds.b_field_gauss, d, y, s) for ds in datasets for d, y, s in ds.points]
     if len(rows) < 3:
         raise InvalidArgumentError("need at least 3 points in total")
-    b = np.array([r[0] for r in rows])
-    u = np.array([r[1] for r in rows])
-    y = np.array([r[2] for r in rows])
-    sig = np.array([r[3] for r in rows])
+    b, u, y, sig = np.array(rows).T
     sigmas_given = all(ds.sigmas_given for ds in datasets)
 
     if free_beta1:
@@ -219,33 +249,10 @@ def fit_dls_global(datasets, beta1_fixed: float, free_beta1: bool = False) -> Fi
 
     aw = design / sig[:, None]
     yw = target / sig
-    col_scale = np.linalg.norm(aw, axis=0)
-    # a column norm is non-finite where an entry is, or past about 1e154;
-    # checked before cond, which fails on nan
-    if not (np.isfinite(col_scale).all() and np.isfinite(yw).all()):
-        raise InvalidArgumentError(past_range)
-    if np.any(col_scale == 0):
-        raise RankDeficiencyError("a design column is identically zero")
-    aws = aw / col_scale
-    normal = aws.T @ aws
-    cond = np.linalg.cond(normal)
-    if cond > _MAX_CONDITION:
-        raise ConditioningError(
-            f"normal equations too ill-conditioned (cond = {cond:.3e})",
-            diagnostics={"condition_number": float(cond)},
-        )
-    scaled = np.linalg.solve(normal, aws.T @ yw)
-    params = scaled / col_scale
-    cov = np.linalg.inv(normal) / np.outer(col_scale, col_scale)
+    params, cov = _normal_solve(aw, yw, past_range)
     resid = yw - aw @ params
-    chi2 = float(resid @ resid)
-    if not (math.isfinite(chi2) and np.isfinite(params).all()
-            and np.isfinite(cov).all()):
-        raise InvalidArgumentError(past_range)
-    fit = _finish(names, params, cov, chi2, len(rows) - len(names), sigmas_given)
-    if not np.isfinite(fit.covariance).all():  # scaled by chi^2/dof
-        raise InvalidArgumentError(past_range)
-    return fit
+    return _finish(names, params, cov, float(resid @ resid),
+                   len(rows) - len(names), sigmas_given, past_range)
 
 
 def magic_depth_sigma(fit: FitResult, beta1: float, b_field_gauss: float) -> float:
@@ -264,9 +271,11 @@ def magic_depth_sigma(fit: FitResult, beta1: float, b_field_gauss: float) -> flo
 
 
 def _normalize_samples(samples):
-    """Times, values, sigmas (1 where not given) and whether sigmas were
-    given, sorted by time, from rows that are all (t, v) or all
-    (t, v, sigma)."""
+    """Times in units of `unit`, values, sigmas (1 where not given),
+    whether sigmas were given, and `unit`, sorted by time, from rows that
+    are all (t, v) or all (t, v, sigma). The unit is the power of two at or
+    below the span of the times (1 for a zero span), so dividing by it
+    rounds nothing."""
     rows = None
     try:
         # tuple or list rows of one width: one pass over their cells
@@ -295,7 +304,12 @@ def _normalize_samples(samples):
     if not np.isfinite(vals).all():
         raise InvalidArgumentError("sample values must be finite")
     order = np.argsort(ts, kind="stable")
-    return ts[order], vals[order], sigmas[order], given
+    ts = ts[order]
+    span = float(ts[-1]) - float(ts[0])  # a Python float: inf, no warning
+    if not math.isfinite(span):
+        raise InvalidArgumentError("sample times must span a finite range")
+    unit = math.ldexp(1.0, math.frexp(span)[1] - 1) if span > 0 else 1.0
+    return ts / unit, vals[order], sigmas[order], given, unit
 
 
 def _spectrum_peak(t, y):
@@ -392,7 +406,7 @@ def fit_damped_sinusoid(samples) -> FitResult:
     A fit whose chi^2 at the start point, final chi^2 or covariance leaves
     float range is an invalid-argument.
     """
-    t, p, sig, sigmas_given = _normalize_samples(samples)
+    t, p, sig, sigmas_given, unit = _normalize_samples(samples)
     if t.size < 10:
         raise InvalidArgumentError("need at least 10 samples")
     offset0 = float(p.mean())
@@ -421,7 +435,7 @@ def fit_damped_sinusoid(samples) -> FitResult:
     if tau <= 0:
         raise FitFailureError(
             "fitted decay time is non-positive",
-            diagnostics={"tau": float(tau)},
+            diagnostics={"tau": float(tau * unit)},
         )
     if amp < 0:
         amp, phi = -amp, phi + math.pi
@@ -430,51 +444,36 @@ def fit_damped_sinusoid(samples) -> FitResult:
     phi = math.remainder(phi, 2 * math.pi)
     # the covariance belongs to the reported parameters, not the solver's
     _, jac = _damped_sinusoid(np.array([amp, tau, delta, phi, off]), t, p, sig)
-    jtj = jac.T @ jac
-    if not np.isfinite(jtj).all():
-        raise InvalidArgumentError(past_range)  # before cond, which fails on nan
-    cond = np.linalg.cond(jtj)
-    if cond > _MAX_CONDITION:
-        raise ConditioningError(
-            f"fit covariance ill-conditioned (cond = {cond:.3e})",
-            diagnostics={"condition_number": float(cond)},
-        )
-    cov = np.linalg.inv(jtj)
-    chi2 = float(2.0 * result.cost)
-    dof = t.size - 5
-    fit = _finish(("v0", "tau", "delta", "phi", "offset"),
-                  (amp, tau, delta, phi, off), cov, chi2, dof, sigmas_given)
-    if not (math.isfinite(fit.chi_square) and np.isfinite(fit.covariance).all()):
-        raise InvalidArgumentError(past_range)
-    return fit
+    _, cov = _normal_solve(jac, None, past_range)
+    # back to the unit of the input times; outer(d, d) would overflow
+    d = np.array([1.0, unit, 1.0 / unit, 1.0, 1.0])
+    return _finish(("v0", "tau", "delta", "phi", "offset"),
+                   (amp, tau * unit, delta / unit, phi, off), cov * d[:, None] * d,
+                   float(2.0 * result.cost), t.size - 5, sigmas_given, past_range)
 
 
+@np.errstate(over="ignore", invalid="ignore")  # _finish reports overflow
 def fit_envelope(samples) -> FitResult:
     """Least squares of v(t) = exp(-t/tau) by zero-intercept regression in
     log space, with sigma-propagated weights."""
-    t, v, sig, sigmas_given = _normalize_samples(samples)
+    t, v, sig, sigmas_given, unit = _normalize_samples(samples)
     if t.size < 4:
         raise InvalidArgumentError("need at least 4 samples")
     if np.any(v <= 0):
         raise InvalidArgumentError("visibility values must be positive")
     if np.any(v > 1):
         raise InvalidArgumentError("visibility values must be <= 1")
-    u = np.log(v)
-    w = (v / sig) ** 2          # var(log v) = (sigma/v)^2
-    denom = float(np.sum(w * t * t))
-    if denom == 0:
-        raise RankDeficiencyError("need at least one sample at t > 0")
-    slope = float(np.sum(w * t * u)) / denom
+    w = v / sig                 # sd(log v) = sigma/v
+    a, y = (w * t)[:, None], w * np.log(v)
+    past_range = "envelope fit is past float range"
+    (slope,), cov = _normal_solve(a, y, past_range)
     if slope >= 0:
         raise FitFailureError("no decay: regressed slope is non-negative",
-                              diagnostics={"slope": slope})
-    tau = -1.0 / slope
-    var_slope = 1.0 / denom
-    var_tau = var_slope * tau ** 4
-    chi2 = float(np.sum(w * (u - slope * t) ** 2))
-    dof = t.size - 1
-    return _finish(("tau",), (tau,), np.array([[var_tau]]), chi2, dof,
-                   sigmas_given)
+                              diagnostics={"slope": float(slope / unit)})
+    tau = -1.0 / slope          # numpy floats: tau**4 overflows to inf
+    resid = y - a @ [slope]
+    return _finish(("tau",), (tau * unit,), cov * tau**4 * unit * unit,
+                   float(resid @ resid), t.size - 1, sigmas_given, past_range)
 
 
 def synth_dls(coeffs: TrapCoefficients, b_field_gauss: float, depths_hz,

@@ -543,6 +543,18 @@ class TestFits:
                        "float range\n")
         assert solves == []
 
+    def test_fit_ramsey_times_spanning_past_float_range(self, capsys, tmp_path):
+        # every time is finite, their span is not
+        from magictrap.datafiles import write_table
+        t = 1.5e308 * np.linspace(-1.0, 1.0, 50)
+        p = 0.5 + 0.4 * np.cos(2 * np.pi * np.linspace(0.0, 8.0, 50))
+        path = tmp_path / "trace.csv"
+        write_table(path, ("t_s", "p"), list(zip(t, p)))
+        code, out, err = run(capsys, ["fit-ramsey", "--input", str(path)])
+        assert (code, out) == (1, "")
+        assert err == ("error: invalid-argument: sample times must span a "
+                       "finite range\n")
+
     @pytest.mark.parametrize("command,column,bad,message", [
         ("fit-ramsey", 0, "nan", "sample times must be finite"),
         ("fit-ramsey", 0, "inf", "sample times must be finite"),

@@ -225,6 +225,42 @@ class TestDampedSinusoidFit:
             fit_damped_sinusoid(list(zip(t, slow)))
 
 
+@pytest.mark.parametrize("k", range(-300, 301, 20))
+@pytest.mark.parametrize("fit", ["damped-sinusoid", "envelope"])
+def test_fits_do_not_depend_on_the_time_unit(fit, k):
+    # both models are scale-free in t (tau -> c tau, delta -> delta / c), so
+    # times scaled by c = 10^k give tau * c and delta / c, unless the result
+    # in that unit leaves float range
+    c = 10.0 ** k
+    if fit == "damped-sinusoid":
+        t = np.linspace(0.0, 0.4, 50)
+        samples = list(zip(t * c, sinusoid(t, v0=0.8, tau=0.2, delta=40.0)))
+        tau, exact = 0.2, abs(k) <= 140
+    else:
+        t = np.linspace(0.02, 1.0, 20)
+        samples = list(zip(t * c, np.exp(-t / 0.3)))
+        tau, exact = 0.3, k <= 140
+    try:
+        result = (fit_damped_sinusoid if fit == "damped-sinusoid"
+                  else fit_envelope)(samples)
+    except InvalidArgumentError as error:
+        assert str(error) == f"{fit} fit is past float range"
+        assert not exact
+        return
+    assert result.parameters["tau"] / c == pytest.approx(tau, rel=1e-9)
+    if fit == "damped-sinusoid":
+        assert result.parameters["delta"] * c == pytest.approx(40.0, rel=1e-9)
+
+
+@pytest.mark.parametrize("fit", [fit_damped_sinusoid, fit_envelope])
+def test_times_spanning_past_float_range(fit):
+    # every time is finite, their span is not
+    t = 1.5e308 * np.linspace(-1.0, 1.0, 50)
+    with pytest.raises(InvalidArgumentError,
+                       match="^sample times must span a finite range$"):
+        fit(list(zip(t, np.full(50, 0.5))))
+
+
 def direct_spectrum_peak(t, y):
     """The spectrum estimate as a direct 4096 x N DFT: the oracle for the
     factored kernel in fitting._spectrum_peak."""
@@ -384,8 +420,8 @@ class TestLevenbergMarquardt:
 
     def test_exhausted_evaluations(self, monkeypatch):
         samples = seeded_fringe(1, 100, "uniform")
-        t, p, sig, _ = fitting._normalize_samples(samples)
-        x0 = np.array([0.8, 0.25, 36.9, 0.6, 0.5])
+        t, p, sig, _, unit = fitting._normalize_samples(samples)
+        x0 = np.array([0.8, 0.25 / unit, 36.9 * unit, 0.6, 0.5])
         result = fitting.least_squares(
             lambda x: fitting._damped_sinusoid(x, t, p, sig), x0, max_nfev=2)
         assert result.status == 0
@@ -514,6 +550,17 @@ class TestEnvelopeFit:
         # v stuck at 1 gives a zero slope, which has no decay time
         with pytest.raises(FitFailureError):
             fit_envelope([(0.0, 1.0), (0.1, 1.0), (0.2, 1.0), (0.3, 1.0)])
+
+    def test_all_times_zero_rank_deficient(self):
+        with pytest.raises(RankDeficiencyError,
+                           match="^a design column is identically zero$"):
+            fit_envelope([(0.0, 0.9)] * 5)
+
+    def test_sigma_past_float_range(self):
+        t = np.linspace(0.02, 1.0, 20)
+        with pytest.raises(InvalidArgumentError) as info:
+            fit_envelope([(ti, math.exp(-ti / 0.3), 1e-300) for ti in t])
+        assert str(info.value) == "envelope fit is past float range"
 
     def test_above_unity_rejected(self):
         with pytest.raises(InvalidArgumentError):

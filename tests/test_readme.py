@@ -1,13 +1,22 @@
 """Replay the README's CLI block: scripts/make_inputs.py writes the inputs,
 then every command runs through ``cli.main`` on them and must exit 0 with
-nothing on stderr. The inputs themselves must hold the reference values,
-and every option the README names must exist."""
+nothing on stderr. Its stdout and every file it writes must equal, byte for
+byte, the transcript committed under tests/readme_transcript/; after a
+change that moves a printed digit, regenerate that transcript with
+``PYTHONPATH=src python tests/test_readme.py`` and review its diff. The
+inputs themselves must hold the reference values, and every option the
+README names must exist."""
 import argparse
 import ast
+import io
+import os
 import re
 import runpy
 import shlex
+import shutil
 import sys
+import tempfile
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import pytest
@@ -18,6 +27,7 @@ from magictrap.datafiles import read_coefficients, read_dls_csv, read_timeline
 from magictrap.fitting import fit_dls_global
 
 ROOT = Path(__file__).resolve().parents[1]
+TRANSCRIPT = ROOT / "tests" / "readme_transcript"
 
 
 def run_script(path, outdir, monkeypatch, *args):
@@ -35,22 +45,63 @@ def readme_cli_block():
             for line in block.replace("\\\n", " ").splitlines() if line.strip()]
 
 
-def test_readme_cli_block_runs(tmp_path, monkeypatch, capsys):
-    monkeypatch.chdir(tmp_path)
-    commands = readme_cli_block()
-    assert commands[0] == ["python", "scripts/make_inputs.py"]
-    for argv in commands:
-        if argv[0] == "python":
-            run_script(argv[1], tmp_path / "out", monkeypatch, *argv[2:])
-            code = 0
-        elif argv[1:] == ["selftest"]:
-            # tests/test_acceptance.py runs the same checks
-            continue
-        else:
-            assert argv[0] == "magictrap"
-            code = main(argv[1:])
-        err = capsys.readouterr().err
-        assert (code, err) == (0, ""), " ".join(argv)
+def replay(workdir):
+    """Run the README block as written in `workdir`: the stdout of every
+    command, each after a `$ command` line, and the (command, exit code,
+    stderr) of each. `selftest` is skipped; tests/test_acceptance.py runs
+    the same checks."""
+    transcript, runs = [], []
+    cwd, argv0 = os.getcwd(), sys.argv
+    os.chdir(workdir)
+    try:
+        for argv in readme_cli_block():
+            if argv[1:] == ["selftest"]:
+                continue
+            out, err = io.StringIO(), io.StringIO()
+            with redirect_stdout(out), redirect_stderr(err):
+                if argv[0] == "python":
+                    sys.argv = argv[1:]
+                    runpy.run_path(str(ROOT / argv[1]), run_name="__main__")
+                    code = 0
+                else:
+                    assert argv[0] == "magictrap"
+                    code = main(argv[1:])
+            transcript.append(f"$ {shlex.join(argv)}\n{out.getvalue()}")
+            runs.append((shlex.join(argv), code, err.getvalue()))
+    finally:
+        os.chdir(cwd)
+        sys.argv = argv0
+    return "".join(transcript), runs
+
+
+def files_under(path):
+    return sorted(str(p.relative_to(path)) for p in path.rglob("*") if p.is_file())
+
+
+@pytest.fixture(scope="module")
+def replayed(tmp_path_factory):
+    workdir = tmp_path_factory.mktemp("readme")
+    return workdir / "out", *replay(workdir)
+
+
+def test_readme_cli_block_runs(replayed):
+    _, _, runs = replayed
+    assert runs[0][0] == "python scripts/make_inputs.py"
+    for command, code, err in runs:
+        assert (code, err) == (0, ""), command
+
+
+def test_readme_stdout_matches_the_transcript(replayed):
+    _, stdout, _ = replayed
+    assert stdout == (TRANSCRIPT / "stdout.txt").read_text(encoding="utf-8")
+
+
+def test_readme_artifacts_match_the_transcript(replayed):
+    outdir, _, _ = replayed
+    committed = TRANSCRIPT / "artifacts"
+    assert files_under(outdir) == files_under(committed)
+    for name in files_under(outdir):
+        assert (outdir / name).read_bytes() == (committed / name).read_bytes(), name
 
 
 def test_make_inputs_hold_the_reference_values(tmp_path, monkeypatch):
@@ -91,3 +142,14 @@ def test_readme_names_only_existing_options():
     known = parser_options(build_parser()) | script_options("scripts/make_inputs.py")
     assert "--outdir" in known and "--post-temp-uk" in known
     assert named and named <= known, sorted(named - known)
+
+
+if __name__ == "__main__":
+    with tempfile.TemporaryDirectory() as tmp:
+        stdout, runs = replay(Path(tmp))
+        for command, code, err in runs:
+            if (code, err) != (0, ""):
+                sys.exit(f"{command}: exit {code}\n{err}")
+        shutil.rmtree(TRANSCRIPT, ignore_errors=True)
+        shutil.copytree(Path(tmp) / "out", TRANSCRIPT / "artifacts")
+        (TRANSCRIPT / "stdout.txt").write_text(stdout, encoding="utf-8")
