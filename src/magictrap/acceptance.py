@@ -5,8 +5,6 @@ value at a fixed tolerance and reports one pass/fail line.
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from .constants import CONSTANTS, hz_from_kelvin
 from .dls import (
     AtomicInput,
@@ -201,6 +199,8 @@ def check_quadrature_vs_montecarlo():
     """Quadrature thermal average agrees with a 1e6-sample Monte Carlo
     within 4 standard errors on 20 randomized configs (5-40 uK, depth
     ratios 0.6-1.4)."""
+    import numpy as np
+
     n_configs, n_samples = 20, 1_000_000
     rng = np.random.default_rng(20260808)
     worst = 0.0
@@ -238,6 +238,8 @@ def check_quadrature_vs_montecarlo():
 def check_fit_roundtrips():
     """Noiseless fits recover generating parameters to 1e-6; noisy fits
     cover the truth at 3 sigma in >= 95/100 seeds."""
+    import numpy as np
+
     n_seeds = 100
     b_fields = (2.8, 3.0, 3.115, 3.3)
     depths = [-0.5e6 * k for k in range(1, 9)]

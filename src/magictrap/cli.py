@@ -10,8 +10,6 @@ import argparse
 import math
 import sys
 
-import numpy as np
-
 from . import __version__, acceptance, datafiles, fitting, svg
 from .constants import CONSTANTS, hz_from_kelvin, kelvin_from_hz
 from .dls import (
@@ -87,6 +85,8 @@ def _cmd_magic(args):
 
 
 def _cmd_dls_curve(args):
+    import numpy as np
+
     _check_grid(args.points, "--points")
     coeffs = datafiles.read_coefficients(args.coeffs)
     # both terms of the shift grow in size with |depth|, which is largest at
@@ -158,6 +158,8 @@ def _cmd_fit_dls(args):
 
 
 def _trace_command(args, kind):
+    import numpy as np
+
     _check_grid(args.points, "--points")
     coeffs = datafiles.read_coefficients(args.coeffs)
     config = _config_from_args(args, coeffs)
@@ -222,6 +224,8 @@ def _cmd_coherence_curve(args):
 
 
 def _cmd_fit_ramsey(args):
+    import numpy as np
+
     samples = datafiles.read_ramsey_csv(args.input)
     result = fit_damped_sinusoid(samples)
     t_data = [row[0] for row in samples]

@@ -24,8 +24,6 @@ import numbers
 from dataclasses import dataclass, field
 from itertools import chain
 
-import numpy as np
-
 from .dls import TrapCoefficients, dls, magic_depth
 from .errors import (
     ConditioningError,
@@ -47,8 +45,8 @@ class LeastSquaresResult:
     cost = |residuals|^2 / 2, the number of evaluations of `fun`, and
     status 1 (GTOL), 2 (FTOL) or 3 (XTOL), or 0 if `max_nfev` ran out."""
 
-    x: np.ndarray
-    fun: np.ndarray
+    x: "np.ndarray"
+    fun: "np.ndarray"
     cost: float
     nfev: int
     status: int
@@ -70,6 +68,8 @@ def least_squares(fun, x0, max_nfev=None):
     step, and XTOL its D-scaled length relative to the D-scaled x.
     `max_nfev` defaults to 200 (n + 1) evaluations.
     """
+    import numpy as np
+
     x = np.array(x0, dtype=float)
     if max_nfev is None:
         max_nfev = 200 * (x.size + 1)
@@ -157,12 +157,14 @@ def make_dls_dataset(b_field_gauss, depths_hz, shifts_hz, sigmas_hz=None):
 @dataclass(frozen=True)
 class FitResult:
     parameters: dict
-    covariance: np.ndarray
+    covariance: "np.ndarray"
     chi_square: float
     dof: int
     names: tuple = field(init=False)
 
     def __post_init__(self):
+        import numpy as np
+
         cov = np.asarray(self.covariance, dtype=float)
         if cov.shape != (len(self.parameters),) * 2:
             raise InvalidArgumentError("covariance shape must match parameters")
@@ -181,6 +183,8 @@ def _normal_solve(a, y, past_range):
     """Least squares of a x = y through the normal equations of `a` with
     its columns scaled to unit norm: x (None when y is None) and the
     covariance (a'a)^-1."""
+    import numpy as np
+
     scale = np.linalg.norm(a, axis=0)
     # a column norm is non-finite where an entry is, or past about 1e154;
     # checked before cond, which fails on nan
@@ -200,10 +204,19 @@ def _normal_solve(a, y, past_range):
     return x, np.linalg.inv(normal) / np.outer(scale, scale)
 
 
-def _finish(names, values, unscaled_cov, chi2, dof, sigmas_given, past_range):
+def _finish(names, values, unscaled_cov, chi2, dof, sigmas_given, past_range,
+            units=None):
+    """The FitResult of a solve: its covariance scaled by chi^2/dof where no
+    sigmas were given, then by outer(units, units), which maps it from the
+    unit the solver worked in to the caller's. In that order a variance that
+    fits in a float is not lost to an overflow of the unscaled one."""
+    import numpy as np
+
     cov = np.asarray(unscaled_cov, dtype=float)
     if not sigmas_given:
         cov = cov * (chi2 / dof)
+    if units is not None:
+        cov = cov * units[:, None] * units  # outer(units, units) would overflow
     cov = 0.5 * (cov + cov.T)
     if not (math.isfinite(chi2) and np.isfinite(values).all()
             and np.isfinite(cov).all()):
@@ -212,7 +225,6 @@ def _finish(names, values, unscaled_cov, chi2, dof, sigmas_given, past_range):
                      float(chi2), int(dof))
 
 
-@np.errstate(over="ignore", invalid="ignore")  # the checks below report overflow
 def fit_dls_global(datasets, beta1_fixed: float, free_beta1: bool = False) -> FitResult:
     """Weighted linear least squares for the depth-quadratic shift model
     over several bias fields, beta1 held fixed (optionally freed).
@@ -222,6 +234,8 @@ def fit_dls_global(datasets, beta1_fixed: float, free_beta1: bool = False) -> Fi
     A fit whose input, chi^2, parameters or covariance leave float range
     is an invalid-argument.
     """
+    import numpy as np
+
     datasets = list(datasets)
     if len({ds.b_field_gauss for ds in datasets}) < 2:
         raise RankDeficiencyError(
@@ -231,33 +245,35 @@ def fit_dls_global(datasets, beta1_fixed: float, free_beta1: bool = False) -> Fi
     rows = [(ds.b_field_gauss, d, y, s) for ds in datasets for d, y, s in ds.points]
     if len(rows) < 3:
         raise InvalidArgumentError("need at least 3 points in total")
-    b, u, y, sig = np.array(rows).T
+    if not (free_beta1 or math.isfinite(beta1_fixed)):
+        raise InvalidArgumentError("the fixed beta1 must be finite")
     sigmas_given = all(ds.sigmas_given for ds in datasets)
-
-    if free_beta1:
-        names = ("beta1", "beta2", "beta4")
-        design = np.column_stack([u, b * u, u * u])
-        target = y
-    else:
-        if not math.isfinite(beta1_fixed):
-            raise InvalidArgumentError("the fixed beta1 must be finite")
-        names = ("beta2", "beta4")
-        design = np.column_stack([b * u, u * u])
-        target = y - beta1_fixed * u
     past_range = ("shift fit is past float range (beta1 "
                   + ("free)" if free_beta1 else f"fixed at {beta1_fixed!r})"))
 
-    aw = design / sig[:, None]
-    yw = target / sig
-    params, cov = _normal_solve(aw, yw, past_range)
-    resid = yw - aw @ params
-    return _finish(names, params, cov, float(resid @ resid),
-                   len(rows) - len(names), sigmas_given, past_range)
+    with np.errstate(over="ignore", invalid="ignore"):  # the checks below report overflow
+        b, u, y, sig = np.array(rows).T
+        if free_beta1:
+            names = ("beta1", "beta2", "beta4")
+            design = np.column_stack([u, b * u, u * u])
+            target = y
+        else:
+            names = ("beta2", "beta4")
+            design = np.column_stack([b * u, u * u])
+            target = y - beta1_fixed * u
+        aw = design / sig[:, None]
+        yw = target / sig
+        params, cov = _normal_solve(aw, yw, past_range)
+        resid = yw - aw @ params
+        return _finish(names, params, cov, float(resid @ resid),
+                       len(rows) - len(names), sigmas_given, past_range)
 
 
 def magic_depth_sigma(fit: FitResult, beta1: float, b_field_gauss: float) -> float:
     """First-order uncertainty of the vertex depth propagated from the
     fitted (beta2, beta4) covariance."""
+    import numpy as np
+
     beta2 = fit.parameters["beta2"]
     beta4 = fit.parameters["beta4"]
     if beta4 <= 0:
@@ -276,6 +292,8 @@ def _normalize_samples(samples):
     are all (t, v) or all (t, v, sigma). The unit is the power of two at or
     below the span of the times (1 for a zero span), so dividing by it
     rounds nothing."""
+    import numpy as np
+
     rows = None
     try:
         # tuple or list rows of one width: one pass over their cells
@@ -323,6 +341,8 @@ def _spectrum_peak(t, y):
     spectrum is one product of two 64 x N matrices whose rows are filled
     by running products: 3 N complex exponentials instead of 4096 N, for
     any sample times."""
+    import numpy as np
+
     span = t[-1] - t[0]
     dt = float(np.median(np.diff(t)))
     if span <= 0 or dt <= 0:
@@ -358,6 +378,8 @@ def _spectrum_peak(t, y):
 def _envelope_init(t, y, f0):
     """Decay-time and amplitude initialization from a log-linear regression
     of the demodulated, period-averaged envelope."""
+    import numpy as np
+
     z = y * np.exp(-2j * np.pi * f0 * t)
     dt = float(np.median(np.diff(t)))
     window = max(1, int(round(1.0 / (f0 * dt))))
@@ -381,6 +403,8 @@ def _damped_sinusoid(x, t, p, sig):
     model = offset + (V0/2) exp(-t/tau) cos(2 pi delta t + phi), x being
     (V0, tau, delta, phi, offset), and their exact N x 5 Jacobian, from
     one exp, cos and sin pass. Complex x is allowed (complex-step checks)."""
+    import numpy as np
+
     amp, tau, delta, phi, off = x
     decay = 0.5 * np.exp(-t / tau)
     arg = 2 * np.pi * delta * t + phi
@@ -396,7 +420,6 @@ def _damped_sinusoid(x, t, p, sig):
     return resid, jac.T
 
 
-@np.errstate(over="ignore", invalid="ignore")  # the checks below report overflow
 def fit_damped_sinusoid(samples) -> FitResult:
     """Nonlinear least squares of
     p(t) = offset + (V0/2) * exp(-t/tau) * cos(2*pi*delta*t + phi).
@@ -406,74 +429,79 @@ def fit_damped_sinusoid(samples) -> FitResult:
     A fit whose chi^2 at the start point, final chi^2 or covariance leaves
     float range is an invalid-argument.
     """
-    t, p, sig, sigmas_given, unit = _normalize_samples(samples)
-    if t.size < 10:
-        raise InvalidArgumentError("need at least 10 samples")
-    offset0 = float(p.mean())
-    y = p - offset0
-    f0, phi0 = _spectrum_peak(t, y)
-    if f0 * (t[-1] - t[0]) < 1.0:
-        raise FrequencyAmbiguityError(
-            "samples span less than one oscillation period"
-        )
-    v0, tau0 = _envelope_init(t, y, f0)
-    x0 = np.array([v0, tau0, f0, phi0, offset0])
-    past_range = "damped-sinusoid fit is past float range"
-    r0, _ = _damped_sinusoid(x0, t, p, sig)
-    if not math.isfinite(float(r0 @ r0)):
-        raise InvalidArgumentError(past_range)  # before the solver spends its budget
+    import numpy as np
 
-    result = least_squares(lambda x: _damped_sinusoid(x, t, p, sig), x0)
-    if result.status <= 0:
-        raise FitFailureError(
-            "damped-sinusoid fit did not converge",
-            diagnostics={"cost": float(result.cost),
-                         "residual_rms": float(np.sqrt(np.mean(result.fun**2))),
-                         "nfev": int(result.nfev)},
-        )
-    amp, tau, delta, phi, off = result.x
-    if tau <= 0:
-        raise FitFailureError(
-            "fitted decay time is non-positive",
-            diagnostics={"tau": float(tau * unit)},
-        )
-    if amp < 0:
-        amp, phi = -amp, phi + math.pi
-    if delta < 0:
-        delta, phi = -delta, -phi
-    phi = math.remainder(phi, 2 * math.pi)
-    # the covariance belongs to the reported parameters, not the solver's
-    _, jac = _damped_sinusoid(np.array([amp, tau, delta, phi, off]), t, p, sig)
-    _, cov = _normal_solve(jac, None, past_range)
-    # back to the unit of the input times; outer(d, d) would overflow
-    d = np.array([1.0, unit, 1.0 / unit, 1.0, 1.0])
-    return _finish(("v0", "tau", "delta", "phi", "offset"),
-                   (amp, tau * unit, delta / unit, phi, off), cov * d[:, None] * d,
-                   float(2.0 * result.cost), t.size - 5, sigmas_given, past_range)
+    with np.errstate(over="ignore", invalid="ignore"):  # the checks below report overflow
+        t, p, sig, sigmas_given, unit = _normalize_samples(samples)
+        if t.size < 10:
+            raise InvalidArgumentError("need at least 10 samples")
+        offset0 = float(p.mean())
+        y = p - offset0
+        f0, phi0 = _spectrum_peak(t, y)
+        if f0 * (t[-1] - t[0]) < 1.0:
+            raise FrequencyAmbiguityError(
+                "samples span less than one oscillation period"
+            )
+        v0, tau0 = _envelope_init(t, y, f0)
+        x0 = np.array([v0, tau0, f0, phi0, offset0])
+        past_range = "damped-sinusoid fit is past float range"
+        r0, _ = _damped_sinusoid(x0, t, p, sig)
+        if not math.isfinite(float(r0 @ r0)):
+            raise InvalidArgumentError(past_range)  # before the solver spends its budget
+
+        result = least_squares(lambda x: _damped_sinusoid(x, t, p, sig), x0)
+        if result.status <= 0:
+            raise FitFailureError(
+                "damped-sinusoid fit did not converge",
+                diagnostics={"cost": float(result.cost),
+                             "residual_rms": float(np.sqrt(np.mean(result.fun**2))),
+                             "nfev": int(result.nfev)},
+            )
+        amp, tau, delta, phi, off = result.x
+        if tau <= 0:
+            raise FitFailureError(
+                "fitted decay time is non-positive",
+                diagnostics={"tau": float(tau * unit)},
+            )
+        if amp < 0:
+            amp, phi = -amp, phi + math.pi
+        if delta < 0:
+            delta, phi = -delta, -phi
+        phi = math.remainder(phi, 2 * math.pi)
+        # the covariance belongs to the reported parameters, not the solver's
+        _, jac = _damped_sinusoid(np.array([amp, tau, delta, phi, off]), t, p, sig)
+        _, cov = _normal_solve(jac, None, past_range)
+        return _finish(("v0", "tau", "delta", "phi", "offset"),
+                       (amp, tau * unit, delta / unit, phi, off), cov,
+                       float(2.0 * result.cost), t.size - 5, sigmas_given, past_range,
+                       units=np.array([1.0, unit, 1.0 / unit, 1.0, 1.0]))
 
 
-@np.errstate(over="ignore", invalid="ignore")  # _finish reports overflow
 def fit_envelope(samples) -> FitResult:
     """Least squares of v(t) = exp(-t/tau) by zero-intercept regression in
     log space, with sigma-propagated weights."""
-    t, v, sig, sigmas_given, unit = _normalize_samples(samples)
-    if t.size < 4:
-        raise InvalidArgumentError("need at least 4 samples")
-    if np.any(v <= 0):
-        raise InvalidArgumentError("visibility values must be positive")
-    if np.any(v > 1):
-        raise InvalidArgumentError("visibility values must be <= 1")
-    w = v / sig                 # sd(log v) = sigma/v
-    a, y = (w * t)[:, None], w * np.log(v)
-    past_range = "envelope fit is past float range"
-    (slope,), cov = _normal_solve(a, y, past_range)
-    if slope >= 0:
-        raise FitFailureError("no decay: regressed slope is non-negative",
-                              diagnostics={"slope": float(slope / unit)})
-    tau = -1.0 / slope          # numpy floats: tau**4 overflows to inf
-    resid = y - a @ [slope]
-    return _finish(("tau",), (tau * unit,), cov * tau**4 * unit * unit,
-                   float(resid @ resid), t.size - 1, sigmas_given, past_range)
+    import numpy as np
+
+    with np.errstate(over="ignore", invalid="ignore"):  # _finish reports overflow
+        t, v, sig, sigmas_given, unit = _normalize_samples(samples)
+        if t.size < 4:
+            raise InvalidArgumentError("need at least 4 samples")
+        if np.any(v <= 0):
+            raise InvalidArgumentError("visibility values must be positive")
+        if np.any(v > 1):
+            raise InvalidArgumentError("visibility values must be <= 1")
+        w = v / sig                 # sd(log v) = sigma/v
+        a, y = (w * t)[:, None], w * np.log(v)
+        past_range = "envelope fit is past float range"
+        (slope,), cov = _normal_solve(a, y, past_range)
+        if slope >= 0:
+            raise FitFailureError("no decay: regressed slope is non-negative",
+                                  diagnostics={"slope": float(slope / unit)})
+        tau = -1.0 / slope          # numpy floats: tau**4 overflows to inf
+        resid = y - a @ [slope]
+        return _finish(("tau",), (tau * unit,), cov * tau**4,
+                       float(resid @ resid), t.size - 1, sigmas_given, past_range,
+                       units=np.array([unit]))
 
 
 def synth_dls(coeffs: TrapCoefficients, b_field_gauss: float, depths_hz,
@@ -481,6 +509,8 @@ def synth_dls(coeffs: TrapCoefficients, b_field_gauss: float, depths_hz,
     """Synthetic shift dataset: the model plus i.i.d. gaussian noise,
     deterministic per seed, a non-negative integer. The oracle generator
     for fit round-trips."""
+    import numpy as np
+
     if noise_sigma_hz < 0:
         raise InvalidArgumentError("noise sigma must be >= 0")
     if isinstance(seed, bool) or not isinstance(seed, numbers.Integral) or seed < 0:

@@ -18,10 +18,9 @@ make the phase exactly quadratic in E. A model that breaks either needs
 another kernel.
 """
 import cmath
+import functools
 import math
 from dataclasses import dataclass, replace
-
-import numpy as np
 
 from .constants import hz_from_kelvin
 from .dls import TrapCoefficients, dls, magic_depth
@@ -47,9 +46,8 @@ T2_STAR_HORIZON_S = 1e4
 SEGMENT_Z_MAX = 40.0
 SEGMENT_IM_Z = 8.0
 #: 32-point Gauss-Laguerre rule for the weight exp(-s) on [0, inf), from
-#: the roots of L_32 polished to 60 digits (numpy's laggauss agrees to 1e-13);
-#: the nodes are stored complex, as the descent paths that use them are
-LAGUERRE_NODES = np.array([
+#: the roots of L_32 polished to 60 digits (numpy's laggauss agrees to 1e-13)
+LAGUERRE_NODES = (
     0.04448936583326702, 0.23452610951961853, 0.5768846293018864,
     1.0724487538178176, 1.7224087764446454, 2.5283367064257947,
     3.4922132730219944, 4.616456769749767, 5.903958504174244,
@@ -60,8 +58,8 @@ LAGUERRE_NODES = np.array([
     40.14571977153944, 44.509207995754934, 49.22439498730864,
     54.33372133339691, 59.89250916213402, 65.97537728793505, 72.68762809066271,
     80.18744697791352, 88.7353404178924, 98.82954286828397, 111.7513980979377,
-], dtype=complex)
-LAGUERRE_WEIGHTS = np.array([
+)
+LAGUERRE_WEIGHTS = (
     0.10921834195238497, 0.21044310793881324, 0.235213229669848,
     0.19590333597288104, 0.12998378628607177, 0.07057862386571744,
     0.03176091250917507, 0.011918214834838558, 0.0037388162946115247,
@@ -73,7 +71,21 @@ LAGUERRE_WEIGHTS = np.array([
     1.3469825866373952e-23, 5.661294130397359e-26, 1.4185605454630368e-28,
     1.9133754944542244e-31, 1.1922487600982224e-34, 2.671511219240137e-38,
     1.3386169421062562e-42, 4.510536193898974e-48,
-])
+)
+
+
+@functools.cache
+def _laguerre_rule():
+    """The Laguerre nodes, complex as the descent paths that use them are,
+    and weights: read-only arrays, built on first use so that importing the
+    module does not load numpy."""
+    import numpy as np
+
+    nodes = np.array(LAGUERRE_NODES, dtype=complex)
+    weights = np.array(LAGUERRE_WEIGHTS)
+    for table in (nodes, weights):
+        table.flags.writeable = False
+    return nodes, weights
 
 
 @dataclass(frozen=True)
@@ -190,6 +202,8 @@ def _integrals(points):
     reduces within one end, and a point's panel count is its own and never
     refined, so a point's result does not depend on the rest of the batch.
     """
+    import numpy as np
+
     sums, descents, by_panels = [], [], {}  # sums: [num, den, saddle] per point
     for i, (config, t_s) in enumerate(points):
         t_s = float(t_s)
@@ -241,16 +255,17 @@ def _integrals(points):
         # sum over the nodes s of W(s) * h(s)**2/sqrt(1 - s/Z), in place,
         # each row on its own (a matrix product rounds a row differently
         # with the number of rows)
+        nodes, weights = _laguerre_rule()
         owners, ends = zip(*descents)
         a, inv_z, k, w = np.array(ends).T
-        r = 1.0 - inv_z[:, None] * LAGUERRE_NODES
+        r = 1.0 - inv_z[:, None] * nodes
         np.sqrt(r, out=r)
-        h = LAGUERRE_NODES / (1.0 + r)
+        h = nodes / (1.0 + r)
         h *= k[:, None]
         h += a[:, None]
         h *= h
         h /= r
-        h *= LAGUERRE_WEIGHTS
+        h *= weights
         for i, value in zip(owners, (w * np.add.reduce(h, axis=1)).tolist()):
             sums[i][0] += value
     for panels, segments in by_panels.items():

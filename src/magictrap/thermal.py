@@ -6,8 +6,6 @@ import math
 import numbers
 from dataclasses import dataclass
 
-import numpy as np
-
 from .constants import hz_from_kelvin
 from .errors import InvalidArgumentError
 
@@ -52,7 +50,7 @@ PASS_DRAWS = 2**20     # Gamma(3) draws per pass of the rejection loop, at most
 DRAW_BUDGET = 2**26    # expected draws of one call, at most
 
 
-def sample(ens: ThermalEnsemble, n: int, seed: int) -> np.ndarray:
+def sample(ens: ThermalEnsemble, n: int, seed: int) -> "np.ndarray":
     """n i.i.d. energies (Hz) from the truncated density, deterministic per
     seed, a non-negative integer.
 
@@ -64,6 +62,8 @@ def sample(ens: ThermalEnsemble, n: int, seed: int) -> np.ndarray:
     expected draws n/mass exceed DRAW_BUDGET raises a coded
     InvalidArgumentError, with n and mass in its diagnostics, before drawing.
     """
+    import numpy as np
+
     if isinstance(n, bool) or not isinstance(n, numbers.Integral):
         raise InvalidArgumentError(f"sample size must be an integer, got {n!r}")
     if n < 1:

@@ -1,5 +1,11 @@
 import json
+import os
+import shlex
+import shutil
+import subprocess
+import sys
 import xml.etree.ElementTree as ET
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -714,3 +720,51 @@ class TestTransferCommand:
             "before segment 0 (Move)",
             "violation = missing-overlap",
             "segment = 0"]
+
+
+#: a cold process: every package module imported, then the scalar commands,
+#: --help, --version, --constants and a usage error, none of which may load
+#: numpy; then the command in argv, which may
+COLD_START = """
+import contextlib, importlib, io, pkgutil, sys
+import magictrap
+from magictrap import cli
+
+for module in pkgutil.iter_modules(magictrap.__path__):
+    importlib.import_module("magictrap." + module.name)
+coeffs = "out/measured_coeffs.toml"
+for argv in (["convert", "--mk", "0.2"], ["magic", "--b-field", "3.115", "--coeffs", coeffs],
+             ["beff", "--depth-mk", "0.6"], ["--version"], ["--constants"]):
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cli.main(argv) == 0, argv
+for argv, status in ((["--help"], 0), (["magic", "--bogus"], 2)):
+    try:
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+            cli.main(argv)
+    except SystemExit as exit:
+        assert exit.code == status, (argv, exit.code)
+    else:
+        raise AssertionError(f"{argv} did not exit")
+assert "numpy" not in sys.modules, "a scalar command loaded numpy"
+sys.exit(cli.main(sys.argv[1:]))
+"""
+
+
+def test_a_cold_process_loads_numpy_only_for_array_work(tmp_path):
+    # then the README's t2star call must print its transcript, so numpy
+    # loaded on first use reaches the kernel as an import at the top would
+    transcript = Path(__file__).resolve().parent / "readme_transcript"
+    (tmp_path / "out").mkdir()
+    shutil.copy(transcript / "artifacts" / "measured_coeffs.toml", tmp_path / "out")
+    (call,) = [chunk for chunk in
+               (transcript / "stdout.txt").read_text(encoding="utf-8").split("$ ")
+               if chunk.startswith("magictrap t2star ")]
+    command, expected = call.split("\n", 1)
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-c", COLD_START, *shlex.split(command)[1:]],
+                          env=env, cwd=tmp_path, capture_output=True, text=True,
+                          timeout=120)
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert proc.stdout == expected

@@ -235,11 +235,11 @@ def test_fits_do_not_depend_on_the_time_unit(fit, k):
     if fit == "damped-sinusoid":
         t = np.linspace(0.0, 0.4, 50)
         samples = list(zip(t * c, sinusoid(t, v0=0.8, tau=0.2, delta=40.0)))
-        tau, exact = 0.2, abs(k) <= 140
+        tau, exact = 0.2, abs(k) <= 160
     else:
         t = np.linspace(0.02, 1.0, 20)
         samples = list(zip(t * c, np.exp(-t / 0.3)))
-        tau, exact = 0.3, k <= 140
+        tau, exact = 0.3, k <= 160
     try:
         result = (fit_damped_sinusoid if fit == "damped-sinusoid"
                   else fit_envelope)(samples)
@@ -250,6 +250,16 @@ def test_fits_do_not_depend_on_the_time_unit(fit, k):
     assert result.parameters["tau"] / c == pytest.approx(tau, rel=1e-9)
     if fit == "damped-sinusoid":
         assert result.parameters["delta"] * c == pytest.approx(40.0, rel=1e-9)
+
+
+def test_sinusoid_covariance_is_scaled_before_it_is_mapped_to_the_time_unit():
+    # noiseless: chi^2/dof shrinks the covariance, so var tau in s^2 (about
+    # 1e289 at times x 1e160) fits in a float although the unscaled one does not
+    c = 1e160
+    t = np.linspace(0.0, 0.4, 50)
+    result = fit_damped_sinusoid(list(zip(t * c, sinusoid(t, v0=0.8, tau=0.2, delta=40.0))))
+    assert result.parameters["tau"] / c == pytest.approx(0.2, rel=1e-9)
+    assert 0.0 < result.stderr("tau") < math.inf
 
 
 @pytest.mark.parametrize("fit", [fit_damped_sinusoid, fit_envelope])

@@ -764,7 +764,7 @@ def test_laguerre_table():
     assert np.allclose(LAGUERRE_WEIGHTS, weights, rtol=1e-12, atol=0)
     # exact for polynomials of degree < 64: moments of exp(-s) are k!
     for k in (0, 1, 2, 5, 20, 40, 63):
-        moment = (LAGUERRE_WEIGHTS * LAGUERRE_NODES.real ** k).sum()
+        moment = (np.asarray(LAGUERRE_WEIGHTS) * np.asarray(LAGUERRE_NODES) ** k).sum()
         assert moment == pytest.approx(math.factorial(k), rel=1e-14)
 
 
