@@ -49,6 +49,15 @@ def _config_from_args(args, coeffs):
     )
 
 
+def _linspace(start, stop, num):
+    """``np.linspace(start, stop, num).tolist()`` bit for bit: start + i·step,
+    or i/div·delta where the step underflows to 0; the last of 2+ is stop."""
+    div = max(num - 1, 1)
+    step = (stop - start) / div
+    grid = [start + (i * step if step else i / div * (stop - start)) for i in range(num)]
+    return grid[:-1] + [stop] if num > 1 else grid
+
+
 def _check_grid(points, what):
     """Raise invalid-argument unless 1 <= points <= MAX_GRID_POINTS, NaN
     and inf included; every grid command calls it before any work."""
@@ -85,8 +94,6 @@ def _cmd_magic(args):
 
 
 def _cmd_dls_curve(args):
-    import numpy as np
-
     _check_grid(args.points, "--points")
     coeffs = datafiles.read_coefficients(args.coeffs)
     # both terms of the shift grow in size with |depth|, which is largest at
@@ -96,7 +103,7 @@ def _cmd_dls_curve(args):
                                  datafiles.depth_hz_from_mk(bound))):
             raise InvalidArgumentError(
                 f"shift at depth {bound} mK is past float range")
-    depths_mk = np.linspace(args.depth_mk_min, args.depth_mk_max, args.points)
+    depths_mk = _linspace(args.depth_mk_min, args.depth_mk_max, args.points)
     shifts = [dls(coeffs, args.b_field, datafiles.depth_hz_from_mk(d))
               for d in depths_mk]
     return _emit(args, [
@@ -107,8 +114,7 @@ def _cmd_dls_curve(args):
         ("dls_min_hz", dls_minimum(coeffs, args.b_field)),
         ("magic_depth_mk",
          datafiles.mk_from_depth_hz(magic_depth(coeffs, args.b_field))),
-    ], table=(("depth_mk", "dls_hz"),
-              zip([float(d) for d in depths_mk], [float(s) for s in shifts])),
+    ], table=(("depth_mk", "dls_hz"), zip(depths_mk, shifts)),
        plot=([(f"B = {args.b_field:g} G", depths_mk, shifts)],
              "trap depth (mK)", "differential light shift (Hz)"))
 
@@ -158,12 +164,10 @@ def _cmd_fit_dls(args):
 
 
 def _trace_command(args, kind):
-    import numpy as np
-
     _check_grid(args.points, "--points")
     coeffs = datafiles.read_coefficients(args.coeffs)
     config = _config_from_args(args, coeffs)
-    times = np.linspace(0.0, args.t_max, args.points)
+    times = _linspace(0.0, args.t_max, args.points)
     if kind == "population":
         values = ramsey_trace(config, times).population
     else:
@@ -177,8 +181,8 @@ def _trace_command(args, kind):
         ("t_max_s", args.t_max),
         ("points", args.points),
         (f"{kind}_final", values[-1]),
-    ], table=(("t_s", kind), zip((float(t) for t in times), values)),
-       plot=([(kind, list(times), list(values))], "time (s)", kind))
+    ], table=(("t_s", kind), zip(times, values)),
+       plot=([(kind, times, values)], "time (s)", kind))
 
 
 def _cmd_t2star(args):
@@ -228,12 +232,12 @@ def _cmd_fit_ramsey(args):
 
     samples = datafiles.read_ramsey_csv(args.input)
     result = fit_damped_sinusoid(samples)
-    t_data = [row[0] for row in samples]
-    p_data = [row[1] for row in samples]
-    grid = np.linspace(min(t_data), max(t_data), 400)
-    model, _ = fitting._damped_sinusoid(tuple(result.parameters.values()), grid, 0.0, 1.0)
+    t_data, p_data, *_ = zip(*samples)
+    grid = _linspace(min(t_data), max(t_data), 400)
+    params = tuple(result.parameters.values())
+    model, _ = fitting._damped_sinusoid(params, np.asarray(grid), 0.0, 1.0)
     return _emit(args, _fit_pairs(result),
-                 plot=([("data", t_data, p_data), ("fit", list(grid), list(model))],
+                 plot=([("data", t_data, p_data), ("fit", grid, model)],
                        "time (s)", "population"))
 
 

@@ -46,25 +46,32 @@ def mk_from_depth_hz(depth_hz: float) -> float:
     return abs(depth_hz) / hz_from_kelvin(1e-3)
 
 
+def _read_text(path):
+    """The file as UTF-8 text; undecodable bytes are an invalid-argument."""
+    with open(path, "r", encoding="utf-8") as fh:
+        try:
+            return fh.read()
+        except UnicodeDecodeError as exc:
+            raise InvalidArgumentError(f"{path}: not UTF-8 text ({exc.reason})") from exc
+
+
 def read_coefficients(path) -> TrapCoefficients:
     """Parse a flat key-value coefficients file (TOML-style `key = value`
     lines; `#` comments). Keys other than the three coefficients are
     ignored."""
     values = {}
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            stripped = line.split("#", 1)[0].strip()
-            if not stripped:
-                continue
-            if "=" not in stripped:
-                raise InvalidArgumentError(
-                    f"{path}:{lineno}: expected 'key = value'")
-            key, _, raw = stripped.partition("=")
-            try:
-                values[key.strip()] = float(raw.strip())
-            except ValueError as exc:
-                raise InvalidArgumentError(
-                    f"{path}:{lineno}: not a number: {raw.strip()!r}") from exc
+    for lineno, line in enumerate(_read_text(path).split("\n"), start=1):
+        stripped = line.split("#", 1)[0].strip()
+        if not stripped:
+            continue
+        key, equals, raw = stripped.partition("=")
+        if not equals:
+            raise InvalidArgumentError(f"{path}:{lineno}: expected 'key = value'")
+        try:
+            values[key.strip()] = float(raw.strip())
+        except ValueError as exc:
+            raise InvalidArgumentError(
+                f"{path}:{lineno}: not a number: {raw.strip()!r}") from exc
     try:
         return TrapCoefficients(
             beta1=values["beta1"],
@@ -103,53 +110,44 @@ def budget_table(report):
              for e in report.per_segment])
 
 
-def _read_csv_rows(path, minimum_columns):
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
+def _read_table(path, required, maximum):
+    """Rows of a CSV table as float tuples as wide as its header row, clamped
+    to required..maximum; a shorter non-blank row raises invalid-argument."""
+    text = _read_text(path)
+    if not text:
+        raise InvalidArgumentError(f"{path}: empty file")
+    reader = csv.reader(text.split("\n"))
+    width = min(max(len(next(reader)), required), maximum)
+    rows = []
+    for lineno, row in enumerate(reader, start=2):
+        if not row or all(not cell.strip() for cell in row):
+            continue
+        if len(row) < width:
+            raise InvalidArgumentError(f"{path}:{lineno}: expected >= {width} columns")
         try:
-            header = next(reader)
-        except StopIteration:
-            raise InvalidArgumentError(f"{path}: empty file") from None
-        rows = []
-        for lineno, row in enumerate(reader, start=2):
-            if not row or all(not cell.strip() for cell in row):
-                continue
-            if len(row) < minimum_columns:
-                raise InvalidArgumentError(
-                    f"{path}:{lineno}: expected >= {minimum_columns} columns")
-            try:
-                rows.append([float(cell) for cell in row])
-            except ValueError as exc:
-                raise InvalidArgumentError(
-                    f"{path}:{lineno}: non-numeric cell") from exc
-    return [h.strip() for h in header], rows
+            rows.append(tuple(float(cell) for cell in row[:width]))
+        except ValueError as exc:
+            raise InvalidArgumentError(f"{path}:{lineno}: non-numeric cell") from exc
+    return rows
 
 
 def read_dls_csv(path):
     """Read `b_field_gauss, depth_mk, dls_hz[, sigma_hz]` and group rows
     into per-field datasets. Depths are converted to signed Hz."""
-    header, rows = _read_csv_rows(path, 3)
-    has_sigma = len(header) >= 4
     grouped = {}
-    for row in rows:
+    for row in _read_table(path, 3, 4):
         grouped.setdefault(row[0], []).append(row)
     datasets = []
     for b_field in sorted(grouped):
-        block = grouped[b_field]
-        depths = [depth_hz_from_mk(r[1]) for r in block]
-        shifts = [r[2] for r in block]
-        sigmas = [r[3] for r in block] if has_sigma else None
-        datasets.append(make_dls_dataset(b_field, depths, shifts, sigmas))
+        _, depths_mk, shifts, *sigmas = zip(*grouped[b_field])
+        datasets.append(make_dls_dataset(
+            b_field, [depth_hz_from_mk(d) for d in depths_mk], shifts, *sigmas))
     return datasets
 
 
 def read_ramsey_csv(path):
     """Read `t_s, p[, sigma]` sample rows."""
-    header, rows = _read_csv_rows(path, 2)
-    has_sigma = len(header) >= 3
-    if has_sigma:
-        return [(r[0], r[1], r[2]) for r in rows]
-    return [(r[0], r[1]) for r in rows]
+    return _read_table(path, 2, 3)
 
 
 def write_timeline(path, tl: TransferTimeline):
@@ -177,12 +175,8 @@ def read_timeline(path, coeffs: TrapCoefficients):
     document) raises invalid-argument naming the file. A timeline off the
     transfer grammar, or with a negative or non-finite duration, raises the
     TimelineError (invalid-timeline) of the TransferTimeline it builds."""
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            doc = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise InvalidArgumentError(f"{path}: invalid JSON: {exc}") from exc
     try:
+        doc = json.loads(_read_text(path))
         segments = []
         for entry in doc["segments"]:
             phase = Phase(entry["phase"])
@@ -201,6 +195,8 @@ def read_timeline(path, coeffs: TrapCoefficients):
             ))
         return TransferTimeline(tuple(segments), float(doc["t1_s"]),
                                 float(doc["t2prime_s"]))
+    except json.JSONDecodeError as exc:
+        raise InvalidArgumentError(f"{path}: invalid JSON: {exc}") from exc
     except KeyError as exc:
         raise InvalidArgumentError(
             f"{path}: missing timeline key {exc.args[0]!r}") from exc

@@ -1,5 +1,7 @@
 import json
+import math
 import os
+import random
 import shlex
 import shutil
 import subprocess
@@ -10,7 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from magictrap.cli import main
+from magictrap.cli import _linspace, main
 from magictrap.datafiles import depth_hz_from_mk, write_coefficients
 from magictrap.dls import TrapCoefficients
 
@@ -585,6 +587,30 @@ class TestFits:
         assert out == ""
         assert err == f"error: invalid-argument: {message}\n"
 
+    @pytest.mark.parametrize("command,text,width", [
+        ("fit-ramsey", "t_s,p,sigma\n0.1,0.4\n", 3),
+        ("fit-dls", "b_field_gauss,depth_mk,dls_hz,sigma_hz\n3.0,0.1,-150.0\n", 4)],
+        ids=["fit-ramsey", "fit-dls"])
+    def test_short_row_under_a_sigma_header(self, capsys, tmp_path, command,
+                                            text, width):
+        path = tmp_path / "input.csv"
+        path.write_text(text)
+        argv = [command, "--input", str(path)]
+        if command == "fit-dls":
+            argv += ["--beta1", "3.47e-4"]
+        code, out, err = run(capsys, argv)
+        assert (code, out) == (1, "")
+        assert err == f"error: invalid-argument: {path}:2: expected >= {width} columns\n"
+
+    def test_undecodable_input_is_a_coded_error(self, capsys, tmp_path):
+        path = tmp_path / "coeffs.toml"
+        path.write_bytes(b"beta1 = 3.47e-4 # \xff\n")
+        code, out, err = run(capsys, ["magic", "--b-field", "3.115",
+                                      "--coeffs", str(path)])
+        assert (code, out) == (1, "")
+        assert err == (f"error: invalid-argument: {path}: not UTF-8 text "
+                       "(invalid start byte)\n")
+
 
 class TestErrorDiagnostics:
     def test_ill_conditioned_fit_prints_condition_number(self, capsys, tmp_path):
@@ -722,9 +748,10 @@ class TestTransferCommand:
             "segment = 0"]
 
 
-#: a cold process: every package module imported, then the scalar commands,
-#: --help, --version, --constants and a usage error, none of which may load
-#: numpy; then the command in argv, which may
+#: a cold process: every package module imported, then the scalar commands
+#: (the README's dls-curve call among them), --help, --version, --constants
+#: and a usage error, none of which may load numpy; then the command in
+#: argv, which may
 COLD_START = """
 import contextlib, importlib, io, pkgutil, sys
 import magictrap
@@ -734,6 +761,7 @@ for module in pkgutil.iter_modules(magictrap.__path__):
     importlib.import_module("magictrap." + module.name)
 coeffs = "out/measured_coeffs.toml"
 for argv in (["convert", "--mk", "0.2"], ["magic", "--b-field", "3.115", "--coeffs", coeffs],
+             ["dls-curve", "--b-field", "3.115", "--coeffs", coeffs, "--plot", "out/dls.svg"],
              ["beff", "--depth-mk", "0.6"], ["--version"], ["--constants"]):
     with contextlib.redirect_stdout(io.StringIO()):
         assert cli.main(argv) == 0, argv
@@ -768,3 +796,24 @@ def test_a_cold_process_loads_numpy_only_for_array_work(tmp_path):
                           timeout=120)
     assert (proc.returncode, proc.stderr) == (0, "")
     assert proc.stdout == expected
+
+
+@pytest.mark.parametrize("start,stop,num", [
+    (0.0, 0.6, 121), (0.0, 0.4, 201), (0.0, 2.0, 101), (0.0, 0.4, 400),  # README
+    (0.2, 0.7, 1), (0.2, 0.7, 2), (0.3, 0.3, 7), (2.5, -1.0, 9),
+    (0.0, 5e-324, 4), (5e-324, 2e-323, 3), (0.0, math.inf, 5), (1.0, -math.inf, 1),
+    (0.0, math.nan, 3), (-1e308, 1e308, 5)])
+def test_linspace_is_numpys_bit_for_bit(start, stop, num):
+    with np.errstate(over="ignore", invalid="ignore"):  # inf - inf, 1e308 + 1e308
+        expected = np.linspace(start, stop, num).tolist()
+    assert repr(_linspace(start, stop, num)) == repr(expected)
+
+
+def test_linspace_matches_numpy_on_a_random_sweep():
+    rng = random.Random(2024)
+    for _ in range(2000):
+        start, stop = (rng.uniform(-1.0, 1.0) * 10.0 ** rng.randint(-320, 300)
+                       for _ in range(2))
+        num = rng.randint(1, 300)
+        assert repr(_linspace(start, stop, num)) == repr(
+            np.linspace(start, stop, num).tolist()), (start, stop, num)

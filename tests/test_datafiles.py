@@ -104,6 +104,30 @@ class TestCsv:
         rows = datafiles.read_ramsey_csv(path)
         assert rows == [(0.0, 1.0, 0.05), (0.01, 0.4, 0.05)]
 
+    @pytest.mark.parametrize("header,width", [("t_s", 2), ("t_s,p", 2),
+                                              ("t_s,p,sigma", 3),
+                                              ("t_s,p,sigma,note", 3)])
+    def test_rows_are_cut_to_the_header_width(self, tmp_path, header, width):
+        # the header fixes the width, clamped to 2..3 columns; cells past it
+        # are not read
+        path = tmp_path / "trace.csv"
+        path.write_text(f"{header}\n0.0,1.0,0.05,x\n\n , \n0.01,0.4,0.05,y\n")
+        rows = datafiles.read_ramsey_csv(path)
+        assert rows == [(0.0, 1.0, 0.05)[:width], (0.01, 0.4, 0.05)[:width]]
+
+    @pytest.mark.parametrize("reader,text,width", [
+        (datafiles.read_ramsey_csv, "t_s,p,sigma\n0.0,1.0,0.05\n0.1,0.4\n", 3),
+        (datafiles.read_dls_csv,
+         "b_field_gauss,depth_mk,dls_hz,sigma_hz\n3.0,0.1,-150.0,2.0\n"
+         "3.0,0.2,-260.0\n", 4)], ids=["ramsey", "dls"])
+    def test_short_row_under_a_sigma_header(self, tmp_path, reader, text, width):
+        # a sigma header makes the column required in every row
+        path = tmp_path / "table.csv"
+        path.write_text(text)
+        with pytest.raises(InvalidArgumentError) as info:
+            reader(path)
+        assert str(info.value) == f"{path}:3: expected >= {width} columns"
+
     def test_empty_file_rejected(self, tmp_path):
         path = tmp_path / "empty.csv"
         path.write_text("")
@@ -193,6 +217,18 @@ class TestTimeline:
         assert info.value.code == "invalid-timeline"
         assert info.value.diagnostics == {"violation": "missing-overlap",
                                           "segment": 0}
+
+
+@pytest.mark.parametrize("reader", [
+    datafiles.read_coefficients, datafiles.read_dls_csv, datafiles.read_ramsey_csv,
+    lambda path: datafiles.read_timeline(path, COEFFS)],
+    ids=["coefficients", "dls_csv", "ramsey_csv", "timeline"])
+def test_undecodable_file_is_an_invalid_argument(tmp_path, reader):
+    path = tmp_path / "input"
+    path.write_bytes(b"\xff")
+    with pytest.raises(InvalidArgumentError) as info:
+        reader(path)
+    assert str(info.value) == f"{path}: not UTF-8 text (invalid start byte)"
 
 
 class TestFormatting:
