@@ -7,7 +7,7 @@ from dataclasses import dataclass
 
 from .constants import CONSTANTS, hz_from_kelvin
 from .dls import (
-    AtomicInput,
+    VECTOR_TO_SCALAR_RATIO,
     TrapCoefficients,
     coeffs_from_atomic,
     effective_field,
@@ -35,7 +35,6 @@ from .transfer import (
 MEASURED_COEFFS = TrapCoefficients(beta1=3.47e-4, beta2=-0.99e-4, beta4=4.6e-12)
 THEORY_COEFFS = TrapCoefficients(beta1=3.47e-4, beta2=-1.03e-4, beta4=4.64e-12)
 WORKING_B_FIELD = 3.115  # gauss
-VECTOR_TO_SCALAR_RATIO = 0.2518  # ground-state polarizability ratio at 830 nm
 
 
 @dataclass(frozen=True)
@@ -81,9 +80,7 @@ def check_magic_depth():
 def check_atomic_formulas():
     """Coefficients built from atomic inputs reproduce the theory values
     within 0.5% and satisfy beta2^2/beta4 = 8*(mu_B/h)^2/nu0 to 1e-9."""
-    atomic = AtomicInput(vector_to_scalar_ratio=VECTOR_TO_SCALAR_RATIO,
-                         beta1=3.47e-4, polarization_a=1.0)
-    built = coeffs_from_atomic(atomic)
+    built = coeffs_from_atomic(VECTOR_TO_SCALAR_RATIO, beta1=3.47e-4)
     identity = built.beta2 ** 2 / built.beta4
     expected = 8.0 * CONSTANTS.bohr_magneton_over_h ** 2 / CONSTANTS.rb87_hyperfine_nu0
     ok = (_within(built.beta2, -1.03e-4, 0.005)

@@ -10,9 +10,10 @@ import argparse
 import math
 import sys
 
-from . import __version__, acceptance, datafiles, fitting, svg
+from . import __version__, datafiles, fitting, svg
 from .constants import CONSTANTS, hz_from_kelvin, kelvin_from_hz
 from .dls import (
+    VECTOR_TO_SCALAR_RATIO,
     TrapCoefficients,
     dls,
     dls_minimum,
@@ -144,13 +145,12 @@ def _fit_pairs(result):
 
 def _cmd_fit_dls(args):
     datasets = datafiles.read_dls_csv(args.input)
-    result = fit_dls_global(datasets, beta1_fixed=args.beta1,
-                            free_beta1=args.free_beta1)
+    result = fit_dls_global(datasets, beta1_fixed=args.beta1)
     pairs = [("n_datasets", len(datasets)),
              ("n_points", sum(len(ds.points) for ds in datasets)),
-             ("beta1_fixed", args.beta1 if not args.free_beta1 else "free")]
+             ("beta1_fixed", "free" if args.beta1 is None else args.beta1)]
     pairs += _fit_pairs(result)
-    beta1 = (result.parameters.get("beta1", args.beta1))
+    beta1 = result.parameters.get("beta1", args.beta1)
     for ds in datasets:
         # raises invalid-argument for a fitted beta4 <= 0, before the
         # coefficients below could reject it
@@ -277,6 +277,8 @@ def _cmd_convert(args):
 
 
 def _cmd_selftest(args):
+    from . import acceptance
+
     results = acceptance.run_all(sys.stdout)
     failed = [r for r in results if not r.passed]
     sys.stdout.write(f"{len(results) - len(failed)}/{len(results)} checks passed\n")
@@ -338,7 +340,7 @@ def build_parser():
 
     p = sub.add_parser("beff", parents=[common],
                        help="vector-shift effective field at a depth")
-    p.add_argument("--ratio", type=float, default=acceptance.VECTOR_TO_SCALAR_RATIO,
+    p.add_argument("--ratio", type=float, default=VECTOR_TO_SCALAR_RATIO,
                    help="vector-to-scalar polarizability ratio")
     p.add_argument("--depth-mk", type=float, required=True)
     p.set_defaults(handler=_cmd_beff)
@@ -346,10 +348,10 @@ def build_parser():
     p = sub.add_parser("fit-dls", parents=[common],
                        help="global shift fit across bias fields")
     p.add_argument("--input", required=True, metavar="FILE.csv")
-    p.add_argument("--beta1", type=float, required=True,
-                   help="fixed linear coefficient")
-    p.add_argument("--free-beta1", action="store_true",
-                   help="fit beta1 as well (sensitivity mode)")
+    beta1 = p.add_mutually_exclusive_group(required=True)
+    beta1.add_argument("--beta1", type=float, help="fixed linear coefficient")
+    beta1.add_argument("--free-beta1", dest="beta1", action="store_const",
+                       const=None, help="fit beta1 as well (sensitivity mode)")
     p.set_defaults(handler=_cmd_fit_dls)
 
     p = sub.add_parser("ramsey", parents=[common, coeffs_arg, field_args,

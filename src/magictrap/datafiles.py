@@ -16,13 +16,13 @@ from .transfer import Phase, TransferSegment, TransferTimeline
 CSV_FLOAT_FORMAT = "%.12g"
 
 
-def format_value(value, precision=9):
+def format_value(value, precision):
     if isinstance(value, float):
         return f"{value:.{precision}g}"
     return str(value)
 
 
-def write_keyvalue(stream, pairs, precision=9):
+def write_keyvalue(stream, pairs, precision):
     for key, value in pairs:
         stream.write(f"{key} = {format_value(value, precision)}\n")
 
@@ -43,7 +43,9 @@ def depth_hz_from_mk(depth_mk: float) -> float:
 
 
 def mk_from_depth_hz(depth_hz: float) -> float:
-    return abs(depth_hz) / hz_from_kelvin(1e-3)
+    """-U in mK: a trap depth U <= 0 Hz reads positive, a vertex above zero
+    (no trap) negative; 0.0 - U is -U exactly, but +0.0 for U = +0.0."""
+    return (0.0 - depth_hz) / hz_from_kelvin(1e-3)
 
 
 def _read_text(path):

@@ -44,23 +44,6 @@ class TrapCoefficients:
             raise InvalidArgumentError("beta4 must be >= 0")
 
 
-@dataclass(frozen=True)
-class AtomicInput:
-    """Atomic-structure inputs: the vector-to-scalar polarizability ratio of
-    the ground state at the trap wavelength, the linear coefficient beta1,
-    and the polarization degree."""
-
-    vector_to_scalar_ratio: float
-    beta1: float
-    polarization_a: float
-
-    def __post_init__(self):
-        _require_finite(vector_to_scalar_ratio=self.vector_to_scalar_ratio,
-                        beta1=self.beta1, polarization_a=self.polarization_a)
-        if abs(self.polarization_a) > 1:
-            raise InvalidArgumentError("|polarization_a| must be <= 1")
-
-
 def _check_depth(depth_hz):
     if not math.isfinite(depth_hz):
         raise InvalidArgumentError("trap depth must be finite")
@@ -104,21 +87,26 @@ def zero_crossing_field(coeffs: TrapCoefficients) -> float:
     """Bias field (gauss) at which the magic depth reaches zero."""
     if coeffs.beta2 == 0:
         raise NoZeroCrossingError("beta2 = 0 (linear polarization): no crossing")
-    return -coeffs.beta1 / coeffs.beta2
+    field = -coeffs.beta1 / coeffs.beta2
+    _require_finite(zero_crossing_gauss=field)
+    return field
 
 
-def coeffs_from_atomic(atomic: AtomicInput) -> TrapCoefficients:
-    """Build shift coefficients from atomic data.
-
-    beta2 = -2*A*(mu_B/h)*ratio / nu0 and beta4 = (A**2 / (2*nu0)) * ratio**2,
-    with nu0 the Rb-87 hyperfine splitting; beta1 is passed through unchanged.
+def coeffs_from_atomic(vector_to_scalar_ratio: float, beta1: float) -> TrapCoefficients:
+    """Shift coefficients from the ground state's vector-to-scalar
+    polarizability ratio, weighted by the polarization degree A (sigma+ 1,
+    linear 0): beta2 = -2*(mu_B/h)*ratio / nu0 and beta4 = ratio**2 / (2*nu0),
+    with nu0 the Rb-87 hyperfine splitting; beta1 passes through unchanged.
     """
+    _require_finite(vector_to_scalar_ratio=vector_to_scalar_ratio)
     nu0_hz = CONSTANTS.rb87_hyperfine_nu0
-    a = atomic.polarization_a
-    ratio = atomic.vector_to_scalar_ratio
-    beta2 = -2.0 * a * CONSTANTS.bohr_magneton_over_h * ratio / nu0_hz
-    beta4 = (a * a / (2.0 * nu0_hz)) * ratio * ratio
-    return TrapCoefficients(beta1=atomic.beta1, beta2=beta2, beta4=beta4)
+    ratio = vector_to_scalar_ratio
+    beta2 = -2.0 * CONSTANTS.bohr_magneton_over_h * ratio / nu0_hz
+    beta4 = (1.0 / (2.0 * nu0_hz)) * ratio * ratio
+    return TrapCoefficients(beta1=beta1, beta2=beta2, beta4=beta4)
+
+
+VECTOR_TO_SCALAR_RATIO = 0.2518  # ground state, 830 nm, sigma+ (A = 1)
 
 
 def effective_field(vector_to_scalar_ratio: float, depth_hz: float) -> float:

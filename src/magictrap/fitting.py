@@ -35,15 +35,16 @@ from .errors import (
 )
 
 _MAX_CONDITION = 1e12
-# least_squares stopping tolerances, meant as in MINPACK (see least_squares)
+# least_squares stopping tolerances (meant as in MINPACK) and evaluation cap
 XTOL, FTOL, GTOL = 1e-12, 1e-14, 1e-14
+NFEV_PER_PARAMETER = 200
 
 
 @dataclass(frozen=True)
 class LeastSquaresResult:
     """Where `least_squares` stopped: the point, its residuals,
     cost = |residuals|^2 / 2, the number of evaluations of `fun`, and
-    status 1 (GTOL), 2 (FTOL) or 3 (XTOL), or 0 if `max_nfev` ran out."""
+    status 1 (GTOL), 2 (FTOL) or 3 (XTOL), or 0 if the evaluations ran out."""
 
     x: "np.ndarray"
     fun: "np.ndarray"
@@ -54,7 +55,7 @@ class LeastSquaresResult:
 
 # module-level, and called through the module global, so that tests and the
 # benchmark's traced run can substitute it
-def least_squares(fun, x0, max_nfev=None):
+def least_squares(fun, x0):
     """Levenberg-Marquardt minimization of |r(x)|^2 / 2, where fun(x)
     returns the residuals r and their Jacobian J.
 
@@ -65,14 +66,12 @@ def least_squares(fun, x0, max_nfev=None):
     grows by nu and nu doubles. The tolerances mean what they mean in
     MINPACK: GTOL bounds the largest cosine between r and a column of J,
     FTOL the actual and the predicted relative cost reduction of a trial
-    step, and XTOL its D-scaled length relative to the D-scaled x.
-    `max_nfev` defaults to 200 (n + 1) evaluations.
+    step, and XTOL its D-scaled length relative to the D-scaled x. It
+    stops unconverged after NFEV_PER_PARAMETER * (n + 1) evaluations.
     """
     import numpy as np
 
     x = np.array(x0, dtype=float)
-    if max_nfev is None:
-        max_nfev = 200 * (x.size + 1)
     r, jac = fun(x)
     nfev, status = 1, 0
     cost = 0.5 * float(r @ r)
@@ -85,7 +84,7 @@ def least_squares(fun, x0, max_nfev=None):
         if np.all(np.abs(grad) <= GTOL * np.sqrt(np.diag(jtj) * (2.0 * cost))):
             status = 1
             break
-        if nfev >= max_nfev:
+        if nfev >= NFEV_PER_PARAMETER * (x.size + 1):
             break
         step = np.linalg.solve(jtj + np.diag(mu * scale), -grad)
         r_new, jac_new = fun(x + step)
@@ -225,12 +224,14 @@ def _finish(names, values, unscaled_cov, chi2, dof, sigmas_given, past_range,
                      float(chi2), int(dof))
 
 
-def fit_dls_global(datasets, beta1_fixed: float, free_beta1: bool = False) -> FitResult:
+def fit_dls_global(datasets, beta1_fixed) -> FitResult:
     """Weighted linear least squares for the depth-quadratic shift model
-    over several bias fields, beta1 held fixed (optionally freed).
+    over several bias fields, beta1 held at `beta1_fixed`, or fitted as
+    well where it is None.
 
     The model shift = (beta1 + beta2*B)*U + beta4*U**2 is linear in
-    (beta2, beta4); the normal equations are solved with column scaling.
+    (beta2, beta4), and in beta1 when it is free; the normal equations are
+    solved with column scaling.
     A fit whose input, chi^2, parameters or covariance leave float range
     is an invalid-argument.
     """
@@ -245,6 +246,7 @@ def fit_dls_global(datasets, beta1_fixed: float, free_beta1: bool = False) -> Fi
     rows = [(ds.b_field_gauss, d, y, s) for ds in datasets for d, y, s in ds.points]
     if len(rows) < 3:
         raise InvalidArgumentError("need at least 3 points in total")
+    free_beta1 = beta1_fixed is None
     if not (free_beta1 or math.isfinite(beta1_fixed)):
         raise InvalidArgumentError("the fixed beta1 must be finite")
     sigmas_given = all(ds.sigmas_given for ds in datasets)

@@ -132,6 +132,38 @@ class TestMagic:
         assert code == 1
         assert err.startswith("error: file-not-found:")
 
+    def test_vertex_past_the_zero_crossing_prints_a_negative_depth(
+            self, capsys, coeffs_file):
+        # at 4 G > 3.505 G the vertex sits above zero: not a trap depth
+        code, out, err = run(capsys, ["magic", "--b-field", "4",
+                                      "--coeffs", coeffs_file])
+        assert (code, err) == (0, "")
+        doc = parse_doc(out)
+        assert (doc["u_m_hz"], doc["depth_mk"]) == ("5326086.96", "-0.255611859")
+        code, out, err = run(capsys, ["dls-curve", "--b-field", "4",
+                                      "--coeffs", coeffs_file])
+        assert (code, err) == (0, "")
+        assert parse_doc(out)["magic_depth_mk"] == "-0.255611859"
+
+    def test_a_vertex_at_plus_zero_prints_no_sign(self, capsys, tmp_path):
+        path = tmp_path / "zero.toml"
+        path.write_text("beta1 = -0.0\nbeta2_per_gauss = 1e-4\n"
+                        "beta4_per_hz = 4.6e-12\n")
+        code, out, err = run(capsys, ["magic", "--b-field", "-0.0",
+                                      "--coeffs", str(path)])
+        assert (code, err) == (0, "")
+        doc = parse_doc(out)
+        assert (doc["u_m_hz"], doc["depth_mk"]) == ("0", "0")
+
+    def test_zero_crossing_past_float_range_is_a_domain_error(self, capsys,
+                                                              tmp_path):
+        path = tmp_path / "subnormal.toml"
+        write_coefficients(path, TrapCoefficients(3.47e-4, 1e-320, 4.6e-12))
+        code, out, err = run(capsys, ["magic", "--b-field", "3.115",
+                                      "--coeffs", str(path)])
+        assert (code, out) == (1, "")
+        assert err.startswith("error: invalid-argument:")
+
 
 class TestCurves:
     def test_dls_curve_artifacts(self, capsys, coeffs_file, tmp_path):
@@ -505,6 +537,27 @@ class TestFits:
         assert float(doc["beta4"]) == pytest.approx(4.6e-12, rel=1e-6)
         assert "cov_beta2_beta4" in doc
 
+    def test_fit_dls_free_beta1(self, capsys, shift_table):
+        code, out, err = run(capsys, ["fit-dls", "--input", shift_table,
+                                      "--free-beta1"])
+        assert (code, err) == (0, "")
+        doc = parse_doc(out)
+        assert doc["beta1_fixed"] == "free"
+        assert float(doc["beta1"]) == pytest.approx(3.47e-4, rel=1e-6)
+        assert "beta1_stderr" in doc
+
+    @pytest.mark.parametrize("options", [["--beta1", "3.47e-4", "--free-beta1"], []],
+                             ids=["both", "neither"])
+    def test_fit_dls_takes_exactly_one_beta1_option(self, capsys, shift_table,
+                                                    options):
+        with pytest.raises(SystemExit) as info:
+            main(["fit-dls", "--input", shift_table, *options])
+        assert info.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        last = captured.err.splitlines()[-1]
+        assert "--beta1" in last and "--free-beta1" in last
+
     def test_fit_dls_missing_file(self, capsys):
         code, out, err = run(capsys, ["fit-dls", "--input", "missing.csv",
                                       "--beta1", "3.47e-4"])
@@ -622,7 +675,7 @@ class TestErrorDiagnostics:
                 lines.append(f"{b},{depth_mk},{-100.0 * depth_mk}")
         path.write_text("\n".join(lines) + "\n")
         code, out, err = run(capsys, ["fit-dls", "--input", str(path),
-                                      "--beta1", "3.47e-4", "--free-beta1"])
+                                      "--free-beta1"])
         assert code == 1
         assert out == ""
         first, *rest = err.splitlines()
@@ -748,7 +801,8 @@ class TestTransferCommand:
             "segment = 0"]
 
 
-#: a cold process: every package module imported, then the scalar commands
+#: a cold process: the CLI imported without the acceptance checks, then
+#: every package module imported, then the scalar commands
 #: (the README's dls-curve call among them), --help, --version, --constants
 #: and a usage error, none of which may load numpy; then the command in
 #: argv, which may
@@ -757,6 +811,7 @@ import contextlib, importlib, io, pkgutil, sys
 import magictrap
 from magictrap import cli
 
+assert "magictrap.acceptance" not in sys.modules, "the CLI imported acceptance"
 for module in pkgutil.iter_modules(magictrap.__path__):
     importlib.import_module("magictrap." + module.name)
 coeffs = "out/measured_coeffs.toml"

@@ -54,6 +54,15 @@ class TestDepthConvention:
         assert datafiles.mk_from_depth_hz(
             datafiles.depth_hz_from_mk(0.17)) == pytest.approx(0.17, rel=1e-12)
 
+    @pytest.mark.parametrize("depth_hz", [-0.0, -1e-300, -4.2e6, -1e300])
+    def test_trap_depths_read_as_their_size(self, depth_hz):
+        mk = datafiles.mk_from_depth_hz(depth_hz)
+        assert math.copysign(1.0, mk) == 1.0
+        assert mk == abs(depth_hz) / hz_from_kelvin(1e-3)
+
+    def test_a_vertex_above_zero_reads_negative(self):
+        assert datafiles.mk_from_depth_hz(4.2e6) == -datafiles.mk_from_depth_hz(-4.2e6)
+
     def test_negative_entry_rejected(self):
         with pytest.raises(InvalidArgumentError):
             datafiles.depth_hz_from_mk(-0.1)
@@ -233,16 +242,16 @@ def test_undecodable_file_is_an_invalid_argument(tmp_path, reader):
 
 class TestFormatting:
     def test_infinity(self):
-        assert datafiles.format_value(math.inf) == "inf"
-        assert datafiles.format_value(-math.inf) == "-inf"
-        assert datafiles.format_value(math.nan) == "nan"
-        assert datafiles.format_value(np.float64("inf")) == "inf"
+        assert datafiles.format_value(math.inf, 9) == "inf"
+        assert datafiles.format_value(-math.inf, 9) == "-inf"
+        assert datafiles.format_value(math.nan, 9) == "nan"
+        assert datafiles.format_value(np.float64("inf"), 9) == "inf"
 
     def test_precision(self):
         assert datafiles.format_value(1.0 / 3.0, precision=12) == "0.333333333333"
 
     def test_keyvalue(self, capsys):
         import sys
-        datafiles.write_keyvalue(sys.stdout, [("a", 1.5), ("b", "text")])
+        datafiles.write_keyvalue(sys.stdout, [("a", 1.5), ("b", "text")], 9)
         out = capsys.readouterr().out
         assert out == "a = 1.5\nb = text\n"

@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 
 from magictrap.constants import CONSTANTS, hz_from_kelvin
 from magictrap.dls import (
-    AtomicInput,
     TrapCoefficients,
     coeffs_from_atomic,
     dls,
@@ -131,29 +130,38 @@ class TestZeroCrossing:
         with pytest.raises(NoZeroCrossingError):
             zero_crossing_field(LINEAR)
 
+    def test_crossing_past_float_range_rejected(self):
+        # -beta1 / beta2 overflows to -inf for a subnormal beta2
+        with pytest.raises(InvalidArgumentError, match="zero_crossing_gauss"):
+            zero_crossing_field(TrapCoefficients(3.47e-4, 1e-320, 4.6e-12))
+
 
 class TestAtomicConstruction:
+    # the ratio is weighted by the polarization degree A: sigma+ gives
+    # +ratio, sigma- gives -ratio, linear polarization gives 0
     def test_reproduces_theory_coefficients(self):
-        built = coeffs_from_atomic(AtomicInput(0.2518, 3.47e-4, 1.0))
+        built = coeffs_from_atomic(0.2518, 3.47e-4)
         assert built.beta2 == pytest.approx(-1.03e-4, rel=5e-3)
         assert built.beta4 == pytest.approx(4.64e-12, rel=5e-3)
         assert built.beta1 == 3.47e-4
+        # the values the sigma+ (A = 1) construction has always given
+        assert built.beta2 == -0.00010312855631949697
+        assert built.beta4 == 4.638345597640219e-12
 
     def test_zero_polarization(self):
-        built = coeffs_from_atomic(AtomicInput(0.2518, 3.47e-4, 0.0))
+        built = coeffs_from_atomic(0.0, 3.47e-4)
         assert built.beta2 == 0.0
         assert built.beta4 == 0.0
 
     def test_polarization_parity(self):
-        plus = coeffs_from_atomic(AtomicInput(0.2518, 3.47e-4, 1.0))
-        minus = coeffs_from_atomic(AtomicInput(0.2518, 3.47e-4, -1.0))
+        plus = coeffs_from_atomic(0.2518, 3.47e-4)
+        minus = coeffs_from_atomic(-0.2518, 3.47e-4)
         assert minus.beta2 == -plus.beta2
         assert minus.beta4 == plus.beta4
 
-    @given(st.floats(min_value=0.05, max_value=1.0),
-           st.floats(min_value=0.05, max_value=0.5))
-    def test_ratio_free_identity(self, polarization, ratio):
-        built = coeffs_from_atomic(AtomicInput(ratio, 3.47e-4, polarization))
+    @given(st.floats(min_value=0.0025, max_value=0.5))
+    def test_ratio_free_identity(self, ratio):
+        built = coeffs_from_atomic(ratio, 3.47e-4)
         identity = built.beta2**2 / built.beta4
         expected = (8.0 * CONSTANTS.bohr_magneton_over_h**2
                     / CONSTANTS.rb87_hyperfine_nu0)
@@ -164,12 +172,12 @@ class TestAtomicConstruction:
                     / CONSTANTS.rb87_hyperfine_nu0)
         assert expected == pytest.approx(2292.9, rel=1e-4)
 
-    @given(st.floats(min_value=0.05, max_value=1.0),
+    @given(st.floats(min_value=0.0125, max_value=0.2518),
            st.floats(min_value=0.0, max_value=3.4),
            st.floats(min_value=-5e6, max_value=0.0))
-    def test_field_polarization_symmetry(self, polarization, b_field, depth):
-        plus = coeffs_from_atomic(AtomicInput(0.2518, 3.47e-4, polarization))
-        minus = coeffs_from_atomic(AtomicInput(0.2518, 3.47e-4, -polarization))
+    def test_field_polarization_symmetry(self, ratio, b_field, depth):
+        plus = coeffs_from_atomic(ratio, 3.47e-4)
+        minus = coeffs_from_atomic(-ratio, 3.47e-4)
         assert dls(plus, b_field, depth) == dls(minus, -b_field, depth)
 
 
@@ -198,14 +206,12 @@ class TestCoefficientValidation:
         with pytest.raises(InvalidArgumentError):
             TrapCoefficients(3.47e-4, -0.99e-4, -1e-12)
 
-    def test_polarization_bound(self):
-        for polarization_a in (1.5, -1.5):
-            with pytest.raises(InvalidArgumentError, match="polarization_a"):
-                AtomicInput(0.2518, 3.47e-4, polarization_a=polarization_a)
-
     def test_nonfinite_rejected(self):
         with pytest.raises(InvalidArgumentError):
             TrapCoefficients(math.nan, -0.99e-4, 4.6e-12)
+        for ratio in (math.nan, math.inf, -math.inf):
+            with pytest.raises(InvalidArgumentError, match="vector_to_scalar_ratio"):
+                coeffs_from_atomic(ratio, 3.47e-4)
 
 
 @pytest.mark.parametrize("module", ["dls", "constants", "errors", "svg"])

@@ -56,7 +56,7 @@ class TestDlsFit:
         assert fit.parameters["beta4"] == pytest.approx(4.6e-12, rel=1e-9)
 
     def test_free_beta1_mode(self):
-        fit = fit_dls_global(clean_datasets(), beta1_fixed=0.0, free_beta1=True)
+        fit = fit_dls_global(clean_datasets(), beta1_fixed=None)
         assert fit.parameters["beta1"] == pytest.approx(BETA1, rel=1e-8)
         assert fit.parameters["beta2"] == pytest.approx(-0.99e-4, rel=1e-8)
         assert fit.parameters["beta4"] == pytest.approx(4.6e-12, rel=1e-8)
@@ -71,7 +71,7 @@ class TestDlsFit:
         depths = [-depth_hz * k for k in (1, 2, 3, 4)]
         datasets = [make_dls_dataset(b, depths, shifts) for b in (1.0, 2.0)]
         with pytest.raises(InvalidArgumentError) as info:
-            fit_dls_global(datasets, BETA1, free_beta1=free)
+            fit_dls_global(datasets, None if free else BETA1)
         assert str(info.value) == f"shift fit is past float range (beta1 {beta1})"
 
     def test_noisy_estimates_within_bounds(self):
@@ -93,7 +93,7 @@ class TestDlsFit:
         datasets = [synth_dls(MEASURED, 3.0, DEPTHS, 0.0, seed=0),
                     synth_dls(MEASURED, 3.0 + 1e-10, DEPTHS, 0.0, seed=1)]
         with pytest.raises(ConditioningError) as info:
-            fit_dls_global(datasets, beta1_fixed=0.0, free_beta1=True)
+            fit_dls_global(datasets, beta1_fixed=None)
         assert list(info.value.diagnostics) == ["condition_number"]
         assert info.value.diagnostics["condition_number"] > 1e12
 
@@ -429,16 +429,15 @@ class TestLevenbergMarquardt:
         np.testing.assert_allclose(result.fun, a @ result.x - b, rtol=0, atol=0)
 
     def test_exhausted_evaluations(self, monkeypatch):
+        # a cap of (5 + 1) / 3 = 2 evaluations for the fringe's 5 parameters
+        monkeypatch.setattr(fitting, "NFEV_PER_PARAMETER", 1 / 3)
         samples = seeded_fringe(1, 100, "uniform")
         t, p, sig, _, unit = fitting._normalize_samples(samples)
         x0 = np.array([0.8, 0.25 / unit, 36.9 * unit, 0.6, 0.5])
         result = fitting.least_squares(
-            lambda x: fitting._damped_sinusoid(x, t, p, sig), x0, max_nfev=2)
+            lambda x: fitting._damped_sinusoid(x, t, p, sig), x0)
         assert result.status == 0
         assert result.nfev == 2
-        solve = fitting.least_squares
-        monkeypatch.setattr(fitting, "least_squares",
-                            lambda fun, x0: solve(fun, x0, max_nfev=2))
         with pytest.raises(FitFailureError) as info:
             fit_damped_sinusoid(samples)
         assert info.value.diagnostics["nfev"] == 2
@@ -733,6 +732,4 @@ class TestNonFiniteInputs:
     def test_dls_fixed_beta1(self, bad):
         with pytest.raises(InvalidArgumentError, match="beta1 must be finite"):
             fit_dls_global(clean_datasets(), bad)
-        assert fit_dls_global(clean_datasets(), bad, free_beta1=True).parameters[
-            "beta1"] == pytest.approx(BETA1, rel=1e-6)
 
