@@ -67,7 +67,8 @@ def magic_depth(coeffs: TrapCoefficients, b_field_gauss: float) -> float:
     _require_finite(b_field_gauss=b_field_gauss)
     if coeffs.beta4 == 0:
         raise NoMagicPointError("beta4 = 0: shift is linear in depth, no vertex")
-    u_magic = -(coeffs.beta1 + coeffs.beta2 * b_field_gauss) / (2.0 * coeffs.beta4)
+    # 0.0 - x is -x exactly, but +0.0 for a vertex at zero depth
+    u_magic = 0.0 - (coeffs.beta1 + coeffs.beta2 * b_field_gauss) / (2.0 * coeffs.beta4)
     _require_finite(magic_depth_hz=u_magic)
     return u_magic
 
@@ -78,7 +79,7 @@ def dls_minimum(coeffs: TrapCoefficients, b_field_gauss: float) -> float:
     if coeffs.beta4 == 0:
         raise NoMagicPointError("beta4 = 0: shift is linear in depth, no vertex")
     linear = coeffs.beta1 + coeffs.beta2 * b_field_gauss
-    minimum = -linear * linear / (4.0 * coeffs.beta4)
+    minimum = 0.0 - linear * linear / (4.0 * coeffs.beta4)
     _require_finite(dls_minimum_hz=minimum)
     return minimum
 

@@ -76,12 +76,12 @@ def least_squares(fun, x0):
     nfev, status = 1, 0
     cost = 0.5 * float(r @ r)
     jtj, grad = jac.T @ jac, jac.T @ r
-    diag = np.diag(jtj)
+    diag = jtj.diagonal()
     scale = np.where(diag > 0, diag, 1.0)  # MINPACK's unit scale for a zero column
     mu, nu = 1e-3, 2.0
     while True:
         # a zero column, or r = 0, has grad = 0 and passes
-        if np.all(np.abs(grad) <= GTOL * np.sqrt(np.diag(jtj) * (2.0 * cost))):
+        if np.all(np.abs(grad) <= GTOL * np.sqrt(jtj.diagonal() * (2.0 * cost))):
             status = 1
             break
         if nfev >= NFEV_PER_PARAMETER * (x.size + 1):
@@ -100,7 +100,7 @@ def least_squares(fun, x0):
         if rho > 0:  # a non-finite trial cost makes rho NaN: rejected
             x, r, jac, cost = x + step, r_new, jac_new, cost_new
             jtj, grad = jac.T @ jac, jac.T @ r
-            scale = np.maximum(scale, np.diag(jtj))
+            scale = np.maximum(scale, jtj.diagonal())
             mu *= max(1.0 / 3.0, 1.0 - (2.0 * rho - 1.0) ** 3)
             nu = 2.0
         else:
@@ -332,6 +332,32 @@ def _normalize_samples(samples):
     return ts / unit, vals[order], sigmas[order], given, unit
 
 
+def _median_step(t):
+    """The median sample step, bit for bit as numpy's median gives it, from
+    one sort: the middle step, or half the sum of the two middle ones.
+    numpy's median imports numpy.ma on its first call in a process."""
+    import numpy as np
+
+    steps = np.sort(np.diff(t))
+    mid = steps.size // 2
+    if steps.size % 2:
+        return float(steps[mid])
+    return float((steps[mid - 1] + steps[mid]) / 2)
+
+
+def _fill_by_doubling(rows, w):
+    """rows[k] = rows[0] * w**k for every row k: rows k ... 2k - 1 are
+    rows 0 ... k - 1 times w**k, for k = 1, 2, 4, ... (the row count is a
+    power of two)."""
+    import numpy as np
+
+    k = 1
+    while k < len(rows):
+        np.multiply(rows[:k], w, out=rows[k:2 * k])
+        w = w * w
+        k *= 2
+
+
 def _spectrum_peak(t, y):
     """Deterministic frequency/phase estimate from a dense discrete spectrum
     with parabolic peak refinement.
@@ -340,13 +366,14 @@ def _spectrum_peak(t, y):
     frequencies. Writing j = 64 a + b gives f_j = f_0 + 64 a df + b df, so
     the kernel factors as exp(-2 pi i f_0 t) w64^a * w^b with
     w = exp(-2 pi i df t) and w64 = exp(-2 pi i 64 df t), and the whole
-    spectrum is one product of two 64 x N matrices whose rows are filled
-    by running products: 3 N complex exponentials instead of 4096 N, for
-    any sample times."""
+    spectrum is one product of two 64 x N matrices. Each is filled by
+    doubling from its first row, y exp(-2 pi i f_0 t) or 1: six products
+    with w64 (or w) squared in between, so 3 N complex exponentials
+    instead of 4096 N, for any sample times."""
     import numpy as np
 
     span = t[-1] - t[0]
-    dt = float(np.median(np.diff(t)))
+    dt = _median_step(t)
     if span <= 0 or dt <= 0:
         raise InvalidArgumentError("times must be strictly increasing overall")
     f_lo = 0.5 / span
@@ -358,12 +385,10 @@ def _spectrum_peak(t, y):
     turn = -2j * np.pi * t
     head = np.empty((64, t.size), dtype=complex)
     head[0] = y * np.exp(turn * f_lo)
-    head[1:] = np.exp(turn * (64 * step))
+    _fill_by_doubling(head, np.exp(turn * (64 * step)))
     tail = np.empty_like(head)
     tail[0] = 1.0
-    tail[1:] = np.exp(turn * step)
-    np.cumprod(head, axis=0, out=head)
-    np.cumprod(tail, axis=0, out=tail)
+    _fill_by_doubling(tail, np.exp(turn * step))
     power = np.abs((head @ tail.T).ravel())
     k = int(np.argmax(power))
     if 0 < k < freqs.size - 1:
@@ -377,13 +402,25 @@ def _spectrum_peak(t, y):
     return float(f0), float(cmath.phase(peak))
 
 
+def _line_fit(t, u):
+    """Least-squares line u = slope * t + intercept for sorted t, in closed
+    form about the mean time. Times without spread give slope 0."""
+    t_mean, u_mean = t.mean(), u.mean()
+    slope = 0.0
+    if t[-1] > t[0]:
+        dev = t - t_mean
+        slope = (dev @ (u - u_mean)) / (dev @ dev)
+    return slope, u_mean - slope * t_mean
+
+
 def _envelope_init(t, y, f0):
     """Decay-time and amplitude initialization from a log-linear regression
-    of the demodulated, period-averaged envelope."""
+    of the demodulated, period-averaged envelope; kept points at a single
+    time give the no-decay start."""
     import numpy as np
 
     z = y * np.exp(-2j * np.pi * f0 * t)
-    dt = float(np.median(np.diff(t)))
+    dt = _median_step(t)
     window = max(1, int(round(1.0 / (f0 * dt))))
     kernel = np.ones(window) / window
     smooth = np.convolve(z, kernel, mode="same")
@@ -391,8 +428,7 @@ def _envelope_init(t, y, f0):
     keep = amp > 0.05 * amp.max()
     if keep.sum() < 2:
         keep = amp > 0
-    tt, uu = t[keep], np.log(amp[keep])
-    slope, intercept = np.polyfit(tt, uu, 1)
+    slope, intercept = _line_fit(t[keep], np.log(amp[keep]))
     span = t[-1] - t[0]
     tau0 = -1.0 / slope if slope < -1e-12 else 2.0 * span
     tau0 = min(max(tau0, 1e-3 * span), 100.0 * span)

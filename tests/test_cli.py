@@ -146,14 +146,25 @@ class TestMagic:
         assert parse_doc(out)["magic_depth_mk"] == "-0.255611859"
 
     def test_a_vertex_at_plus_zero_prints_no_sign(self, capsys, tmp_path):
+        # beta1 + beta2 * B is +0.0 or -0.0: the vertex, its depth and its
+        # shift all print as 0, whatever the signs of the zeros
         path = tmp_path / "zero.toml"
-        path.write_text("beta1 = -0.0\nbeta2_per_gauss = 1e-4\n"
-                        "beta4_per_hz = 4.6e-12\n")
-        code, out, err = run(capsys, ["magic", "--b-field", "-0.0",
-                                      "--coeffs", str(path)])
-        assert (code, err) == (0, "")
-        doc = parse_doc(out)
-        assert (doc["u_m_hz"], doc["depth_mk"]) == ("0", "0")
+        for beta1 in ("0.0", "-0.0"):
+            path.write_text(f"beta1 = {beta1}\nbeta2_per_gauss = 1e-4\n"
+                            "beta4_per_hz = 4.6e-12\n")
+            for b_field in ("0.0", "-0.0"):
+                code, out, err = run(capsys, ["magic", "--b-field", b_field,
+                                              "--coeffs", str(path)])
+                assert (code, err) == (0, ""), (beta1, b_field)
+                doc = parse_doc(out)
+                assert (doc["u_m_hz"], doc["depth_mk"], doc["dls_min_hz"]) == (
+                    "0", "0", "0"), (beta1, b_field)
+                code, out, err = run(capsys, ["dls-curve", "--b-field", b_field,
+                                              "--coeffs", str(path)])
+                assert (code, err) == (0, ""), (beta1, b_field)
+                doc = parse_doc(out)
+                assert (doc["dls_min_hz"], doc["magic_depth_mk"]) == (
+                    "0", "0"), (beta1, b_field)
 
     def test_zero_crossing_past_float_range_is_a_domain_error(self, capsys,
                                                               tmp_path):
@@ -870,5 +881,9 @@ def test_linspace_matches_numpy_on_a_random_sweep():
         start, stop = (rng.uniform(-1.0, 1.0) * 10.0 ** rng.randint(-320, 300)
                        for _ in range(2))
         num = rng.randint(1, 300)
-        assert repr(_linspace(start, stop, num)) == repr(
-            np.linspace(start, stop, num).tolist()), (start, stop, num)
+        # the same length and the same bits: -0.0, NaN payloads and every
+        # last digit count
+        grid = np.array(_linspace(start, stop, num), dtype=float)
+        assert np.array_equal(grid.view(np.int64),
+                              np.linspace(start, stop, num).view(np.int64)), (
+            start, stop, num)

@@ -4,6 +4,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -290,6 +291,49 @@ def direct_spectrum_peak(t, y):
     return float(f0), float(cmath.phase(peak))
 
 
+@pytest.mark.parametrize("t", [
+    np.array([0.0, 0.1, 0.3, 0.6]),                  # odd step count
+    np.array([0.0, 0.1, 0.3, 0.6, 1.0]),             # even step count
+    np.array([0.2, 0.7]),                            # a single step
+    np.array([0.0, 0.1, 0.2, 0.2, 0.2, 0.3, 0.5]),   # repeated steps
+    np.linspace(0.0, 0.4, 400),
+    *(np.sort(np.random.default_rng(seed).uniform(0.0, 0.4, n))
+      for seed, n in ((1, 399), (2, 400), (3, 701), (4, 1000)))])
+def test_median_step_is_numpys_bit_for_bit(t):
+    step = np.float64(fitting._median_step(t))
+    assert step.view(np.int64) == np.median(np.diff(t)).view(np.int64)
+
+
+def test_line_fit_matches_polyfit():
+    # np.polyfit's SVD least squares is the oracle for the closed-form
+    # centred regression of the log envelope
+    for seed in range(50):
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(2, 1000))
+        t = np.sort(rng.uniform(0.0, 1.0, n)) * 2.0 ** rng.integers(-3, 4) \
+            + rng.uniform(0.0, 2.0)
+        u = rng.uniform(-5.0, 5.0) * t + rng.uniform(-3.0, 1.0) \
+            + rng.normal(0.0, 0.3, n)
+        slope, intercept = fitting._line_fit(t, u)
+        ref_slope, ref_intercept = np.polyfit(t, u, 1)
+        assert slope == pytest.approx(ref_slope, rel=1e-10, abs=0), seed
+        assert intercept == pytest.approx(ref_intercept, rel=1e-10, abs=0), seed
+
+
+def test_envelope_init_without_time_spread_starts_without_decay():
+    # three samples at t = 0.5 are the only nonzero ones and the window is
+    # one sample, so every kept point sits at one time, where np.polyfit
+    # would warn and return an arbitrary slope
+    t = np.sort(np.concatenate([np.linspace(0.0, 1.0, 21), [0.5, 0.5]]))
+    y = np.where(t == 0.5, 0.3, 0.0)
+    assert fitting._line_fit(np.full(3, 0.5), np.array([1.0, 2.0, 3.0])) == (0.0, 2.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        v0, tau0 = fitting._envelope_init(t, y, 20.0)
+    assert tau0 == 2.0 * (t[-1] - t[0])
+    assert v0 == pytest.approx(4.0 * 0.3)
+
+
 def sample_times(n, grid, seed):
     if grid == "uniform":
         return np.linspace(0.0, 0.4, n)
@@ -502,6 +546,7 @@ def test_cli_fits_load_no_scipy(tmp_path):
         "assert cli.main(['fit-dls', '--input', 'shifts.csv', '--beta1', '3.47e-4']) == 0\n"
         "loaded = [m for m in sys.modules if m.split('.')[0] == 'scipy']\n"
         "assert not loaded, loaded\n"
+        "assert 'numpy.ma' not in sys.modules\n"
     )
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
