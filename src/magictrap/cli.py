@@ -50,21 +50,19 @@ def _config_from_args(args, coeffs):
     )
 
 
-def _linspace(start, stop, num):
-    """``np.linspace(start, stop, num).tolist()`` bit for bit: start + i·step,
-    or i/div·delta where the step underflows to 0; the last of 2+ is stop."""
-    div = max(num - 1, 1)
-    step = (stop - start) / div
-    grid = [start + (i * step if step else i / div * (stop - start)) for i in range(num)]
-    return grid[:-1] + [stop] if num > 1 else grid
-
-
-def _check_grid(points, what):
-    """Raise invalid-argument unless 1 <= points <= MAX_GRID_POINTS, NaN
-    and inf included; every grid command calls it before any work."""
+def _grid(start, stop, points):
+    """``np.linspace(start, stop, points).tolist()`` bit for bit: start + i·step,
+    or i/div·delta where the step underflows to 0; the last of 2+ is stop.
+    Raises invalid-argument unless 1 <= points <= MAX_GRID_POINTS, so each
+    curve command builds its grid before it reads a file."""
     if not 1 <= points <= MAX_GRID_POINTS:
         raise InvalidArgumentError(
-            f"{what} must be between 1 and {MAX_GRID_POINTS}, got {points}")
+            f"--points must be between 1 and {MAX_GRID_POINTS}, got {points}")
+    div = max(points - 1, 1)
+    step = (stop - start) / div
+    grid = [start + (i * step if step else i / div * (stop - start))
+            for i in range(points)]
+    return grid[:-1] + [stop] if points > 1 else grid
 
 
 def _emit(args, pairs, table=None, plot=None):
@@ -95,7 +93,7 @@ def _cmd_magic(args):
 
 
 def _cmd_dls_curve(args):
-    _check_grid(args.points, "--points")
+    depths_mk = _grid(args.depth_mk_min, args.depth_mk_max, args.points)
     coeffs = datafiles.read_coefficients(args.coeffs)
     # both terms of the shift grow in size with |depth|, which is largest at
     # a bound, so finite shifts at both bounds keep the whole grid finite
@@ -104,7 +102,6 @@ def _cmd_dls_curve(args):
                                  datafiles.depth_hz_from_mk(bound))):
             raise InvalidArgumentError(
                 f"shift at depth {bound} mK is past float range")
-    depths_mk = _linspace(args.depth_mk_min, args.depth_mk_max, args.points)
     shifts = [dls(coeffs, args.b_field, datafiles.depth_hz_from_mk(d))
               for d in depths_mk]
     return _emit(args, [
@@ -157,17 +154,17 @@ def _cmd_fit_dls(args):
         sigma = magic_depth_sigma(result, beta1, ds.b_field_gauss)
         fitted = TrapCoefficients(beta1, result.parameters["beta2"],
                                   result.parameters["beta4"])
-        pairs.append((f"u_m_hz_at_{ds.b_field_gauss:g}G",
+        # repr, the shortest round-trip form: distinct fields, distinct keys
+        pairs.append((f"u_m_hz_at_{ds.b_field_gauss!r}G",
                       magic_depth(fitted, ds.b_field_gauss)))
-        pairs.append((f"u_m_sigma_hz_at_{ds.b_field_gauss:g}G", sigma))
+        pairs.append((f"u_m_sigma_hz_at_{ds.b_field_gauss!r}G", sigma))
     return _emit(args, pairs)
 
 
 def _trace_command(args, kind):
-    _check_grid(args.points, "--points")
+    times = _grid(0.0, args.t_max, args.points)
     coeffs = datafiles.read_coefficients(args.coeffs)
     config = _config_from_args(args, coeffs)
-    times = _linspace(0.0, args.t_max, args.points)
     if kind == "population":
         values = ramsey_trace(config, times).population
     else:
@@ -198,20 +195,17 @@ def _cmd_t2star(args):
 
 
 def _cmd_coherence_curve(args):
-    lo, hi, step = args.ratio_min, args.ratio_max, args.ratio_step
-    if not (math.isfinite(lo) and math.isfinite(hi) and 0 < step < math.inf
-            and lo <= hi):
-        raise InvalidArgumentError("ratio grid must be finite, with positive "
-                                   "step and ratio-max >= ratio-min")
-    # capped before rounding: the span can overflow to inf
-    n_steps = round(min((hi - lo) / step, MAX_GRID_POINTS))
-    _check_grid(n_steps + 1, "ratio count")
+    # positive, finite bounds also keep the span finite
+    for bound in (args.ratio_min, args.ratio_max):
+        if not 0 < bound < math.inf:
+            raise InvalidArgumentError(
+                f"ratio bounds must be positive and finite, got {bound}")
+    ratios = _grid(args.ratio_min, args.ratio_max, args.points)
     coeffs = datafiles.read_coefficients(args.coeffs)
     u_magic = magic_depth(coeffs, args.b_field)
     base = TrapFieldConfig(coeffs=coeffs, b_field_gauss=args.b_field,
                            mean_depth_hz=u_magic,
                            temperature_k=args.temp_uk * 1e-6)
-    ratios = [lo + k * step for k in range(n_steps + 1)]
     curve = coherence_vs_depth(base, ratios, args.t1, args.t2prime)
     peak_ratio, peak_tau = max(curve, key=lambda item: item[1])
     return _emit(args, [
@@ -233,7 +227,7 @@ def _cmd_fit_ramsey(args):
     samples = datafiles.read_ramsey_csv(args.input)
     result = fit_damped_sinusoid(samples)
     t_data, p_data, *_ = zip(*samples)
-    grid = _linspace(min(t_data), max(t_data), 400)
+    grid = _grid(min(t_data), max(t_data), 400)
     params = tuple(result.parameters.values())
     model, _ = fitting._damped_sinusoid(params, np.asarray(grid), 0.0, 1.0)
     return _emit(args, _fit_pairs(result),
@@ -248,7 +242,6 @@ def _cmd_transfer(args):
         timeline, post_transfer_temperature_k=args.post_temp_uk * 1e-6,
         t2star_static_s=args.t2star_static, t2star_mobile_s=args.t2star_mobile)
     pairs = [
-        ("valid", True),
         ("segments", len(report.per_segment)),
         ("retained_coherence", report.retained_coherence),
         ("t2star_static_s", report.t2star_static_s),
@@ -383,7 +376,7 @@ def build_parser():
                    help="homogeneous dephasing time (s)")
     p.add_argument("--ratio-min", type=float, default=0.5)
     p.add_argument("--ratio-max", type=float, default=1.5)
-    p.add_argument("--ratio-step", type=float, default=0.05)
+    p.add_argument("--points", type=int, default=21)
     p.set_defaults(handler=_cmd_coherence_curve)
 
     p = sub.add_parser("fit-ramsey", parents=[common, plot_arg],

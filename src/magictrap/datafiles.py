@@ -60,17 +60,20 @@ def _read_text(path):
 def read_coefficients(path) -> TrapCoefficients:
     """Parse a flat key-value coefficients file (TOML-style `key = value`
     lines; `#` comments). Keys other than the three coefficients are
-    ignored."""
+    ignored; a key given twice raises invalid-argument."""
     values = {}
     for lineno, line in enumerate(_read_text(path).split("\n"), start=1):
         stripped = line.split("#", 1)[0].strip()
         if not stripped:
             continue
         key, equals, raw = stripped.partition("=")
+        key = key.strip()
         if not equals:
             raise InvalidArgumentError(f"{path}:{lineno}: expected 'key = value'")
+        if key in values:
+            raise InvalidArgumentError(f"{path}:{lineno}: repeated key {key!r}")
         try:
-            values[key.strip()] = float(raw.strip())
+            values[key] = float(raw.strip())
         except ValueError as exc:
             raise InvalidArgumentError(
                 f"{path}:{lineno}: not a number: {raw.strip()!r}") from exc

@@ -12,7 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from magictrap.cli import _linspace, main
+from magictrap.cli import _grid, main
 from magictrap.datafiles import depth_hz_from_mk, write_coefficients
 from magictrap.dls import TrapCoefficients
 
@@ -131,6 +131,15 @@ class TestMagic:
                                       "--coeffs", "no-such-file.toml"])
         assert code == 1
         assert err.startswith("error: file-not-found:")
+
+    def test_repeated_coefficient_key(self, capsys, tmp_path):
+        path = tmp_path / "twice.toml"
+        path.write_text("beta1 = 1e-4\nbeta2_per_gauss = -0.99e-4\n"
+                        "beta4_per_hz = 4.6e-12\nbeta1 = 3.47e-4\n")
+        code, out, err = run(capsys, ["magic", "--b-field", "3.115",
+                                      "--coeffs", str(path)])
+        assert (code, out) == (1, "")
+        assert err == f"error: invalid-argument: {path}:4: repeated key 'beta1'\n"
 
     def test_vertex_past_the_zero_crossing_prints_a_negative_depth(
             self, capsys, coeffs_file):
@@ -256,7 +265,8 @@ class TestCurves:
         code, out, err = run(capsys, [
             "coherence-curve", "--coeffs", coeffs_file, "--b-field", "3.115",
             "--temp-uk", "0.001", "--t1", "inf", "--t2prime", "inf",
-            "--ratio-min", "1", "--ratio-max", "1", "--plot", str(out_svg)])
+            "--ratio-min", "1", "--ratio-max", "1", "--points", "1",
+            "--plot", str(out_svg)])
         assert code == 1
         assert out == ""
         assert err.startswith("error: invalid-argument:")
@@ -280,7 +290,7 @@ class TestCurves:
         code, out, err = run(capsys, [
             "coherence-curve", "--coeffs", coeffs_file, "--b-field", "3.115",
             "--temp-uk", "8", "--t1", "4", "--t2prime", "0.3",
-            "--ratio-min", "0.9", "--ratio-max", "1.1", "--ratio-step", "0.1",
+            "--ratio-min", "0.9", "--ratio-max", "1.1", "--points", "3",
             "--out", str(out_csv)])
         assert code == 0
         doc = parse_doc(out)
@@ -418,7 +428,7 @@ class TestScalars:
         code, out, err = run(capsys, [
             "coherence-curve", "--coeffs", coeffs_file, "--b-field", "3.115",
             "--temp-uk", "8", "--t1", "4", "--t2prime", "0.3",
-            "--ratio-step", "-0.05"])
+            "--points", "-1"])
         assert code == 1
         assert "invalid-argument" in err
         code, out, err = run(capsys, [
@@ -430,7 +440,8 @@ class TestScalars:
 
 class TestGridChecks:
     """A bad or oversized grid is an invalid-argument before any work: no
-    coefficient file read, no np.linspace, no T2* solve."""
+    coefficient file read, no T2* solve. The CLI builds its grids without
+    numpy, so np.linspace is not watched."""
 
     RATIO = ["coherence-curve", "--coeffs", "COEFFS", "--b-field", "3.115",
              "--temp-uk", "8", "--t1", "4", "--t2prime", "0.3"]
@@ -444,7 +455,7 @@ class TestGridChecks:
         def refuse(*args, **kwargs):
             raise AssertionError("work done before the grid check")
 
-        for owner, name in ((np, "linspace"), (datafiles, "read_coefficients"),
+        for owner, name in ((datafiles, "read_coefficients"),
                             (ramsey, "t2_star"), (ramsey, "_t2_stars"),
                             (cli, "coherence_vs_depth")):
             monkeypatch.setattr(owner, name, refuse)
@@ -452,13 +463,13 @@ class TestGridChecks:
     @pytest.mark.parametrize("argv", [
         RATIO + ["--ratio-min", "nan"],
         RATIO + ["--ratio-max", "nan"],
-        RATIO + ["--ratio-step", "nan"],
         RATIO + ["--ratio-min=-inf"],
         RATIO + ["--ratio-max", "inf"],
-        RATIO + ["--ratio-step", "inf"],
-        RATIO + ["--ratio-step", "1e-9"],
+        RATIO + ["--ratio-min", "0"],
+        RATIO + ["--ratio-max=-1"],
         RATIO + ["--ratio-min=-1e308", "--ratio-max", "1e308"],
-        RATIO + ["--ratio-min", "0", "--ratio-max", "10000", "--ratio-step", "1"],
+        RATIO + ["--points", "0"],
+        RATIO + ["--points", "10001"],
         ["dls-curve", "--coeffs", "COEFFS", "--b-field", "3.115",
          "--points", "1000000000"],
         ["dls-curve", "--coeffs", "COEFFS", "--b-field", "3.115", "--points", "0"],
@@ -472,21 +483,36 @@ class TestGridChecks:
         assert err.startswith("error: invalid-argument:")
         assert len(err.splitlines()) == 1
 
-    def test_largest_ratio_grid_passes_the_check(self, capsys, monkeypatch,
-                                                 coeffs_file):
+    @pytest.fixture
+    def ratio_grid(self, capsys, monkeypatch, coeffs_file):
+        """Run coherence-curve with extra options and a stub curve; returns
+        the ratio grid it was given."""
         from magictrap import cli
 
         def stub(base, ratios, t1_s, t2_prime_s):
             seen.append(ratios)
             return [(r, 1.0) for r in ratios]
 
+        def grid(*options):
+            monkeypatch.setattr(cli, "coherence_vs_depth", stub)
+            argv = [coeffs_file if a == "COEFFS" else a for a in self.RATIO]
+            code, out, err = run(capsys, argv + list(options))
+            assert (code, err) == (0, "")
+            return seen.pop()
+
         seen = []
-        monkeypatch.setattr(cli, "coherence_vs_depth", stub)
-        argv = [coeffs_file if a == "COEFFS" else a for a in self.RATIO]
-        code, out, err = run(capsys, argv + ["--ratio-min", "0", "--ratio-max",
-                                             "9999", "--ratio-step", "1"])
-        assert (code, err) == (0, "")
-        assert len(seen[0]) == cli.MAX_GRID_POINTS
+        return grid
+
+    def test_largest_ratio_grid_passes_the_check(self, ratio_grid):
+        from magictrap.cli import MAX_GRID_POINTS
+        assert ratio_grid("--ratio-min", "1", "--ratio-max", "10000",
+                          "--points", "10000") == [
+            float(k) for k in range(1, MAX_GRID_POINTS + 1)]
+
+    def test_default_ratio_grid_is_the_old_step_grid(self, ratio_grid):
+        # 21 points from 0.5 to 1.5 are 0.5 + k*0.05 bit for bit, so the
+        # default curve keeps its ratios to the last digit
+        assert repr(ratio_grid()) == repr([0.5 + k * 0.05 for k in range(21)])
 
     def test_largest_points_grid_passes_the_check(self, capsys, coeffs_file):
         from magictrap.cli import MAX_GRID_POINTS
@@ -527,7 +553,7 @@ class TestArtifactsBeforeDocument:
         elif command == "coherence-curve":
             argv = field + ["--temp-uk", "8", "--t1", "4", "--t2prime", "0.3",
                             "--ratio-min", "0.9", "--ratio-max", "1.1",
-                            "--ratio-step", "0.1"]
+                            "--points", "3"]
         elif command == "dls-curve":
             argv = field + ["--points", "5"]
         else:
@@ -568,6 +594,25 @@ class TestFits:
         assert captured.out == ""
         last = captured.err.splitlines()[-1]
         assert "--beta1" in last and "--free-beta1" in last
+
+    def test_fit_dls_keys_each_field_apart(self, capsys, tmp_path):
+        # 3.115 and 3.1150001 G share a %g form but are distinct fields
+        from magictrap.datafiles import write_table
+        from magictrap.dls import dls
+        coeffs = TrapCoefficients(3.47e-4, -0.99e-4, 4.6e-12)
+        fields = (2.7, 3.115, 3.1150001)
+        path = tmp_path / "dls.csv"
+        write_table(path, ("b_field_gauss", "depth_mk", "dls_hz"), [
+            (b, depth_mk, dls(coeffs, b, depth_hz_from_mk(depth_mk)))
+            for b in fields for depth_mk in (0.05, 0.1, 0.2, 0.3)])
+        code, out, err = run(capsys, ["fit-dls", "--input", str(path),
+                                      "--beta1", "3.47e-4"])
+        assert (code, err) == (0, "")
+        keys = [line.partition(" = ")[0] for line in out.splitlines()]
+        assert len(keys) == len(set(keys))
+        for b in fields:
+            assert f"u_m_hz_at_{b!r}G" in keys
+            assert f"u_m_sigma_hz_at_{b!r}G" in keys
 
     def test_fit_dls_missing_file(self, capsys):
         code, out, err = run(capsys, ["fit-dls", "--input", "missing.csv",
@@ -872,7 +917,7 @@ def test_a_cold_process_loads_numpy_only_for_array_work(tmp_path):
 def test_linspace_is_numpys_bit_for_bit(start, stop, num):
     with np.errstate(over="ignore", invalid="ignore"):  # inf - inf, 1e308 + 1e308
         expected = np.linspace(start, stop, num).tolist()
-    assert repr(_linspace(start, stop, num)) == repr(expected)
+    assert repr(_grid(start, stop, num)) == repr(expected)
 
 
 def test_linspace_matches_numpy_on_a_random_sweep():
@@ -883,7 +928,7 @@ def test_linspace_matches_numpy_on_a_random_sweep():
         num = rng.randint(1, 300)
         # the same length and the same bits: -0.0, NaN payloads and every
         # last digit count
-        grid = np.array(_linspace(start, stop, num), dtype=float)
+        grid = np.array(_grid(start, stop, num), dtype=float)
         assert np.array_equal(grid.view(np.int64),
                               np.linspace(start, stop, num).view(np.int64)), (
             start, stop, num)

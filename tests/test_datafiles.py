@@ -43,6 +43,20 @@ class TestCoefficientFiles:
         with pytest.raises(InvalidArgumentError):
             datafiles.read_coefficients(path)
 
+    @pytest.mark.parametrize("key,lines", [
+        ("beta1", ["beta1 = 1e-4", "beta2_per_gauss = -0.99e-4",
+                   "beta4_per_hz = 4.6e-12", "beta1=3.47e-4"]),
+        ("polarization_A", ["beta1 = 3.47e-4", "polarization_A = 1.0",
+                            "beta2_per_gauss = -0.99e-4", "beta4_per_hz = 4.6e-12",
+                            "  polarization_A = 2.0  # again"])])
+    def test_repeated_key(self, tmp_path, key, lines):
+        # an ignored key counts too: any key given twice is ambiguous
+        path = tmp_path / "twice.toml"
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(InvalidArgumentError) as info:
+            datafiles.read_coefficients(path)
+        assert str(info.value) == f"{path}:{len(lines)}: repeated key {key!r}"
+
 
 class TestDepthConvention:
     def test_positive_mk_becomes_negative_hz(self):
