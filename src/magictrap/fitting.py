@@ -44,13 +44,13 @@ NFEV_PER_PARAMETER = 200
 class LeastSquaresResult:
     """Where `least_squares` stopped: the point, its residuals,
     cost = |residuals|^2 / 2, the number of evaluations of `fun`, and
-    status 1 (GTOL), 2 (FTOL) or 3 (XTOL), or 0 if the evaluations ran out."""
+    success: False if the evaluations ran out before a tolerance was met."""
 
     x: "np.ndarray"
     fun: "np.ndarray"
     cost: float
     nfev: int
-    status: int
+    success: bool
 
 
 # module-level, and called through the module global, so that tests and the
@@ -73,7 +73,7 @@ def least_squares(fun, x0):
 
     x = np.array(x0, dtype=float)
     r, jac = fun(x)
-    nfev, status = 1, 0
+    nfev, success = 1, False
     cost = 0.5 * float(r @ r)
     jtj, grad = jac.T @ jac, jac.T @ r
     diag = jtj.diagonal()
@@ -82,7 +82,7 @@ def least_squares(fun, x0):
     while True:
         # a zero column, or r = 0, has grad = 0 and passes
         if np.all(np.abs(grad) <= GTOL * np.sqrt(jtj.diagonal() * (2.0 * cost))):
-            status = 1
+            success = True
             break
         if nfev >= NFEV_PER_PARAMETER * (x.size + 1):
             break
@@ -93,10 +93,8 @@ def least_squares(fun, x0):
         actual = cost - cost_new
         predicted = 0.5 * float((mu * scale * step - grad) @ step)
         rho = actual / predicted if predicted > 0 else 0.0
-        if abs(actual) <= FTOL * cost and predicted <= FTOL * cost and rho <= 2.0:
-            status = 2
-        elif scale @ step**2 <= XTOL**2 * (scale @ x**2):
-            status = 3
+        success = bool(abs(actual) <= FTOL * cost and predicted <= FTOL * cost and rho <= 2.0
+                       or scale @ step**2 <= XTOL**2 * (scale @ x**2))
         if rho > 0:  # a non-finite trial cost makes rho NaN: rejected
             x, r, jac, cost = x + step, r_new, jac_new, cost_new
             jtj, grad = jac.T @ jac, jac.T @ r
@@ -106,9 +104,9 @@ def least_squares(fun, x0):
         else:
             mu *= nu
             nu *= 2.0
-        if status:
+        if success:
             break
-    return LeastSquaresResult(x, r, cost, nfev, status)
+    return LeastSquaresResult(x, r, cost, nfev, success)
 
 
 @dataclass(frozen=True)
@@ -488,7 +486,7 @@ def fit_damped_sinusoid(samples) -> FitResult:
             raise InvalidArgumentError(past_range)  # before the solver spends its budget
 
         result = least_squares(lambda x: _damped_sinusoid(x, t, p, sig), x0)
-        if result.status <= 0:
+        if not result.success:
             raise FitFailureError(
                 "damped-sinusoid fit did not converge",
                 diagnostics={"cost": float(result.cost),

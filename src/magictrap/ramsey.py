@@ -113,10 +113,9 @@ class TrapFieldConfig:
         # hash, repr and replace see the fields alone
         u0 = self.mean_depth_hz - 1.5 * theta
         object.__setattr__(self, "bottom_depth_hz", u0)
-        # the thermal average's constants (k1, k2, X, phase spread, P(3, X))
-        # and carrier rate, once per config: k1, k2 are its phase
-        # coefficients p1, p2 per second, so that a zero coefficient stays 0
-        # at any finite t
+        # _row's constants (k1, k2, X, phase spread, P(3, X)) and the carrier
+        # rate, once per config: k1, k2 are the phase coefficients p1, p2
+        # per second, so that a zero coefficient stays 0 at any finite t
         c = self.coeffs
         k1 = math.pi * theta * (c.beta1 + c.beta2 * self.b_field_gauss + 2.0 * c.beta4 * u0)
         k2 = 0.5 * math.pi * c.beta4 * theta * theta
@@ -131,7 +130,20 @@ class TrapFieldConfig:
                 "phase per second past float range: the shift across the "
                 "trap or the carrier rate is not finite")
         object.__setattr__(self, "_kernel_constants",
-                           (k1, k2, x_end, spread, _gamma_p(3, x_end), carrier))
+                           (k1, k2, x_end, spread, _gamma_p(3, x_end)))
+        object.__setattr__(self, "_carrier_rate", carrier)
+
+    def _row(self, t_s):
+        """This config's row (p1, p2, X, P(3, X)) of _integrals at time t."""
+        t_s = float(t_s)
+        if not 0 <= t_s < math.inf:
+            raise InvalidArgumentError("time must be finite and >= 0")
+        k1, k2, x_end, spread, den = self._kernel_constants
+        phase = t_s * spread
+        if not phase < math.inf:
+            raise NumericalFailureError("phase spread past float range",
+                                        diagnostics={"phase": phase})
+        return k1 * t_s, k2 * t_s, x_end, den
 
     @property
     def ensemble(self) -> ThermalEnsemble:
@@ -162,23 +174,16 @@ class VisibilityCurve:
             raise InvalidArgumentError("visibility must lie in [0, 1]")
 
 
-def _raw_integrals(config: TrapFieldConfig, t_s: float):
-    """_integrals of the one point (config, t)."""
-    return _integrals(((config, t_s),))[0]
-
-
-def _integrals(points):
-    """For each (config, t) of points, in order, return (integral of
-    p*exp(1j*phi), integral of p) over the allowed energies, both
-    un-renormalized.
-
-    phi = 2*pi*t*(dls(U) - dls(U0)) is the phase from the trap bottom: with
-    x = E/theta it is (p1 + p2*x)*x exactly, p1 = k1*t and p2 = k2*t >= 0,
-    k1 = pi*theta*(beta1 + beta2*B + 2*beta4*U0) and k2 = pi*beta4*theta**2/2
-    (per config, in TrapFieldConfig). The first integral is then that of
-    x**2/2 * exp(q(x)) over [0, X], X = |U0|/theta, with q = c1*x + c2*x**2,
-    c1 = -1 + 1j*p1 and c2 = 1j*p2; the second is the closed form P(3, X).
-    |num| <= den up to round-off, which the callers clip.
+def _integrals(rows):
+    """For each row (p1, p2, X, den) of rows, in order, return (num, den):
+    num is the integral of x**2/2 * exp(q(x)) over [0, X], q = c1*x + c2*x**2
+    with c1 = -1 + 1j*p1 and c2 = 1j*p2, and den passes through. A pure
+    function of its rows: TrapFieldConfig._row(t) gives (k1*t, k2*t, X,
+    P(3, X)), X = |U0|/theta, k1 = pi*theta*(beta1 + beta2*B + 2*beta4*U0) and
+    k2 = pi*beta4*theta**2/2, so that (p1 + p2*x)*x, x = E/theta, is the phase
+    2*pi*t*(dls(U) - dls(U0)) from the trap bottom and num/den the thermal
+    average of its phasor. |num| <= den up to round-off, which the callers
+    clip.
 
     The integrand is entire, so the integral is G(0) - G(X), G(a) being the
     integral from a to the saddle x* = -c1/(2*c2), along any path. With
@@ -194,29 +199,21 @@ def _integrals(points):
     leave them out (they overflow where x* is high); in opposite valleys
     they add the full Gaussian through x*.
 
-    One pass classifies each point's two ends, tagged with its index:
-    descent ends into one list, segment ends into the group of the point's
+    One pass classifies each row's two ends, tagged with its index:
+    descent ends into one list, segment ends into the group of the row's
     panel count. All descent ends then share one numpy pass, each group one
-    quadrature.integrate pass, and a point sums its values in the order of
+    quadrature.integrate pass, and a row sums its values in the order of
     its ends, then adds its half-Gaussians. Each step is elementwise or
-    reduces within one end, and a point's panel count is its own and never
-    refined, so a point's result does not depend on the rest of the batch.
+    reduces within one end, and a row's panel count is its own and never
+    refined, so a row's result does not depend on the rest of the batch.
     """
     import numpy as np
 
-    sums, descents, by_panels = [], [], {}  # sums: [num, den, saddle] per point
-    for i, (config, t_s) in enumerate(points):
-        t_s = float(t_s)
-        if not 0 <= t_s < math.inf:
-            raise InvalidArgumentError("time must be finite and >= 0")
-        k1, k2, x_end, spread, den, _ = config._kernel_constants
-        p1, p2 = k1 * t_s, k2 * t_s
-        phase = t_s * spread
-        if not phase < math.inf:
-            raise NumericalFailureError("phase spread past float range",
-                                        diagnostics={"phase": phase})
-        if phase == 0.0:
-            sums.append([complex(den), den, None])  # the phasor is the density
+    sums, descents, by_panels = [], [], {}  # sums: [num, row, saddle] per row
+    for i, row in enumerate(rows):
+        p1, p2, x_end, den = row
+        if not (p1 or p2):
+            sums.append([complex(den), row, None])  # the phasor is the density
             continue
         c1, c2 = complex(-1.0, p1), complex(0.0, p2)
         x_star = -c1 / (2.0 * c2) if p2 else None
@@ -233,8 +230,9 @@ def _integrals(points):
             # descent end keeps only its half-Gaussian, a segment end adds
             # nothing (its saddle is at most e**4 higher)
             weight = sign * cmath.exp(a * (c1 + c2 * a)) if math.exp(-a) else 0.0
-            if abs(z) <= 4.0 or (z.real > 0.0 and abs(z.imag) <= SEGMENT_IM_Z
-                                  and abs(z) <= SEGMENT_Z_MAX):
+            size = math.hypot(z.real, z.imag)  # abs(z) can raise OverflowError
+            if size <= 4.0 or (z.real > 0.0 and abs(z.imag) <= SEGMENT_IM_Z
+                               and size <= SEGMENT_Z_MAX):
                 if weight:
                     segments.append((i, (a, x_star - a, z, 0.5 * (x_star - a) * weight)))
                     reach = max(reach, z.real)
@@ -250,7 +248,7 @@ def _integrals(points):
             # least one more panel per unit of Re Z, in steps of 8 so that a
             # batch has few panel counts (at most six)
             by_panels.setdefault(8 * (1 + math.ceil(reach / 8.0)), []).extend(segments)
-        sums.append([0j, den, (phase, c1, c2, x_star, owed)])
+        sums.append([0j, row, (c1, c2, x_star, owed)])
     if descents:
         # sum over the nodes s of W(s) * h(s)**2/sqrt(1 - s/Z), in place,
         # each row on its own (a matrix product rounds a row differently
@@ -281,15 +279,16 @@ def _integrals(points):
         for i, value in zip(owners, values.tolist()):
             sums[i][0] += value
     out = []
-    for num, den, saddle in sums:
+    for num, (p1, p2, x_end, den), saddle in sums:
         if saddle is not None:
-            phase, c1, c2, x_star, owed = saddle
+            c1, c2, x_star, owed = saddle
             for valley, k in ((1.0, owed[0]), (-1.0, owed[1])):
                 if k:
                     num += k * _half_gaussian(c1, c2, x_star, valley)
             if not cmath.isfinite(num):
-                raise NumericalFailureError("thermal average is not finite",
-                                            diagnostics={"phase": phase})
+                raise NumericalFailureError(  # with the row's phase spread
+                    "thermal average is not finite",
+                    diagnostics={"phase": x_end * max(abs(p1), abs(p1 + 2.0 * p2 * x_end))})
         out.append((complex(num), den))
     return out
 
@@ -308,8 +307,8 @@ def ramsey_population(config: TrapFieldConfig, t_s: float) -> float:
     """Thermally averaged Ramsey population at free-evolution time t; times
     thermal.truncation_mass it is the literal truncated-density average."""
     t_s = float(t_s)  # the carrier too is Python float arithmetic
-    num, den = _raw_integrals(config, t_s)
-    phase = t_s * config._kernel_constants[5]  # times the carrier rate
+    num, den = _integrals((config._row(t_s),))[0]
+    phase = t_s * config._carrier_rate
     if not math.isfinite(phase):
         raise NumericalFailureError("Ramsey carrier phase is not finite",
                                     diagnostics={"phase": phase})
@@ -322,7 +321,7 @@ def visibility(config: TrapFieldConfig, t_s: float) -> float:
     """Ramsey fringe envelope: modulus of the thermal dephasing
     characteristic function, normalized as in ramsey_population. The
     detuning drops out exactly."""
-    return _envelope(*_raw_integrals(config, t_s))
+    return _envelope(*_integrals((config._row(t_s),))[0])
 
 
 def _envelope(num, den):
@@ -347,7 +346,7 @@ def _t2_stars(configs):
 
     def envelope(indices, times):
         return [_envelope(num, den) for num, den in
-                _integrals([(distinct[i], t) for i, t in zip(indices, times)])]
+                _integrals([distinct[i]._row(t) for i, t in zip(indices, times)])]
 
     roots = dict(zip(distinct, _first_crossings(envelope, distinct)))
     return [roots[config] for config in configs]
@@ -364,7 +363,7 @@ def _safe_time(config: TrapFieldConfig) -> float:
     the central ones, on coefficients scaled to at most 1 in modulus so
     that it cannot overflow.
     """
-    k1, k2, x_end, _, den, _ = config._kernel_constants
+    k1, k2, x_end, den = config._row(1.0)  # k1*1.0, k2*1.0 are exact
     scale = max(abs(k1), abs(k2)) or 1.0
     a, b = k1 / scale, k2 / scale
     m1, m2, m3, m4 = (math.factorial(k + 2) / 2 * _gamma_p(3 + k, x_end) / den
@@ -483,5 +482,5 @@ def ramsey_trace(config: TrapFieldConfig, times_s) -> RamseyTrace:
 
 def visibility_curve(config: TrapFieldConfig, times_s) -> VisibilityCurve:
     times = tuple(float(t) for t in times_s)
-    vis = [_envelope(num, den) for num, den in _integrals([(config, t) for t in times])]
+    vis = [_envelope(num, den) for num, den in _integrals([config._row(t) for t in times])]
     return VisibilityCurve(times, tuple(vis))

@@ -238,6 +238,16 @@ class TestCurves:
         assert (code, err) == (0, "")
         assert 0.0 <= float(parse_doc(out)["visibility_final"]) < 1e-4
 
+    def test_subnormal_times_in_a_deep_trap(self, capsys, coeffs_file):
+        # at t <= 1e-307 s the saddle x* ~ 1/(2*p2) lies near float range,
+        # where the modulus of Z must not overflow
+        code, out, err = run(capsys, [
+            "visibility", "--coeffs", coeffs_file, "--b-field", "3.115",
+            "--depth-mk", "10", "--temp-uk", "2", "--t-max", "1e-315",
+            "--points", "11"])
+        assert (code, err) == (0, "")
+        assert 1.0 - 1e-15 <= float(parse_doc(out)["visibility_final"]) <= 1.0
+
     @pytest.mark.parametrize("argv,label", [
         (["visibility"], "visibility"), (["ramsey"], "population"),
         (["ramsey", "--detuning-hz", "37"], None)])

@@ -227,12 +227,11 @@ class TestRamseyPopulation:
         # the raw density's mass is the closed form P(3, xmax). The raw
         # integrals are referenced to the shift at the trap bottom, so the
         # carrier adds it to the detuning
-        from magictrap.ramsey import _raw_integrals
         cfg = config(temperature_uk * 1e-6, ratio=ratio, detuning_hz=30.0)
         mass = truncation_mass(cfg.ensemble)
         bottom_shift = dls(MEASURED, B0, cfg.bottom_depth_hz)
         for t in (0.0, 0.01, 0.3, 2.0, 30.0):
-            num, den = _raw_integrals(cfg, t)
+            num, den = ramsey._integrals([cfg._row(t)])[0]
             assert den == mass
             carrier = np.exp(2j * math.pi * (cfg.detuning_hz + bottom_shift) * t)
             population = mass * 0.5 * (1.0 + (carrier * num).real / den)
@@ -415,7 +414,7 @@ class TestLockstep:
         segmented = []
         for t in times[1:]:
             panels.clear()
-            ramsey._raw_integrals(config(17e-6), t)
+            ramsey._integrals([config(17e-6)._row(t)])
             segmented.append(bool(panels))
         assert any(segmented) and not all(segmented)
 
@@ -424,22 +423,22 @@ class TestLockstep:
         # configs and times interleaved in one batch
         times = [0.0] + [10.0 ** (k / 4) for k in range(-24, 13)] + [
             0.1 * k for k in range(1, 21)]
-        points = [(config(temperature_uk * 1e-6, ratio=ratio, detuning_hz=30.0), t)
-                  for t in times for temperature_uk in (2, 8, 17, 40)
-                  for ratio in (0.5, 1.0, 1.5, 2.0)]
-        assert ramsey._integrals(points) == [
-            ramsey._raw_integrals(cfg, t) for cfg, t in points]
+        rows = [config(temperature_uk * 1e-6, ratio=ratio, detuning_hz=30.0)._row(t)
+                for t in times for temperature_uk in (2, 8, 17, 40)
+                for ratio in (0.5, 1.0, 1.5, 2.0)]
+        assert ramsey._integrals(rows) == [
+            ramsey._integrals([row])[0] for row in rows]
 
     def test_segments_of_different_reach_in_one_batch(self, monkeypatch):
         # lower ends at Z with Re Z from 3.9 to 39, so four panel counts,
         # one quadrature call each
-        points = [config_at(z, 17) for z in (polar(3.9, 0), 10 + 7.9j,
-                                              20 - 7.9j, 39 + 1j)]
+        rows = [cfg._row(t) for cfg, t in (
+            config_at(z, 17) for z in (polar(3.9, 0), 10 + 7.9j, 20 - 7.9j, 39 + 1j))]
         panels = integrate_spy(monkeypatch)
-        ramsey._integrals(points)
+        ramsey._integrals(rows)
         assert len(panels) == len(set(panels)) == 4
-        assert ramsey._integrals(points) == [
-            ramsey._raw_integrals(cfg, t) for cfg, t in points]
+        assert ramsey._integrals(rows) == [
+            ramsey._integrals([row])[0] for row in rows]
 
 
 class TestCombineCoherence:
@@ -754,6 +753,53 @@ class TestKernelEdges:
         coeffs = TrapCoefficients(MEASURED.beta1, MEASURED.beta2, 0.0)
         for t in (1e-8, 0.3, 10.0):
             assert_exact(config(17e-6, ratio=0.6, detuning_hz=30.0, coeffs=coeffs), t)
+
+    @pytest.mark.parametrize("temperature_uk,ratio", [
+        (1, 5), (2, 10), (2, 20), (2, 50), (8, 50)])
+    def test_subnormal_times(self, temperature_uk, ratio):
+        # the saddle x* ~ 1/(2*p2) lies near float range, so Z does too:
+        # its modulus must not overflow. The envelope is 1 to rounding
+        cfg = config(temperature_uk * 1e-6, ratio=ratio, detuning_hz=30.0)
+        for t in (1e-321, 1e-318, 1e-315, 1e-310, 1e-307):
+            assert 1.0 - 1e-15 <= visibility(cfg, t) <= 1.0
+            assert 1.0 - 1e-15 <= ramsey_population(cfg, t) <= 1.0
+
+
+def scaled_k2(cfg, s):
+    """cfg with beta4 -> s*beta4 and beta1 -> beta1 - 2*(s - 1)*beta4*U0:
+    k1 is unchanged and k2 scaled by s."""
+    c, u0 = cfg.coeffs, cfg.bottom_depth_hz
+    return replace(cfg, coeffs=TrapCoefficients(
+        c.beta1 - 2.0 * (s - 1.0) * c.beta4 * u0, c.beta2, s * c.beta4))
+
+
+class TestRowScaling:
+    """A row with p2 scaled by s against the config whose k2 is scaled by s
+    (the beta4 scaling oracle), and the mixed-orbit limit s = 5/4 of the
+    orbit variance of the depth."""
+
+    @pytest.mark.parametrize("s", [0.5, 1.25, 2.0])
+    def test_scaled_row_equals_scaled_config(self, s):
+        for temperature_uk, ratio in ((2, 1.0), (8, 1.0), (17, 0.8), (40, 1.5)):
+            cfg = config(temperature_uk * 1e-6, ratio=ratio, detuning_hz=30.0)
+            other = scaled_k2(cfg, s)
+            carrier = 2.0 * math.pi * (other.detuning_hz + dls(
+                other.coeffs, B0, other.bottom_depth_hz))
+            for t in (0.01, 0.3, 1.0, 3.0):
+                p1, p2, x_end, den = cfg._row(t)
+                num, den = ramsey._integrals([(p1, s * p2, x_end, den)])[0]
+                assert min(1.0, abs(num) / den) == pytest.approx(
+                    visibility(other, t), abs=1e-13)
+                population = 0.5 * (1.0 + (cmath.exp(1j * carrier * t) * num).real / den)
+                assert population == pytest.approx(ramsey_population(other, t), abs=1e-13)
+
+    def test_mixed_limit_t2_star_at_magic(self):
+        # T2* at the vertex scales as 1/(beta4*theta**2): the ratio does
+        # not depend on temperature
+        for temperature_uk in (8, 16, 17):
+            cfg = config(temperature_uk * 1e-6)
+            assert t2_star(scaled_k2(cfg, 1.25)) / t2_star(cfg) == pytest.approx(
+                1.0601, abs=1e-4)
 
 
 def test_laguerre_table():
