@@ -5,12 +5,14 @@ value at a fixed tolerance and reports one pass/fail line.
 import math
 from dataclasses import dataclass
 
-from .constants import CONSTANTS, hz_from_kelvin
 from .dls import (
+    BOHR_MAGNETON_OVER_H,
+    RB87_HYPERFINE_NU0,
     VECTOR_TO_SCALAR_RATIO,
     TrapCoefficients,
     coeffs_from_atomic,
     effective_field,
+    hz_from_kelvin,
     magic_depth,
     zero_crossing_field,
 )
@@ -82,7 +84,7 @@ def check_atomic_formulas():
     within 0.5% and satisfy beta2^2/beta4 = 8*(mu_B/h)^2/nu0 to 1e-9."""
     built = coeffs_from_atomic(VECTOR_TO_SCALAR_RATIO, beta1=3.47e-4)
     identity = built.beta2 ** 2 / built.beta4
-    expected = 8.0 * CONSTANTS.bohr_magneton_over_h ** 2 / CONSTANTS.rb87_hyperfine_nu0
+    expected = 8.0 * BOHR_MAGNETON_OVER_H ** 2 / RB87_HYPERFINE_NU0
     ok = (_within(built.beta2, -1.03e-4, 0.005)
           and _within(built.beta4, 4.64e-12, 0.005)
           and _within(identity, expected, 1e-9)

@@ -11,13 +11,18 @@ import math
 import sys
 
 from . import __version__, datafiles, fitting, svg
-from .constants import CONSTANTS, hz_from_kelvin, kelvin_from_hz
 from .dls import (
+    BOHR_MAGNETON_OVER_H,
+    BOLTZMANN_KB,
+    PLANCK_H,
+    RB87_HYPERFINE_NU0,
     VECTOR_TO_SCALAR_RATIO,
     TrapCoefficients,
     dls,
     dls_minimum,
     effective_field,
+    hz_from_kelvin,
+    kelvin_from_hz,
     magic_depth,
     zero_crossing_field,
 )
@@ -203,8 +208,10 @@ def _cmd_coherence_curve(args):
     ratios = _grid(args.ratio_min, args.ratio_max, args.points)
     coeffs = datafiles.read_coefficients(args.coeffs)
     u_magic = magic_depth(coeffs, args.b_field)
+    # coherence_vs_depth sets each depth to ratio * U_M, and rejects a U_M
+    # above zero itself
     base = TrapFieldConfig(coeffs=coeffs, b_field_gauss=args.b_field,
-                           mean_depth_hz=u_magic,
+                           mean_depth_hz=0.0,
                            temperature_k=args.temp_uk * 1e-6)
     curve = coherence_vs_depth(base, ratios, args.t1, args.t2prime)
     peak_ratio, peak_tau = max(curve, key=lambda item: item[1])
@@ -280,10 +287,10 @@ def _cmd_selftest(args):
 
 def _print_constants(stream):
     datafiles.write_keyvalue(stream, [
-        ("planck_h_j_s", CONSTANTS.planck_h),
-        ("boltzmann_kb_j_per_k", CONSTANTS.boltzmann_kb),
-        ("bohr_magneton_over_h_hz_per_gauss", CONSTANTS.bohr_magneton_over_h),
-        ("rb87_hyperfine_nu0_hz", CONSTANTS.rb87_hyperfine_nu0),
+        ("planck_h_j_s", PLANCK_H),
+        ("boltzmann_kb_j_per_k", BOLTZMANN_KB),
+        ("bohr_magneton_over_h_hz_per_gauss", BOHR_MAGNETON_OVER_H),
+        ("rb87_hyperfine_nu0_hz", RB87_HYPERFINE_NU0),
     ], precision=12)
 
 

@@ -6,8 +6,7 @@ import csv
 import json
 import math
 
-from .constants import hz_from_kelvin
-from .dls import TrapCoefficients
+from .dls import TrapCoefficients, hz_from_kelvin
 from .errors import InvalidArgumentError
 from .fitting import make_dls_dataset
 from .ramsey import TrapFieldConfig

@@ -10,17 +10,47 @@ in Hz, so U <= 0 for a red-detuned trap. The shift model is
 with B the bias field in gauss. For beta4 > 0 the parabola has a vertex at
 the magic depth U_M = -(beta1 + beta2*B) / (2*beta4) where the shift is
 first-order insensitive to intensity.
+
+The pinned physical constants the model rests on live here too, with the
+kelvin/hertz conversions: all energies inside the package are frequencies
+(E/h in Hz), and kelvin appears only at interfaces.
 """
 import math
 from dataclasses import dataclass
 
-from .constants import CONSTANTS
 from .errors import (
     ConventionViolationError,
     InvalidArgumentError,
     NoMagicPointError,
     NoZeroCrossingError,
 )
+
+# CODATA-style values, fixed for reproducibility
+PLANCK_H = 6.62607015e-34             # J s
+BOLTZMANN_KB = 1.380649e-23           # J/K
+BOHR_MAGNETON_OVER_H = 1.399624604e6  # Hz/G
+RB87_HYPERFINE_NU0 = 6.834682611e9    # clock splitting, Hz
+VECTOR_TO_SCALAR_RATIO = 0.2518        # ground state, 830 nm, sigma+ (A = 1)
+
+# kB/h: Hz per kelvin, used by every thermal formula
+KB_OVER_H = BOLTZMANN_KB / PLANCK_H
+
+
+def hz_from_kelvin(temperature_k: float) -> float:
+    """Convert an energy kB*T to a frequency E/h. Signed, linear; finite
+    up to about 8.6e297 K, and invalid-argument past that or for NaN."""
+    frequency_hz = temperature_k * KB_OVER_H
+    if not math.isfinite(frequency_hz):
+        raise InvalidArgumentError(
+            f"kB*T/h must be finite, got T = {temperature_k!r} K")
+    return frequency_hz
+
+
+def kelvin_from_hz(frequency_hz: float) -> float:
+    """Inverse of :func:`hz_from_kelvin` up to floating round-off."""
+    if not math.isfinite(frequency_hz):
+        raise InvalidArgumentError("frequency must be finite")
+    return frequency_hz / KB_OVER_H
 
 
 def _require_finite(**values):
@@ -100,14 +130,10 @@ def coeffs_from_atomic(vector_to_scalar_ratio: float, beta1: float) -> TrapCoeff
     with nu0 the Rb-87 hyperfine splitting; beta1 passes through unchanged.
     """
     _require_finite(vector_to_scalar_ratio=vector_to_scalar_ratio)
-    nu0_hz = CONSTANTS.rb87_hyperfine_nu0
     ratio = vector_to_scalar_ratio
-    beta2 = -2.0 * CONSTANTS.bohr_magneton_over_h * ratio / nu0_hz
-    beta4 = (1.0 / (2.0 * nu0_hz)) * ratio * ratio
+    beta2 = -2.0 * BOHR_MAGNETON_OVER_H * ratio / RB87_HYPERFINE_NU0
+    beta4 = (1.0 / (2.0 * RB87_HYPERFINE_NU0)) * ratio * ratio
     return TrapCoefficients(beta1=beta1, beta2=beta2, beta4=beta4)
-
-
-VECTOR_TO_SCALAR_RATIO = 0.2518  # ground state, 830 nm, sigma+ (A = 1)
 
 
 def effective_field(vector_to_scalar_ratio: float, depth_hz: float) -> float:
@@ -115,7 +141,7 @@ def effective_field(vector_to_scalar_ratio: float, depth_hz: float) -> float:
     given signed depth: ratio * |U| / (2 * mu_B/h). Linear in |U|."""
     _check_depth(depth_hz)
     _require_finite(vector_to_scalar_ratio=vector_to_scalar_ratio)
-    field = vector_to_scalar_ratio * abs(depth_hz) / (2.0 * CONSTANTS.bohr_magneton_over_h)
+    field = vector_to_scalar_ratio * abs(depth_hz) / (2.0 * BOHR_MAGNETON_OVER_H)
     _require_finite(effective_field_gauss=field)
     return field
 

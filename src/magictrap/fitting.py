@@ -24,10 +24,9 @@ import numbers
 from dataclasses import dataclass, field
 from itertools import chain
 
-from .dls import TrapCoefficients, dls, magic_depth
+from .dls import TrapCoefficients, _check_depth, dls, magic_depth
 from .errors import (
     ConditioningError,
-    ConventionViolationError,
     FitFailureError,
     FrequencyAmbiguityError,
     InvalidArgumentError,
@@ -124,12 +123,9 @@ class DlsDataset:
         if len(self.points) < 3:
             raise InvalidArgumentError("a dataset needs at least 3 points")
         for depth, shift, sigma in self.points:
-            if not math.isfinite(depth):
-                raise InvalidArgumentError("depths must be finite")
+            _check_depth(depth)
             if not math.isfinite(shift):
                 raise InvalidArgumentError("shifts must be finite")
-            if depth > 0:
-                raise ConventionViolationError("depths must be <= 0 Hz (signed)")
             if not sigma > 0:
                 raise InvalidArgumentError("sigmas must be positive")
 
@@ -242,8 +238,6 @@ def fit_dls_global(datasets, beta1_fixed) -> FitResult:
             "are degenerate with only one"
         )
     rows = [(ds.b_field_gauss, d, y, s) for ds in datasets for d, y, s in ds.points]
-    if len(rows) < 3:
-        raise InvalidArgumentError("need at least 3 points in total")
     free_beta1 = beta1_fixed is None
     if not (free_beta1 or math.isfinite(beta1_fixed)):
         raise InvalidArgumentError("the fixed beta1 must be finite")
@@ -356,13 +350,16 @@ def _fill_by_doubling(rows, w):
         k *= 2
 
 
-def _spectrum_peak(t, y):
+def _spectrum_peak(t, y, span, dt):
     """Deterministic frequency/phase estimate from a dense discrete spectrum
-    with parabolic peak refinement.
+    with parabolic peak refinement, for sorted times t of span > 0 and
+    median step dt > 0.
 
     The spectrum is sum_n y_n exp(-2 pi i f_j t_n) on 4096 evenly spaced
-    frequencies. Writing j = 64 a + b gives f_j = f_0 + 64 a df + b df, so
-    the kernel factors as exp(-2 pi i f_0 t) w64^a * w^b with
+    frequencies from 0.5/span up to 0.5/dt: with 3 samples or more, two
+    steps or more are >= dt and all sum to the span, so dt <= span/2.
+    Writing j = 64 a + b gives f_j = f_0 + 64 a df + b df, so the kernel
+    factors as exp(-2 pi i f_0 t) w64^a * w^b with
     w = exp(-2 pi i df t) and w64 = exp(-2 pi i 64 df t), and the whole
     spectrum is one product of two 64 x N matrices. Each is filled by
     doubling from its first row, y exp(-2 pi i f_0 t) or 1: six products
@@ -370,15 +367,8 @@ def _spectrum_peak(t, y):
     instead of 4096 N, for any sample times."""
     import numpy as np
 
-    span = t[-1] - t[0]
-    dt = _median_step(t)
-    if span <= 0 or dt <= 0:
-        raise InvalidArgumentError("times must be strictly increasing overall")
     f_lo = 0.5 / span
-    f_hi = 0.5 / dt
-    if f_hi <= f_lo:
-        raise FrequencyAmbiguityError("time grid too coarse to resolve a period")
-    freqs = np.linspace(f_lo, f_hi, 4096)
+    freqs = np.linspace(f_lo, 0.5 / dt, 4096)
     step = freqs[1] - freqs[0]
     turn = -2j * np.pi * t
     head = np.empty((64, t.size), dtype=complex)
@@ -411,14 +401,13 @@ def _line_fit(t, u):
     return slope, u_mean - slope * t_mean
 
 
-def _envelope_init(t, y, f0):
+def _envelope_init(t, y, f0, span, dt):
     """Decay-time and amplitude initialization from a log-linear regression
     of the demodulated, period-averaged envelope; kept points at a single
     time give the no-decay start."""
     import numpy as np
 
     z = y * np.exp(-2j * np.pi * f0 * t)
-    dt = _median_step(t)
     window = max(1, int(round(1.0 / (f0 * dt))))
     kernel = np.ones(window) / window
     smooth = np.convolve(z, kernel, mode="same")
@@ -427,7 +416,6 @@ def _envelope_init(t, y, f0):
     if keep.sum() < 2:
         keep = amp > 0
     slope, intercept = _line_fit(t[keep], np.log(amp[keep]))
-    span = t[-1] - t[0]
     tau0 = -1.0 / slope if slope < -1e-12 else 2.0 * span
     tau0 = min(max(tau0, 1e-3 * span), 100.0 * span)
     v0 = min(max(4.0 * math.exp(intercept), 1e-3), 2.0)
@@ -473,12 +461,16 @@ def fit_damped_sinusoid(samples) -> FitResult:
             raise InvalidArgumentError("need at least 10 samples")
         offset0 = float(p.mean())
         y = p - offset0
-        f0, phi0 = _spectrum_peak(t, y)
-        if f0 * (t[-1] - t[0]) < 1.0:
+        span = t[-1] - t[0]
+        dt = _median_step(t)
+        if span <= 0 or dt <= 0:
+            raise InvalidArgumentError("times must be strictly increasing overall")
+        f0, phi0 = _spectrum_peak(t, y, span, dt)
+        if f0 * span < 1.0:
             raise FrequencyAmbiguityError(
                 "samples span less than one oscillation period"
             )
-        v0, tau0 = _envelope_init(t, y, f0)
+        v0, tau0 = _envelope_init(t, y, f0, span, dt)
         x0 = np.array([v0, tau0, f0, phi0, offset0])
         past_range = "damped-sinusoid fit is past float range"
         r0, _ = _damped_sinusoid(x0, t, p, sig)

@@ -22,10 +22,8 @@ import functools
 import math
 from dataclasses import dataclass, replace
 
-from .constants import hz_from_kelvin
-from .dls import TrapCoefficients, dls, magic_depth
+from .dls import TrapCoefficients, _check_depth, dls, hz_from_kelvin, magic_depth
 from .errors import (
-    ConventionViolationError,
     InvalidArgumentError,
     NumericalFailureError,
     UnphysicalConfigurationError,
@@ -101,11 +99,10 @@ class TrapFieldConfig:
     detuning_hz: float = 0.0
 
     def __post_init__(self):
-        if self.mean_depth_hz > 0:
-            raise ConventionViolationError("mean depth must be <= 0 Hz (signed)")
+        _check_depth(self.mean_depth_hz)
         if not (self.temperature_k > 0):
             raise InvalidArgumentError("temperature must be positive")
-        for name in ("b_field_gauss", "mean_depth_hz", "temperature_k", "detuning_hz"):
+        for name in ("b_field_gauss", "temperature_k", "detuning_hz"):
             if not math.isfinite(getattr(self, name)):
                 raise InvalidArgumentError(f"{name} must be finite")
         theta = hz_from_kelvin(self.temperature_k)

@@ -10,11 +10,9 @@ _COLORS = ("#1f5fa8", "#c04a28", "#3a8a3f", "#7b4aa8", "#a88a1f", "#2898a8")
 
 
 def _nice_ticks(lo, hi):
-    if not (math.isfinite(lo) and math.isfinite(hi)):
-        return [0.0, 1.0]
-    if hi <= lo:
-        hi = lo + (abs(lo) if lo else 1.0)
     raw = (hi - lo) / 5  # about five ticks per axis
+    if raw == 0:  # a width of a few subnormals
+        return [lo, hi]
     mag = 10.0 ** math.floor(math.log10(raw))
     for mult in (1.0, 2.0, 2.5, 5.0, 10.0):
         if raw <= mult * mag:
@@ -25,6 +23,8 @@ def _nice_ticks(lo, hi):
     value = first
     while value <= hi + 1e-9 * step:
         ticks.append(0.0 if abs(value) < 1e-12 * step else value)
+        if value + step == value:  # a step below half an ulp of the ticks
+            break
         value += step
     return ticks or [lo, hi]
 
@@ -34,11 +34,15 @@ def _fmt(value):
 
 
 def line_plot(path, series, x_label, y_label):
-    """Write an SVG plot of one or more (label, xs, ys) series."""
+    """Write an SVG plot of one or more (label, xs, ys) series. Points with
+    a non-finite y are skipped; a non-finite x, or an axis whose width is 0
+    or past float range, is an invalid-argument."""
     xs_all = [x for _, xs, _ in series for x in xs]
     ys_all = [y for _, _, ys in series for y in ys if math.isfinite(y)]
     if not xs_all or not ys_all:
         raise InvalidArgumentError("nothing finite to plot")
+    if not all(map(math.isfinite, xs_all)):
+        raise InvalidArgumentError("x values to plot must be finite")
     x_lo, x_hi = min(xs_all), max(xs_all)
     y_lo, y_hi = min(ys_all), max(ys_all)
     if x_hi == x_lo:
@@ -47,6 +51,10 @@ def line_plot(path, series, x_label, y_label):
         y_hi = y_lo + (abs(y_lo) if y_lo else 1.0)
     pad = 0.05 * (y_hi - y_lo)
     y_lo, y_hi = y_lo - pad, y_hi + pad
+    # x_lo + 1.0 is x_lo past 2**53, and a width past float range takes
+    # every coordinate to nan
+    if not (0 < x_hi - x_lo < math.inf and 0 < y_hi - y_lo < math.inf):
+        raise InvalidArgumentError("plot axis width is 0 or past float range")
 
     plot_w = _WIDTH - _MARGIN_L - _MARGIN_R
     plot_h = _HEIGHT - _MARGIN_T - _MARGIN_B

@@ -6,7 +6,7 @@ import math
 import numbers
 from dataclasses import dataclass
 
-from .constants import hz_from_kelvin
+from .dls import hz_from_kelvin
 from .errors import InvalidArgumentError
 
 

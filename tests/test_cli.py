@@ -307,6 +307,15 @@ class TestCurves:
         assert float(doc["peak_ratio"]) == 1.0
         assert len(out_csv.read_text().splitlines()) == 4
 
+    def test_coherence_curve_past_the_zero_crossing(self, capsys, coeffs_file):
+        # past 3.505 G the vertex U_M lies above zero: no ratio of it is a trap
+        code, out, err = run(capsys, [
+            "coherence-curve", "--coeffs", coeffs_file, "--b-field", "4",
+            "--temp-uk", "17", "--t1", "4", "--t2prime", "0.3"])
+        assert (code, out) == (1, "")
+        assert err == ("error: unphysical-configuration: magic depth is not "
+                       "a trap at this field\n")
+
 
 class TestScalars:
     def test_t2star_near_quoted(self, capsys, coeffs_file):
@@ -572,6 +581,22 @@ class TestArtifactsBeforeDocument:
         code, out, err = run(capsys, [command, *argv, flag, str(missing)])
         assert (code, out) == (1, "")
         assert err == f"error: file-not-found: {missing}\n"
+
+
+@pytest.mark.parametrize("case", ["coefficient-not-a-number", "out-is-a-directory"])
+def test_unusable_file_is_a_coded_error(capsys, coeffs_file, tmp_path, case):
+    argv = ["dls-curve", "--coeffs", coeffs_file, "--b-field", "3.115", "--points", "3"]
+    if case == "coefficient-not-a-number":
+        bad = tmp_path / "bad.toml"
+        bad.write_text("beta1 = abc\nbeta2_per_gauss = -0.99e-4\nbeta4_per_hz = 4.6e-12\n")
+        argv[2] = str(bad)
+        expected = f"error: invalid-argument: {bad}:1: not a number: 'abc'\n"
+    else:
+        argv += ["--out", str(tmp_path)]
+        expected = "error: io-error: "
+    code, out, err = run(capsys, argv)
+    assert (code, out) == (1, "")
+    assert err.startswith(expected) and err.count("\n") == 1
 
 
 class TestFits:
@@ -867,17 +892,22 @@ class TestTransferCommand:
             "segment = 0"]
 
 
-#: a cold process: the CLI imported without the acceptance checks, then
-#: every package module imported, then the scalar commands
-#: (the README's dls-curve call among them), --help, --version, --constants
-#: and a usage error, none of which may load numpy; then the command in
-#: argv, which may
+#: a cold process: the CLI imported, which loads every package module but
+#: the acceptance checks (the benchmark reaches the modules it times through
+#: that one import); then every package module imported; then the scalar
+#: commands (the README's dls-curve call among them), --help, --version,
+#: --constants and a usage error, none of which may load numpy; then the
+#: command in argv, which may
 COLD_START = """
 import contextlib, importlib, io, pkgutil, sys
 import magictrap
 from magictrap import cli
 
-assert "magictrap.acceptance" not in sys.modules, "the CLI imported acceptance"
+loaded = sorted(name for name in sys.modules if name.split(".")[0] == "magictrap")
+assert loaded == ["magictrap", "magictrap.cli", "magictrap.datafiles", "magictrap.dls",
+                  "magictrap.errors", "magictrap.fitting", "magictrap.parallel",
+                  "magictrap.quadrature", "magictrap.ramsey", "magictrap.svg",
+                  "magictrap.thermal", "magictrap.transfer"], loaded
 for module in pkgutil.iter_modules(magictrap.__path__):
     importlib.import_module("magictrap." + module.name)
 coeffs = "out/measured_coeffs.toml"

@@ -4,15 +4,23 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from magictrap.constants import CONSTANTS, KB_OVER_H, hz_from_kelvin, kelvin_from_hz
+from magictrap.dls import (
+    BOHR_MAGNETON_OVER_H,
+    BOLTZMANN_KB,
+    KB_OVER_H,
+    PLANCK_H,
+    RB87_HYPERFINE_NU0,
+    hz_from_kelvin,
+    kelvin_from_hz,
+)
 from magictrap.errors import InvalidArgumentError
 
 
 def test_constants_positive():
-    assert CONSTANTS.planck_h > 0
-    assert CONSTANTS.boltzmann_kb > 0
-    assert CONSTANTS.bohr_magneton_over_h > 0
-    assert CONSTANTS.rb87_hyperfine_nu0 > 0
+    assert PLANCK_H > 0
+    assert BOLTZMANN_KB > 0
+    assert BOHR_MAGNETON_OVER_H > 0
+    assert RB87_HYPERFINE_NU0 > 0
 
 
 def test_kb_over_h_value():

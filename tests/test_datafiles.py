@@ -6,8 +6,7 @@ import pytest
 
 from magictrap import datafiles
 from magictrap.acceptance import MEASURED_COEFFS, reference_transfer_timeline
-from magictrap.constants import hz_from_kelvin
-from magictrap.dls import TrapCoefficients
+from magictrap.dls import TrapCoefficients, hz_from_kelvin
 from magictrap.errors import InvalidArgumentError, TimelineError
 
 COEFFS = TrapCoefficients(3.47e-4, -0.99e-4, 4.6e-12)

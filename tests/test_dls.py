@@ -8,13 +8,15 @@ import pytest
 from hypothesis import assume, given
 from hypothesis import strategies as st
 
-from magictrap.constants import CONSTANTS, hz_from_kelvin
 from magictrap.dls import (
+    BOHR_MAGNETON_OVER_H,
+    RB87_HYPERFINE_NU0,
     TrapCoefficients,
     coeffs_from_atomic,
     dls,
     dls_minimum,
     effective_field,
+    hz_from_kelvin,
     magic_depth,
     zero_crossing_field,
 )
@@ -55,6 +57,11 @@ class TestDls:
     def test_positive_depth_rejected(self):
         with pytest.raises(ConventionViolationError):
             dls(MEASURED, B0, 4.0e6)
+
+    @pytest.mark.parametrize("depth", [math.nan, math.inf, -math.inf])
+    def test_non_finite_depth_rejected(self, depth):
+        with pytest.raises(InvalidArgumentError, match="^trap depth must be finite$"):
+            dls(MEASURED, B0, depth)
 
     @given(coeff_strategy, st.floats(min_value=0.0, max_value=3.4),
            st.floats(min_value=-1e7, max_value=0.0))
@@ -163,13 +170,11 @@ class TestAtomicConstruction:
     def test_ratio_free_identity(self, ratio):
         built = coeffs_from_atomic(ratio, 3.47e-4)
         identity = built.beta2**2 / built.beta4
-        expected = (8.0 * CONSTANTS.bohr_magneton_over_h**2
-                    / CONSTANTS.rb87_hyperfine_nu0)
+        expected = 8.0 * BOHR_MAGNETON_OVER_H**2 / RB87_HYPERFINE_NU0
         assert identity == pytest.approx(expected, rel=1e-9)
 
     def test_identity_numeric_value(self):
-        expected = (8.0 * CONSTANTS.bohr_magneton_over_h**2
-                    / CONSTANTS.rb87_hyperfine_nu0)
+        expected = 8.0 * BOHR_MAGNETON_OVER_H**2 / RB87_HYPERFINE_NU0
         assert expected == pytest.approx(2292.9, rel=1e-4)
 
     @given(st.floats(min_value=0.0125, max_value=0.2518),
@@ -214,7 +219,7 @@ class TestCoefficientValidation:
                 coeffs_from_atomic(ratio, 3.47e-4)
 
 
-@pytest.mark.parametrize("module", ["dls", "constants", "errors", "svg"])
+@pytest.mark.parametrize("module", ["dls", "errors", "svg"])
 def test_numpy_free_module_imports_without_numpy(module):
     # the package __init__ imports nothing, so the scalar model costs no
     # numpy start-up

@@ -21,6 +21,7 @@ from magictrap.errors import (
 )
 from magictrap import fitting
 from magictrap.fitting import (
+    FitResult,
     fit_damped_sinusoid,
     fit_dls_global,
     fit_envelope,
@@ -272,9 +273,16 @@ def test_times_spanning_past_float_range(fit):
         fit(list(zip(t, np.full(50, 0.5))))
 
 
-def direct_spectrum_peak(t, y):
+def grid_facts(t):
+    """The span and the median step that fit_damped_sinusoid passes to its
+    start-point helpers."""
+    return t[-1] - t[0], fitting._median_step(t)
+
+
+def direct_spectrum_peak(t, y, *_grid_facts):
     """The spectrum estimate as a direct 4096 x N DFT: the oracle for the
-    factored kernel in fitting._spectrum_peak."""
+    factored kernel in fitting._spectrum_peak, which works out its span and
+    median step itself."""
     span = t[-1] - t[0]
     dt = float(np.median(np.diff(t)))
     freqs = np.linspace(0.5 / span, 0.5 / dt, 4096)
@@ -329,7 +337,7 @@ def test_envelope_init_without_time_spread_starts_without_decay():
     assert fitting._line_fit(np.full(3, 0.5), np.array([1.0, 2.0, 3.0])) == (0.0, 2.0)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        v0, tau0 = fitting._envelope_init(t, y, 20.0)
+        v0, tau0 = fitting._envelope_init(t, y, 20.0, *grid_facts(t))
     assert tau0 == 2.0 * (t[-1] - t[0])
     assert v0 == pytest.approx(4.0 * 0.3)
 
@@ -353,7 +361,7 @@ class TestSpectrumPeak:
         # a fringe inside the band of every grid (f_hi >= 11 Hz at n = 10)
         y = sinusoid(t, delta=8.0 if n == 10 else 37.0, phi=0.7) - 0.5
         y = y + rng.normal(0.0, 0.05, n)
-        f0, phi = fitting._spectrum_peak(t, y)
+        f0, phi = fitting._spectrum_peak(t, y, *grid_facts(t))
         f_ref, phi_ref = direct_spectrum_peak(t, y)
         assert f0 == pytest.approx(f_ref, rel=1e-12, abs=0)
         assert phase_difference(phi, phi_ref) <= 1e-10
@@ -367,7 +375,7 @@ class TestSpectrumPeak:
                            + rng.uniform(0.0, 0.01, (10, 100))).ravel())
         y = sinusoid(t - 5.0, delta=37.0, phi=0.7) - 0.5
         y = y + rng.normal(0.0, 0.05, t.size)
-        f0, phi = fitting._spectrum_peak(t, y)
+        f0, phi = fitting._spectrum_peak(t, y, *grid_facts(t))
         f_ref, phi_ref = direct_spectrum_peak(t, y)
         assert f0 == pytest.approx(f_ref, rel=1e-12, abs=0)
         assert phase_difference(phi, phi_ref) <= 1e-10
@@ -377,7 +385,7 @@ class TestSpectrumPeak:
         # frequency up, so there is no parabolic refinement
         t = np.linspace(0.0, 0.4, 100)
         y = np.exp(-t / 0.3)
-        f0, phi = fitting._spectrum_peak(t, y)
+        f0, phi = fitting._spectrum_peak(t, y, *grid_facts(t))
         f_ref, phi_ref = direct_spectrum_peak(t, y)
         assert f_ref == 0.5 / 0.4
         assert f0 == f_ref
@@ -677,6 +685,48 @@ class TestDatasetValidation:
                              [-100.0, -200.0, -300.0], [1.0, 0.0, 1.0])
 
 
+TEN_TIMES = np.linspace(0.0, 0.4, 10)
+
+
+@pytest.mark.parametrize("call,error,message", [
+    pytest.param(lambda: make_dls_dataset(3.115, DEPTHS[:3], [1.0, 2.0]),
+                 InvalidArgumentError, "depths and shifts must match in length",
+                 id="dataset-shifts-length"),
+    pytest.param(lambda: make_dls_dataset(3.115, DEPTHS[:3], [1.0, 2.0, 3.0],
+                                          [1.0, 1.0]),
+                 InvalidArgumentError, "sigmas must match points in length",
+                 id="dataset-sigmas-length"),
+    pytest.param(lambda: make_dls_dataset(3.115, [-1e6, 1e6, -3e6], [1.0, 2.0, 3.0]),
+                 ConventionViolationError, "trap depth must be <= 0 Hz",
+                 id="dataset-positive-depth"),
+    pytest.param(lambda: FitResult({"a": 1.0}, np.eye(2), 1.0, 1),
+                 InvalidArgumentError, "covariance shape must match parameters",
+                 id="result-shape"),
+    pytest.param(lambda: FitResult({"a": 1.0, "b": 2.0},
+                                   np.array([[1.0, 0.5], [0.0, 1.0]]), 1.0, 1),
+                 InvalidArgumentError, "covariance must be symmetric",
+                 id="result-asymmetric"),
+    pytest.param(lambda: FitResult({"a": 1.0}, np.eye(1), 1.0, 0),
+                 InvalidArgumentError, "dof must be >= 1", id="result-dof"),
+    pytest.param(lambda: magic_depth_sigma(
+                     FitResult({"beta2": -1e-4, "beta4": 0.0}, np.eye(2), 1.0, 1),
+                     BETA1, 3.115),
+                 InvalidArgumentError, "beta4 must be positive", id="sigma-beta4"),
+    pytest.param(lambda: fit_damped_sinusoid(
+                     [(t, 0.5, 0.0 if k == 3 else 0.1) for k, t in enumerate(TEN_TIMES)]),
+                 InvalidArgumentError, "sigmas must be positive", id="sinusoid-zero-sigma"),
+    pytest.param(lambda: fit_damped_sinusoid([(0.1, 0.05 * k) for k in range(10)]),
+                 InvalidArgumentError, "times must be strictly increasing overall",
+                 id="sinusoid-one-time"),
+    pytest.param(lambda: fit_envelope([(0.0, 1.0), (0.1, 0.9), (0.2, 0.8)]),
+                 InvalidArgumentError, "need at least 4 samples", id="envelope-3-samples"),
+    pytest.param(lambda: synth_dls(MEASURED, 3.115, DEPTHS, -1.0, seed=0),
+                 InvalidArgumentError, "noise sigma must be >= 0", id="synth-negative-noise")])
+def test_coded_errors(call, error, message):
+    with pytest.raises(error, match=message):
+        call()
+
+
 class TestMalformedSamples:
     # rows must all be (t, v) or all (t, v, sigma); anything else is a coded
     # error, never a bare ValueError from unpacking a row
@@ -770,7 +820,9 @@ class TestNonFiniteInputs:
             columns[0] = bad
         else:
             columns[column][2] = bad
-        with pytest.raises(InvalidArgumentError, match=f"{name} must be finite"):
+        # a depth goes through the shift model's own depth check
+        message = "trap depth" if name == "depths" else name
+        with pytest.raises(InvalidArgumentError, match=f"{message} must be finite"):
             fit_dls_global(clean_datasets()[:1] + [make_dls_dataset(*columns)],
                            BETA1)
 

@@ -7,16 +7,17 @@ import numpy as np
 import pytest
 
 from magictrap import ramsey
-from magictrap.constants import hz_from_kelvin
-from magictrap.dls import TrapCoefficients, dls, dls_minimum, magic_depth
+from magictrap.dls import TrapCoefficients, dls, dls_minimum, hz_from_kelvin, magic_depth
 from magictrap.errors import (
     ConventionViolationError,
     InvalidArgumentError,
     NumericalFailureError,
+    UnphysicalConfigurationError,
 )
 from magictrap.ramsey import (
     RamseyTrace,
     TrapFieldConfig,
+    VisibilityCurve,
     coherence_vs_depth,
     combine_coherence,
     ramsey_population,
@@ -115,6 +116,29 @@ class TestDepthGeometry:
 
 
 class TestConfig:
+    @pytest.mark.parametrize("args,message", [
+        ((B0, -4e6, 0.0), "temperature must be positive"),
+        ((B0, -4e6, -17e-6), "temperature must be positive"),
+        ((B0, -4e6, math.nan), "temperature must be positive"),
+        ((math.inf, -4e6, 17e-6), "b_field_gauss must be finite"),
+        ((math.nan, -4e6, 17e-6), "b_field_gauss must be finite"),
+        ((B0, -4e6, 17e-6, math.inf), "detuning_hz must be finite"),
+        ((B0, -4e6, 17e-6, math.nan), "detuning_hz must be finite"),
+        # +inf fails the finiteness check before the sign check
+        ((B0, math.inf, 17e-6), "trap depth must be finite"),
+        ((B0, -math.inf, 17e-6), "trap depth must be finite")])
+    def test_invalid_fields_rejected(self, args, message):
+        with pytest.raises(InvalidArgumentError, match=f"^{message}$"):
+            TrapFieldConfig(MEASURED, *args)
+
+    def test_coherence_past_the_zero_crossing_is_unphysical(self):
+        # at 4 G, past the zero crossing at 3.505 G, the vertex U_M lies
+        # above zero, so no ratio of it is a trap depth
+        base = TrapFieldConfig(MEASURED, 4.0, 0.0, 17e-6)
+        with pytest.raises(UnphysicalConfigurationError,
+                           match="magic depth is not a trap at this field"):
+            coherence_vs_depth(base, [0.5, 1.0], 4.0, 0.3)
+
     def test_temperature_past_float_range_in_hz_rejected(self):
         # kB*T/h overflows above about 8.6e297 K
         with pytest.raises(InvalidArgumentError) as info:
@@ -828,3 +852,12 @@ class TestTraceContainers:
     def test_length_mismatch_rejected(self):
         with pytest.raises(InvalidArgumentError):
             RamseyTrace((0.0, 1.0), (0.5,))
+
+    @pytest.mark.parametrize("container", [RamseyTrace, VisibilityCurve])
+    @pytest.mark.parametrize("times,values,message", [
+        ((0.0,), (0.5, 0.4), "must match in length"),
+        ((0.0, 1.0), (1.0, 1.5), "must lie in"),
+        ((0.0, 1.0), (-0.1, 0.5), "must lie in")])
+    def test_coded_errors(self, container, times, values, message):
+        with pytest.raises(InvalidArgumentError, match=message):
+            container(times, values)

@@ -8,7 +8,7 @@ from scipy.integrate import quad
 from scipy.special import gammainc
 
 from magictrap import thermal
-from magictrap.constants import hz_from_kelvin
+from magictrap.dls import hz_from_kelvin
 from magictrap.errors import InvalidArgumentError
 from magictrap.thermal import ThermalEnsemble, _gamma_p, sample, truncation_mass
 

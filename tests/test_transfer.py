@@ -4,9 +4,8 @@ from dataclasses import replace
 import pytest
 
 from magictrap.cli import main
-from magictrap.constants import hz_from_kelvin
 from magictrap.datafiles import write_coefficients, write_timeline
-from magictrap.dls import TrapCoefficients, magic_depth
+from magictrap.dls import TrapCoefficients, hz_from_kelvin, magic_depth
 from magictrap.errors import (
     InvalidArgumentError,
     TimelineError,
