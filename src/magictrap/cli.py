@@ -132,16 +132,16 @@ def _cmd_beff(args):
 
 
 def _fit_pairs(result):
-    """Each parameter with its stderr, then chi^2, dof and the covariance."""
+    """Each parameter with its stderr, then chi^2, dof and each correlation."""
     pairs = []
     for name in result.names:
         pairs.append((name, result.parameters[name]))
         pairs.append((f"{name}_stderr", result.stderr(name)))
     pairs += [("chi_square", result.chi_square), ("dof", result.dof)]
     for i, row_name in enumerate(result.names):
-        for j, col_name in enumerate(result.names):
-            pairs.append((f"cov_{row_name}_{col_name}",
-                          float(result.covariance[i, j])))
+        for j, col_name in enumerate(result.names[i + 1:], i + 1):
+            pairs.append((f"corr_{row_name}_{col_name}",
+                          float(result.correlation[i, j])))
     return pairs
 
 

@@ -13,9 +13,9 @@ weighted design (or Jacobian) has its columns scaled to unit norm, and
 `condition_number` is that of the scaled normal matrix, so it does not
 depend on the units of the parameters. The two time fits work in times
 divided by a power of two near their span, so no fit depends on the unit of
-its times. When per-point sigmas are supplied the reported covariance is
-the plain (J' W J)^-1; when they default to 1 it is rescaled by
-chi^2/dof. A fit whose input, chi^2, parameters or covariance leave float
+its times. A result holds the stderrs sqrt(diag (J' W J)^-1), rescaled by
+sqrt(chi^2/dof) where the sigmas default to 1, and the correlation matrix.
+A fit whose input, chi^2, parameters or stderrs leave the normal float
 range is an invalid-argument.
 """
 import cmath
@@ -34,6 +34,7 @@ from .errors import (
 )
 
 _MAX_CONDITION = 1e12
+_SMALLEST_NORMAL = 2.0 ** -1022
 # least_squares stopping tolerances (meant as in MINPACK) and evaluation cap
 XTOL, FTOL, GTOL = 1e-12, 1e-14, 1e-14
 NFEV_PER_PARAMETER = 200
@@ -150,7 +151,8 @@ def make_dls_dataset(b_field_gauss, depths_hz, shifts_hz, sigmas_hz=None):
 @dataclass(frozen=True)
 class FitResult:
     parameters: dict
-    covariance: "np.ndarray"
+    stderrs: tuple
+    correlation: "np.ndarray"
     chi_square: float
     dof: int
     names: tuple = field(init=False)
@@ -158,24 +160,24 @@ class FitResult:
     def __post_init__(self):
         import numpy as np
 
-        cov = np.asarray(self.covariance, dtype=float)
-        if cov.shape != (len(self.parameters),) * 2:
-            raise InvalidArgumentError("covariance shape must match parameters")
-        if not np.allclose(cov, cov.T, rtol=1e-10, atol=0):
-            raise InvalidArgumentError("covariance must be symmetric")
+        corr = np.asarray(self.correlation, dtype=float)
+        if (len(self.stderrs), *corr.shape) != (len(self.parameters),) * 3:
+            raise InvalidArgumentError("stderrs and correlation must match parameters")
+        if not np.allclose(corr, corr.T, rtol=1e-10, atol=0):
+            raise InvalidArgumentError("correlation must be symmetric")
         if self.dof < 1:
             raise InvalidArgumentError("dof must be >= 1")
+        object.__setattr__(self, "correlation", corr)
         object.__setattr__(self, "names", tuple(self.parameters))
 
     def stderr(self, name: str) -> float:
-        i = self.names.index(name)
-        return math.sqrt(max(self.covariance[i, i], 0.0))
+        return self.stderrs[self.names.index(name)]
 
 
 def _normal_solve(a, y, past_range):
-    """Least squares of a x = y through the normal equations of `a` with
-    its columns scaled to unit norm: x (None when y is None) and the
-    covariance (a'a)^-1."""
+    """Least squares of a x = y through the normal equations N of `a` with
+    its columns scaled to unit norm: x (None when y is None), the stderrs
+    sqrt(diag N^-1) / scale and the correlation matrix of N^-1."""
     import numpy as np
 
     scale = np.linalg.norm(a, axis=0)
@@ -194,27 +196,24 @@ def _normal_solve(a, y, past_range):
             diagnostics={"condition_number": float(cond)},
         )
     x = None if y is None else np.linalg.solve(normal, scaled.T @ y) / scale
-    return x, np.linalg.inv(normal) / np.outer(scale, scale)
+    inverse = np.linalg.inv(normal)
+    spread = np.sqrt(inverse.diagonal())
+    return x, spread / scale, (inverse + inverse.T) / (2.0 * np.outer(spread, spread))
 
 
-def _finish(names, values, unscaled_cov, chi2, dof, sigmas_given, past_range,
+def _finish(names, values, stderrs, corr, chi2, dof, sigmas_given, past_range,
             units=None):
-    """The FitResult of a solve: its covariance scaled by chi^2/dof where no
-    sigmas were given, then by outer(units, units), which maps it from the
-    unit the solver worked in to the caller's. In that order a variance that
-    fits in a float is not lost to an overflow of the unscaled one."""
-    import numpy as np
-
-    cov = np.asarray(unscaled_cov, dtype=float)
+    """The FitResult of a solve, its stderrs scaled by sqrt(chi^2/dof) where
+    no sigmas were given, then by `units` to the caller's unit. A stderr off
+    the normal range is past float range, save 0 where unweighted chi^2 = 0."""
     if not sigmas_given:
-        cov = cov * (chi2 / dof)
-    if units is not None:
-        cov = cov * units[:, None] * units  # outer(units, units) would overflow
-    cov = 0.5 * (cov + cov.T)
-    if not (math.isfinite(chi2) and np.isfinite(values).all()
-            and np.isfinite(cov).all()):
+        stderrs = stderrs * math.sqrt(chi2 / dof)
+    stderrs = tuple((stderrs if units is None else stderrs * units).tolist())
+    least = 0.0 if chi2 == 0 and not sigmas_given else _SMALLEST_NORMAL
+    if not (math.isfinite(chi2) and all(map(math.isfinite, values))
+            and all(least <= s < math.inf for s in stderrs)):
         raise InvalidArgumentError(past_range)
-    return FitResult(dict(zip(names, (float(v) for v in values))), cov,
+    return FitResult(dict(zip(names, map(float, values))), stderrs, corr,
                      float(chi2), int(dof))
 
 
@@ -226,8 +225,8 @@ def fit_dls_global(datasets, beta1_fixed) -> FitResult:
     The model shift = (beta1 + beta2*B)*U + beta4*U**2 is linear in
     (beta2, beta4), and in beta1 when it is free; the normal equations are
     solved with column scaling.
-    A fit whose input, chi^2, parameters or covariance leave float range
-    is an invalid-argument.
+    A fit whose input, chi^2, parameters or stderrs leave float range is
+    an invalid-argument.
     """
     import numpy as np
 
@@ -257,27 +256,27 @@ def fit_dls_global(datasets, beta1_fixed) -> FitResult:
             target = y - beta1_fixed * u
         aw = design / sig[:, None]
         yw = target / sig
-        params, cov = _normal_solve(aw, yw, past_range)
+        params, stderrs, corr = _normal_solve(aw, yw, past_range)
         resid = yw - aw @ params
-        return _finish(names, params, cov, float(resid @ resid),
+        return _finish(names, params, stderrs, corr, float(resid @ resid),
                        len(rows) - len(names), sigmas_given, past_range)
 
 
 def magic_depth_sigma(fit: FitResult, beta1: float, b_field_gauss: float) -> float:
-    """First-order uncertainty of the vertex depth propagated from the
-    fitted (beta2, beta4) covariance."""
-    import numpy as np
-
-    beta2 = fit.parameters["beta2"]
-    beta4 = fit.parameters["beta4"]
+    """First-order uncertainty of the vertex depth, sqrt(g' C g): g is its
+    gradient times the stderrs, in Python floats, C the fit's correlation."""
+    beta2, beta4 = fit.parameters["beta2"], fit.parameters["beta4"]
     if beta4 <= 0:
         raise InvalidArgumentError("beta4 must be positive to have a vertex")
     u_magic = magic_depth(TrapCoefficients(beta1, beta2, beta4), b_field_gauss)
-    grad = {"beta2": -b_field_gauss / (2.0 * beta4), "beta4": -u_magic / beta4}
-    if "beta1" in fit.parameters:
-        grad["beta1"] = -1.0 / (2.0 * beta4)
-    g = np.array([grad.get(name, 0.0) for name in fit.names])
-    return float(math.sqrt(max(g @ fit.covariance @ g, 0.0)))
+    grad = {"beta1": -1.0 / (2.0 * beta4), "beta2": -b_field_gauss / (2.0 * beta4),
+            "beta4": -u_magic / beta4}
+    g = [grad[name] * s for name, s in zip(fit.names, fit.stderrs)]
+    var = sum(gi * c * gj for gi, row in zip(g, fit.correlation.tolist())
+              for gj, c in zip(g, row))
+    if not var < math.inf:  # overflowed, or inf times 0
+        raise InvalidArgumentError("vertex-depth uncertainty is past float range")
+    return math.sqrt(max(var, 0.0))
 
 
 def _normalize_samples(samples):
@@ -450,7 +449,7 @@ def fit_damped_sinusoid(samples) -> FitResult:
 
     Initialization is deterministic: frequency and phase from the discrete
     spectrum peak, decay and amplitude from a log-envelope regression.
-    A fit whose chi^2 at the start point, final chi^2 or covariance leaves
+    A fit whose chi^2 at the start point, final chi^2 or stderrs leave
     float range is an invalid-argument.
     """
     import numpy as np
@@ -496,11 +495,11 @@ def fit_damped_sinusoid(samples) -> FitResult:
         if delta < 0:
             delta, phi = -delta, -phi
         phi = math.remainder(phi, 2 * math.pi)
-        # the covariance belongs to the reported parameters, not the solver's
+        # the stderrs belong to the reported parameters, not the solver's
         _, jac = _damped_sinusoid(np.array([amp, tau, delta, phi, off]), t, p, sig)
-        _, cov = _normal_solve(jac, None, past_range)
+        _, stderrs, corr = _normal_solve(jac, None, past_range)
         return _finish(("v0", "tau", "delta", "phi", "offset"),
-                       (amp, tau * unit, delta / unit, phi, off), cov,
+                       (amp, tau * unit, delta / unit, phi, off), stderrs, corr,
                        float(2.0 * result.cost), t.size - 5, sigmas_given, past_range,
                        units=np.array([1.0, unit, 1.0 / unit, 1.0, 1.0]))
 
@@ -521,13 +520,13 @@ def fit_envelope(samples) -> FitResult:
         w = v / sig                 # sd(log v) = sigma/v
         a, y = (w * t)[:, None], w * np.log(v)
         past_range = "envelope fit is past float range"
-        (slope,), cov = _normal_solve(a, y, past_range)
+        (slope,), stderrs, corr = _normal_solve(a, y, past_range)
         if slope >= 0:
             raise FitFailureError("no decay: regressed slope is non-negative",
                                   diagnostics={"slope": float(slope / unit)})
-        tau = -1.0 / slope          # numpy floats: tau**4 overflows to inf
+        tau = -1.0 / slope          # numpy floats: tau**2 overflows to inf
         resid = y - a @ [slope]
-        return _finish(("tau",), (tau * unit,), cov * tau**4,
+        return _finish(("tau",), (tau * unit,), stderrs * tau**2, corr,
                        float(resid @ resid), t.size - 1, sigmas_given, past_range,
                        units=np.array([unit]))
 

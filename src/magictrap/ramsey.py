@@ -381,12 +381,13 @@ def _first_crossings(envelope, configs):
     or still above 1/e there. envelope(indices, times) returns the envelope
     of each listed config at its time.
 
-    Each brackets its crossing by doubling from its _safe_time, so no
-    earlier crossing can be skipped, then closes the bracket on
-    g = log(envelope) + 1 to T2_STAR_REL_TOL by Illinois regula falsi
-    (Dowell & Jarratt, BIT 11, 168 (1971)), bisecting whenever the secant
-    point leaves the open bracket, and returns the bracket's midpoint. Each
-    follows its own probe sequence, so a root does not depend on the others.
+    Each brackets its crossing by doubling from its _safe_time, the last
+    step cut to end at the horizon, so no earlier crossing can be skipped,
+    then closes the bracket on g = log(envelope) + 1 to T2_STAR_REL_TOL by
+    Illinois regula falsi (Dowell & Jarratt, BIT 11, 168 (1971)), bisecting
+    whenever the secant point leaves the open bracket, and returns the
+    bracket's midpoint. Each follows its own probe sequence, so a root does
+    not depend on the others.
     """
     n = len(configs)
     # the envelope is 1 at t = 0 exactly (there _integrals returns the
@@ -406,10 +407,10 @@ def _first_crossings(envelope, configs):
                 continue
             if g_hi[i] is None and g > 0.0:
                 lo[i], g_lo[i] = t, g
-                if 2.0 * t > T2_STAR_HORIZON_S:
+                if t >= T2_STAR_HORIZON_S:
                     continue
                 unsolved.append(i)
-                following.append(2.0 * t)
+                following.append(min(2.0 * t, T2_STAR_HORIZON_S))
                 continue
             if g_hi[i] is None:
                 hi[i], g_hi[i] = t, g

@@ -20,12 +20,12 @@ def _nice_ticks(lo, hi):
             break
     first = math.ceil(lo / step) * step
     ticks = []
-    value = first
+    value = first  # tick i is first + i*step: a sum of steps rounds past hi
     while value <= hi + 1e-9 * step:
         ticks.append(0.0 if abs(value) < 1e-12 * step else value)
         if value + step == value:  # a step below half an ulp of the ticks
             break
-        value += step
+        value = first + len(ticks) * step
     return ticks or [lo, hi]
 
 

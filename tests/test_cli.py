@@ -607,7 +607,7 @@ class TestFits:
         doc = parse_doc(out)
         assert float(doc["beta2"]) == pytest.approx(-0.99e-4, rel=1e-6)
         assert float(doc["beta4"]) == pytest.approx(4.6e-12, rel=1e-6)
-        assert "cov_beta2_beta4" in doc
+        assert "corr_beta2_beta4" in doc
 
     def test_fit_dls_free_beta1(self, capsys, shift_table):
         code, out, err = run(capsys, ["fit-dls", "--input", shift_table,
@@ -668,8 +668,48 @@ class TestFits:
         doc = parse_doc(out)
         assert float(doc["tau"]) == pytest.approx(0.206, rel=1e-5)
         assert float(doc["delta"]) == pytest.approx(50.0, rel=1e-5)
-        assert "cov_tau_tau" in doc
+        assert "corr_v0_tau" in doc
         assert plot.exists()
+
+    @pytest.mark.parametrize("command,options,names", [
+        ("fit-dls", ["--beta1", "3.47e-4"], ["beta2", "beta4"]),
+        ("fit-dls", ["--free-beta1"], ["beta1", "beta2", "beta4"]),
+        ("fit-ramsey", [], ["v0", "tau", "delta", "phi", "offset"])],
+        ids=["fit-dls-fixed-beta1", "fit-dls-free-beta1", "fit-ramsey"])
+    def test_fit_document_states_each_number_once(self, capsys, tmp_path,
+                                                  command, options, names):
+        # noisy, unweighted input: each parameter and its stderr, chi^2 and
+        # dof, then the correlation of each pair of parameters a before b
+        from magictrap.datafiles import write_table
+        from magictrap.dls import dls
+        rng = np.random.default_rng(21)
+        path = tmp_path / "input.csv"
+        if command == "fit-dls":
+            coeffs = TrapCoefficients(3.47e-4, -0.99e-4, 4.6e-12)
+            write_table(path, ("b_field_gauss", "depth_mk", "dls_hz"), [
+                (b, d, dls(coeffs, b, depth_hz_from_mk(d)) + rng.normal(0.0, 2.0))
+                for b in (2.8, 3.0, 3.115, 3.3) for d in (0.05, 0.1, 0.2, 0.3)])
+            head = ["n_datasets", "n_points", "beta1_fixed"]
+        else:
+            t = np.linspace(0.0, 0.4, 100)
+            p = 0.5 + 0.5 * np.exp(-t / 0.206) * np.cos(2 * np.pi * 50.0 * t)
+            write_table(path, ("t_s", "p"), list(zip(t, p + rng.normal(0.0, 0.02, t.size))))
+            head = []
+        code, out, err = run(capsys, [command, "--input", str(path), *options])
+        assert (code, err) == (0, "")
+        keys = [line.partition(" = ")[0] for line in out.splitlines()]
+        corr_keys = [f"corr_{a}_{b}" for i, a in enumerate(names) for b in names[i + 1:]]
+        assert len(corr_keys) == len(names) * (len(names) - 1) // 2
+        block = head + [key for name in names for key in (name, f"{name}_stderr")]
+        block += ["chi_square", "dof"] + corr_keys
+        assert keys[:len(block)] == block
+        # fit-dls goes on with the vertex depth and its uncertainty per field
+        assert all(key.startswith("u_m_") for key in keys[len(block):])
+        doc = parse_doc(out)
+        for key in corr_keys:
+            assert -1.0 - 1e-12 <= float(doc[key]) <= 1.0 + 1e-12, key
+        for name in names:
+            assert float(doc[f"{name}_stderr"]) > 0.0, name
 
     @pytest.mark.parametrize("scale_p,sigma", [(1e300, None), (1.0, 1e-300)],
                              ids=["values-1e300", "sigma-1e-300"])

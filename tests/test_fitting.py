@@ -1,5 +1,6 @@
 import ast
 import cmath
+import functools
 import math
 import os
 import subprocess
@@ -66,8 +67,9 @@ class TestDlsFit:
     @pytest.mark.parametrize("depth_hz,shifts,free,beta1", [
         # chi^2 overflows
         (1.0, [1e300, -1e300, 1e300, -1e300], True, "free"),
-        # unweighted, the covariance overflows only once scaled by chi^2/dof
-        (1e-73, [1e9, -1e9, 1e9, -2e9], False, "fixed at 0.000347")])
+        # unweighted, stderr(beta4) overflows though chi^2 and the
+        # parameters do not
+        (1e-78, [1e153, -3e153, 3e153, -1e153], False, "fixed at 0.000347")])
     def test_past_float_range_is_an_invalid_argument(self, depth_hz, shifts,
                                                       free, beta1):
         depths = [-depth_hz * k for k in (1, 2, 3, 4)]
@@ -101,10 +103,12 @@ class TestDlsFit:
 
     def test_covariance_scales_with_noise(self):
         # with known per-point sigmas the covariance is (A' W A)^-1, so
-        # doubling sigma exactly quadruples every variance
+        # doubling sigma exactly doubles every stderr and keeps the
+        # correlation
         a = fit_dls_global(noisy_datasets(2.0, 5), beta1_fixed=BETA1)
         b = fit_dls_global(noisy_datasets(4.0, 5), beta1_fixed=BETA1)
-        np.testing.assert_allclose(b.covariance, 4.0 * a.covariance, rtol=1e-9)
+        np.testing.assert_allclose(b.stderrs, 2.0 * np.array(a.stderrs), rtol=1e-9)
+        np.testing.assert_allclose(b.correlation, a.correlation, rtol=1e-9)
 
     def test_chi2_per_dof_concentration(self):
         depths = list(np.linspace(-0.4e6, -5e6, 32))
@@ -131,6 +135,17 @@ class TestDlsFit:
         assert sigma_a > 0
         assert sigma_b == pytest.approx(2.0 * sigma_a, rel=1e-9)
         assert sigma_a < 0.2 * abs(magic_depth(MEASURED, 3.115))
+
+    def test_sigma_of_a_result_built_from_lists(self):
+        # sqrt(g' Cov g) with Cov = diag(s) C diag(s), written out for two
+        # parameters; the correlation may be given as nested lists
+        s2, s4, r = 3e-9, 2e-16, 0.7
+        fit = FitResult({"beta2": MEASURED.beta2, "beta4": MEASURED.beta4},
+                         (s2, s4), [[1.0, r], [r, 1.0]], 1.0, 1)
+        g2 = -3.115 / (2.0 * MEASURED.beta4)
+        g4 = -magic_depth(MEASURED, 3.115) / MEASURED.beta4
+        expected = math.sqrt((g2 * s2) ** 2 + 2.0 * r * g2 * s2 * g4 * s4 + (g4 * s4) ** 2)
+        assert magic_depth_sigma(fit, MEASURED.beta1, 3.115) == pytest.approx(expected, rel=1e-14)
 
 
 class TestDampedSinusoidFit:
@@ -227,36 +242,62 @@ class TestDampedSinusoidFit:
             fit_damped_sinusoid(list(zip(t, slow)))
 
 
+def time_fit_samples(fit, c, noisy):
+    """Samples of the model of `fit` at times x c, unweighted: the sinusoid
+    plus 0.02 of noise, or the envelope times 1 + 0.01 of noise, the same
+    draw at every c."""
+    rng = np.random.default_rng(5)
+    if fit == "damped-sinusoid":
+        t = np.linspace(0.0, 0.4, 50)
+        values = sinusoid(t, v0=0.8, tau=0.2, delta=40.0)
+        values = values + noisy * rng.normal(0.0, 0.02, t.size)
+    else:
+        t = np.linspace(0.02, 1.0, 20)
+        values = np.exp(-t / 0.3) * (1.0 + noisy * rng.normal(0.0, 0.01, t.size))
+    return list(zip(t * c, values))
+
+
+TIME_FITS = {"damped-sinusoid": fit_damped_sinusoid, "envelope": fit_envelope}
+
+
+@functools.cache
+def unit_scale_fit(fit):
+    return TIME_FITS[fit](time_fit_samples(fit, 1.0, noisy=True))
+
+
 @pytest.mark.parametrize("k", range(-300, 301, 20))
 @pytest.mark.parametrize("fit", ["damped-sinusoid", "envelope"])
 def test_fits_do_not_depend_on_the_time_unit(fit, k):
     # both models are scale-free in t (tau -> c tau, delta -> delta / c), so
-    # times scaled by c = 10^k give tau * c and delta / c, unless the result
-    # in that unit leaves float range
+    # times scaled by c = 10^k give tau * c and delta / c, and stderrs scaled
+    # alike. Noisy stderrs stay normal floats at every k. Noiseless ones, a
+    # rounding-level 1e-17 or so of the parameters, leave the normal range
+    # near |k| = 300: there the fit is an invalid-argument, never a stderr of 0
     c = 10.0 ** k
-    if fit == "damped-sinusoid":
-        t = np.linspace(0.0, 0.4, 50)
-        samples = list(zip(t * c, sinusoid(t, v0=0.8, tau=0.2, delta=40.0)))
-        tau, exact = 0.2, abs(k) <= 160
-    else:
-        t = np.linspace(0.02, 1.0, 20)
-        samples = list(zip(t * c, np.exp(-t / 0.3)))
-        tau, exact = 0.3, k <= 160
+    scale = {"tau": c, "delta": 1.0 / c}
+    ref = unit_scale_fit(fit)
+    noisy = TIME_FITS[fit](time_fit_samples(fit, c, noisy=True))
+    for name in ref.names:
+        stderr = ref.stderr(name) * scale.get(name, 1.0)
+        assert noisy.stderr(name) == pytest.approx(stderr, rel=1e-8), name
+        diff = noisy.parameters[name] - ref.parameters[name] * scale.get(name, 1.0)
+        assert abs(diff) <= 1e-6 * stderr, name
+    tau = 0.2 if fit == "damped-sinusoid" else 0.3
     try:
-        result = (fit_damped_sinusoid if fit == "damped-sinusoid"
-                  else fit_envelope)(samples)
+        result = TIME_FITS[fit](time_fit_samples(fit, c, noisy=False))
     except InvalidArgumentError as error:
         assert str(error) == f"{fit} fit is past float range"
-        assert not exact
+        assert abs(k) > 280
         return
+    assert 0.0 < min(result.stderrs) and max(result.stderrs) < math.inf
     assert result.parameters["tau"] / c == pytest.approx(tau, rel=1e-9)
     if fit == "damped-sinusoid":
         assert result.parameters["delta"] * c == pytest.approx(40.0, rel=1e-9)
 
 
 def test_sinusoid_covariance_is_scaled_before_it_is_mapped_to_the_time_unit():
-    # noiseless: chi^2/dof shrinks the covariance, so var tau in s^2 (about
-    # 1e289 at times x 1e160) fits in a float although the unscaled one does not
+    # noiseless: chi^2/dof shrinks the stderrs before they are mapped to the
+    # input time unit, so stderr tau at times x 1e160 is a normal float
     c = 1e160
     t = np.linspace(0.0, 0.4, 50)
     result = fit_damped_sinusoid(list(zip(t * c, sinusoid(t, v0=0.8, tau=0.2, delta=40.0))))
@@ -521,7 +562,8 @@ class TestLevenbergMarquardt:
             if name == "phi":
                 diff = math.remainder(diff, 2 * math.pi)
             assert abs(diff) <= 1e-5 * ref.stderr(name), name
-        np.testing.assert_allclose(fit.covariance, ref.covariance, rtol=1e-6)
+        np.testing.assert_allclose(fit.stderrs, ref.stderrs, rtol=1e-6)
+        np.testing.assert_allclose(fit.correlation, ref.correlation, rtol=1e-6)
 
 
 def test_no_module_imports_scipy():
@@ -699,19 +741,29 @@ TEN_TIMES = np.linspace(0.0, 0.4, 10)
     pytest.param(lambda: make_dls_dataset(3.115, [-1e6, 1e6, -3e6], [1.0, 2.0, 3.0]),
                  ConventionViolationError, "trap depth must be <= 0 Hz",
                  id="dataset-positive-depth"),
-    pytest.param(lambda: FitResult({"a": 1.0}, np.eye(2), 1.0, 1),
-                 InvalidArgumentError, "covariance shape must match parameters",
+    pytest.param(lambda: FitResult({"a": 1.0}, (1.0,), np.eye(2), 1.0, 1),
+                 InvalidArgumentError, "stderrs and correlation must match parameters",
                  id="result-shape"),
-    pytest.param(lambda: FitResult({"a": 1.0, "b": 2.0},
+    pytest.param(lambda: FitResult({"a": 1.0}, (1.0, 1.0), np.eye(1), 1.0, 1),
+                 InvalidArgumentError, "stderrs and correlation must match parameters",
+                 id="result-stderrs-shape"),
+    pytest.param(lambda: FitResult({"a": 1.0, "b": 2.0}, (1.0, 1.0),
                                    np.array([[1.0, 0.5], [0.0, 1.0]]), 1.0, 1),
-                 InvalidArgumentError, "covariance must be symmetric",
+                 InvalidArgumentError, "correlation must be symmetric",
                  id="result-asymmetric"),
-    pytest.param(lambda: FitResult({"a": 1.0}, np.eye(1), 1.0, 0),
+    pytest.param(lambda: FitResult({"a": 1.0}, (1.0,), np.eye(1), 1.0, 0),
                  InvalidArgumentError, "dof must be >= 1", id="result-dof"),
     pytest.param(lambda: magic_depth_sigma(
-                     FitResult({"beta2": -1e-4, "beta4": 0.0}, np.eye(2), 1.0, 1),
+                     FitResult({"beta2": -1e-4, "beta4": 0.0}, (1.0, 1.0), np.eye(2),
+                               1.0, 1),
                      BETA1, 3.115),
                  InvalidArgumentError, "beta4 must be positive", id="sigma-beta4"),
+    pytest.param(lambda: magic_depth_sigma(
+                     FitResult({"beta2": -1e-4, "beta4": 4.6e-12}, (1e300, 1.0),
+                               np.eye(2), 1.0, 1),
+                     BETA1, 3.115),
+                 InvalidArgumentError, "vertex-depth uncertainty is past float range",
+                 id="sigma-past-float-range"),
     pytest.param(lambda: fit_damped_sinusoid(
                      [(t, 0.5, 0.0 if k == 3 else 0.1) for k, t in enumerate(TEN_TIMES)]),
                  InvalidArgumentError, "sigmas must be positive", id="sinusoid-zero-sigma"),

@@ -374,6 +374,34 @@ class TestSafeTime:
         assert ramsey._t2_stars([cfg, cfg]) == [math.inf, math.inf]
         assert probes == []
 
+    def test_infinite_root_after_doubling_past_the_horizon(self, monkeypatch):
+        # 0.15 uK at the magic depth: safe for 2655 s, inside the horizon,
+        # and still above 1/e at the horizon itself
+        cfg = config(0.15e-6)
+        safe = ramsey._safe_time(cfg)
+        assert safe < ramsey.T2_STAR_HORIZON_S
+        assert visibility(cfg, ramsey.T2_STAR_HORIZON_S) > 1 / math.e
+        probes = count_visibility_calls(monkeypatch)
+        assert t2_star(cfg) == math.inf
+        # the doubling's last step is cut to end at the horizon
+        assert probes == [safe, 2.0 * safe, ramsey.T2_STAR_HORIZON_S]
+        assert ramsey._t2_stars([cfg]) == [math.inf]
+
+    def test_crossing_between_the_last_doubling_and_the_horizon(self, monkeypatch):
+        # 0.2 uK at the magic depth: safe for 1493 s, above 1/e at four
+        # times that and below it at the horizon, which a further doubling
+        # would step over
+        cfg = config(0.2e-6)
+        safe = ramsey._safe_time(cfg)
+        assert 8.0 * safe > ramsey.T2_STAR_HORIZON_S
+        assert visibility(cfg, 4.0 * safe) > 1 / math.e
+        assert visibility(cfg, ramsey.T2_STAR_HORIZON_S) < 1 / math.e
+        probes = count_visibility_calls(monkeypatch)
+        root = t2_star(cfg)
+        assert probes[:4] == [safe, 2.0 * safe, 4.0 * safe, ramsey.T2_STAR_HORIZON_S]
+        assert root == pytest.approx(tight_t2_star(cfg), rel=1e-10)
+        assert ramsey._t2_stars([cfg]) == [root]
+
 
 def integrate_spy(monkeypatch):
     """Pass every quadrature call of the kernel through, and return the
@@ -777,6 +805,29 @@ class TestKernelEdges:
         coeffs = TrapCoefficients(MEASURED.beta1, MEASURED.beta2, 0.0)
         for t in (1e-8, 0.3, 10.0):
             assert_exact(config(17e-6, ratio=0.6, detuning_hz=30.0, coeffs=coeffs), t)
+
+    @pytest.mark.parametrize("beta4", [1e-25, 1e-30])
+    @pytest.mark.parametrize("temperature_uk", [2, 17, 40])
+    def test_saddle_term_that_underflows(self, monkeypatch, temperature_uk, beta4):
+        # beta4 -> 0+ with the trap bottom 1.5x deeper than the vertex: the
+        # two ends descend into opposite valleys, and the saddle term's
+        # exp(q(x*)), Re q(x*) = p1/(2*p2) below -1e14, underflows to 0. The
+        # shift is linear to 1e-13 over the density, so the envelope is
+        # |(1 - i*p1)**-3| (Kuhr et al.) with p1 = pi*t*theta*dls'(U0)
+        coeffs = TrapCoefficients(MEASURED.beta1, MEASURED.beta2, beta4)
+        linear = coeffs.beta1 + coeffs.beta2 * B0
+        cfg = TrapFieldConfig(coeffs, B0, 1.5 * linear / (-2.0 * beta4),
+                              temperature_uk * 1e-6)
+        theta = hz_from_kelvin(cfg.temperature_k)
+        halves = []
+        half_gaussian = ramsey._half_gaussian
+        monkeypatch.setattr(ramsey, "_half_gaussian",
+                            lambda *a: halves.append(half_gaussian(*a)) or halves[-1])
+        for t in (1.0, 10.0, 100.0):
+            p1 = math.pi * t * theta * (linear + 2.0 * beta4 * cfg.bottom_depth_hz)
+            assert visibility(cfg, t) == pytest.approx((1.0 + p1 * p1) ** -1.5,
+                                                       abs=1e-13, rel=1e-12)
+        assert halves == [0.0] * 6
 
     @pytest.mark.parametrize("temperature_uk,ratio", [
         (1, 5), (2, 10), (2, 20), (2, 50), (8, 50)])

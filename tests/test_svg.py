@@ -52,7 +52,7 @@ def test_unplottable_range_is_invalid_argument(tmp_path, xs, ys):
 def test_degenerate_x_range_spans_one_unit(tmp_path):
     text = plot(tmp_path, [("", [5.0, 5.0], [1.0, 2.0])])
     assert_finite(text)
-    assert tick_labels(text, "middle") == ["5", "5.2", "5.4", "5.6", "5.8"]
+    assert tick_labels(text, "middle") == ["5", "5.2", "5.4", "5.6", "5.8", "6"]
 
 
 @pytest.mark.parametrize("value,first,last", [(3.0, "3", "6"), (0.0, "0", "1"),
