@@ -44,6 +44,8 @@ def depth_hz_from_mk(depth_mk: float) -> float:
 def mk_from_depth_hz(depth_hz: float) -> float:
     """-U in mK: a trap depth U <= 0 Hz reads positive, a vertex above zero
     (no trap) negative; 0.0 - U is -U exactly, but +0.0 for U = +0.0."""
+    if not math.isfinite(depth_hz):
+        raise InvalidArgumentError(f"trap depth must be finite, got {depth_hz} Hz")
     return (0.0 - depth_hz) / hz_from_kelvin(1e-3)
 
 

@@ -85,11 +85,16 @@ def _check_depth(depth_hz):
 
 
 def dls(coeffs: TrapCoefficients, b_field_gauss: float, depth_hz: float) -> float:
-    """Differential light shift in Hz at bias field B and signed depth U."""
+    """Differential light shift in Hz at bias field B and signed depth U;
+    invalid-argument where it is past float range."""
     _check_depth(depth_hz)
     _require_finite(b_field_gauss=b_field_gauss)
     linear = coeffs.beta1 + coeffs.beta2 * b_field_gauss
-    return linear * depth_hz + coeffs.beta4 * depth_hz * depth_hz
+    shift = linear * depth_hz + coeffs.beta4 * depth_hz * depth_hz
+    if not math.isfinite(shift):
+        raise InvalidArgumentError(
+            f"shift at depth {depth_hz!r} Hz is past float range")
+    return shift
 
 
 def magic_depth(coeffs: TrapCoefficients, b_field_gauss: float) -> float:

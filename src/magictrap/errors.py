@@ -45,7 +45,8 @@ class UnphysicalConfigurationError(MagicTrapError):
 
 
 class NumericalFailureError(MagicTrapError):
-    """Quadrature or root finding failed to converge; carries diagnostics."""
+    """A quadrature pass missed its tolerance, a phase left float range, or
+    the thermal average is not finite; carries diagnostics."""
 
     code = "numerical-failure"
 

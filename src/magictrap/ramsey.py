@@ -120,9 +120,12 @@ class TrapFieldConfig:
         # phase spread per second: the slope k1 + 2*k2*x is largest in
         # modulus at one end of [0, x_end]
         spread = x_end * max(abs(k1), abs(k1 + 2.0 * k2 * x_end))
-        # the detuning plus the bottom shift that _integrals leaves out
-        carrier = 2.0 * math.pi * (self.detuning_hz + dls(c, self.b_field_gauss, u0))
-        if not all(map(math.isfinite, (k1, k2, spread, carrier))):
+        carrier = math.nan
+        if all(map(math.isfinite, (k1, k2, spread))):
+            # the detuning plus the bottom shift that _integrals leaves out;
+            # spread >= pi*|dls(U0)|, so a finite spread keeps dls finite
+            carrier = 2.0 * math.pi * (self.detuning_hz + dls(c, self.b_field_gauss, u0))
+        if not math.isfinite(carrier):
             raise InvalidArgumentError(
                 "phase per second past float range: the shift across the "
                 "trap or the carrier rate is not finite")

@@ -416,27 +416,16 @@ class TestScalars:
         assert code == 0
         assert float(parse_doc(out)["depth_hz_signed"]) < 0
 
-    @pytest.mark.parametrize("precision", ["0", "-1", "18", "100000000000"])
-    def test_precision_outside_1_to_17_rejected(self, capsys, monkeypatch,
-                                                coeffs_file, precision):
-        from magictrap import cli
-
-        def no_work(*args, **kwargs):
-            raise AssertionError("work done before the argument check")
-
-        monkeypatch.setattr(cli, "t2_star", no_work)
-        for argv in (["convert", "--mk", "0.2"],
-                     ["t2star", "--coeffs", coeffs_file, "--b-field", "3.115",
-                      "--depth-mk", "0.201", "--temp-uk", "17"]):
-            code, out, err = run(capsys, argv + ["--precision", precision])
-            assert code == 1
-            assert out == ""
-            assert err.startswith("error: invalid-argument:")
-
-    def test_precision_17_accepted(self, capsys):
-        code, out, err = run(capsys, ["convert", "--hz", "0.1", "--precision", "17"])
+    def test_stdout_values_have_nine_significant_digits(self, capsys):
+        code, out, err = run(capsys, ["convert", "--hz", "1"])
         assert (code, err) == (0, "")
-        assert parse_doc(out)["hz"] == "0.10000000000000001"
+        assert parse_doc(out)["kelvin"] == "4.79924307e-11"
+
+    def test_precision_is_not_an_option(self, capsys):
+        with pytest.raises(SystemExit) as info:
+            main(["convert", "--mk", "0.2", "--precision", "5"])
+        assert info.value.code == 2
+        assert capsys.readouterr().out == ""
 
     def test_convert_needs_input(self, capsys):
         code, out, err = run(capsys, ["convert"])

@@ -63,6 +63,14 @@ class TestDls:
         with pytest.raises(InvalidArgumentError, match="^trap depth must be finite$"):
             dls(MEASURED, B0, depth)
 
+    @pytest.mark.parametrize("coeffs,b_field,depth", [
+        (MEASURED, B0, -1e200),  # beta4 * U**2 overflows
+        (TrapCoefficients(1e100, 0.0, 4.6e-12), 0.0, -1e210)])  # inf - inf
+    def test_shift_past_float_range_rejected(self, coeffs, b_field, depth):
+        with pytest.raises(InvalidArgumentError) as info:
+            dls(coeffs, b_field, depth)
+        assert str(info.value) == f"shift at depth {depth!r} Hz is past float range"
+
     @given(coeff_strategy, st.floats(min_value=0.0, max_value=3.4),
            st.floats(min_value=-1e7, max_value=0.0))
     def test_never_below_minimum(self, coeffs, b_field, depth):

@@ -6,6 +6,7 @@ import os
 import subprocess
 import sys
 import warnings
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -101,7 +102,7 @@ class TestDlsFit:
         assert list(info.value.diagnostics) == ["condition_number"]
         assert info.value.diagnostics["condition_number"] > 1e12
 
-    def test_covariance_scales_with_noise(self):
+    def test_stderrs_scale_with_noise(self):
         # with known per-point sigmas the covariance is (A' W A)^-1, so
         # doubling sigma exactly doubles every stderr and keeps the
         # correlation
@@ -217,7 +218,7 @@ class TestDampedSinusoidFit:
             2 * math.pi)
         assert moved.parameters["phi"] == pytest.approx(expected_phi, abs=1e-7)
 
-    def test_covariance_past_float_range_after_the_solve(self, monkeypatch):
+    def test_stderrs_past_float_range_after_the_solve(self, monkeypatch):
         # chi^2 at the start point is finite, J'J at the solution is not
         solves = []
         least_squares = fitting.least_squares
@@ -295,7 +296,7 @@ def test_fits_do_not_depend_on_the_time_unit(fit, k):
         assert result.parameters["delta"] * c == pytest.approx(40.0, rel=1e-9)
 
 
-def test_sinusoid_covariance_is_scaled_before_it_is_mapped_to_the_time_unit():
+def test_sinusoid_stderrs_are_scaled_before_they_are_mapped_to_the_time_unit():
     # noiseless: chi^2/dof shrinks the stderrs before they are mapped to the
     # input time unit, so stderr tau at times x 1e160 is a normal float
     c = 1e160
@@ -381,6 +382,18 @@ def test_envelope_init_without_time_spread_starts_without_decay():
         v0, tau0 = fitting._envelope_init(t, y, 20.0, *grid_facts(t))
     assert tau0 == 2.0 * (t[-1] - t[0])
     assert v0 == pytest.approx(4.0 * 0.3)
+
+
+def test_envelope_init_of_a_single_burst_fits_every_nonzero_point():
+    # a burst that decays within one sample: only t = 0 exceeds 5 % of the
+    # peak, so the log-envelope line goes through every nonzero point and
+    # finds the burst's decay time; one point alone would give 2 * span
+    t = np.linspace(0.0, 1.0, 101)
+    y = np.exp(-t / 0.002) * np.cos(2 * np.pi * 100.0 * t)
+    v0, tau0 = fitting._envelope_init(t, y, 100.0, *grid_facts(t))
+    assert tau0 == pytest.approx(0.002, rel=1e-9)
+    assert 1e-3 * t[-1] <= tau0 <= 100.0 * t[-1]
+    assert v0 == 2.0  # 4 * exp(0) at the upper clamp
 
 
 def sample_times(n, grid, seed):
@@ -536,11 +549,27 @@ class TestLevenbergMarquardt:
         assert info.value.diagnostics["nfev"] == 2
         assert set(info.value.diagnostics) == {"cost", "residual_rms", "nfev"}
 
+    def test_non_positive_decay_time(self, monkeypatch):
+        # the solver ends at -tau: a fit-failure that reports it in the
+        # caller's time unit (times up to 0.4 s are fitted in units of 0.25 s)
+        samples = seeded_fringe(1, 100, "uniform")
+        ref = fit_damped_sinusoid(samples)
+        solve = fitting.least_squares
+
+        def negated_tau(fun, x0):
+            result = solve(fun, x0)
+            return replace(result, x=result.x * [1.0, -1.0, 1.0, 1.0, 1.0])
+
+        monkeypatch.setattr(fitting, "least_squares", negated_tau)
+        with pytest.raises(FitFailureError, match="non-positive") as info:
+            fit_damped_sinusoid(samples)
+        assert info.value.diagnostics == {"tau": -ref.parameters["tau"]}
+
     @pytest.mark.parametrize("flip", ["amplitude", "frequency"])
-    def test_covariance_after_sign_canonicalisation(self, flip, monkeypatch):
+    def test_stderrs_after_sign_canonicalisation(self, flip, monkeypatch):
         # start at the mirror image of the usual start: (-V0, phi + pi) or
         # (-delta, -phi) is the same model, so the solver ends there and the
-        # fit must map it back, covariance included
+        # fit must map it back, stderrs and correlation included
         samples = seeded_fringe(3, 400, "uniform")
         ref = fit_damped_sinusoid(samples)
         solve = fitting.least_squares

@@ -840,6 +840,23 @@ class TestKernelEdges:
             assert 1.0 - 1e-15 <= ramsey_population(cfg, t) <= 1.0
 
 
+def separable_s_rule():
+    """Nodes and weights of S = sum(w_i**2), w uniform on the simplex: the
+    mode-energy spread of a separable orbit. Its density is 2*pi/sqrt(3) on
+    [1/3, 1/2] and (2/sqrt(3))*(pi - 3*arccos(1/sqrt(6*(S - 1/3)))) on
+    [1/2, 1], which has a square-root kink at 1/2; 16 Gauss-Legendre nodes
+    on each side, with S = 1/2 + u**2 on the right."""
+    x, g = np.polynomial.legendre.leggauss(16)
+    left_s, left_w = 5.0 / 12.0 + x / 12.0, g / 12.0 * 2.0 * math.pi / math.sqrt(3.0)
+    half = 0.5 / math.sqrt(2.0)  # u runs over [0, 1/sqrt(2)]
+    u = half * (x + 1.0)
+    right_s = 0.5 + u * u
+    density = 2.0 / math.sqrt(3.0) * (
+        math.pi - 3.0 * np.arccos(1.0 / np.sqrt(6.0 * (right_s - 1.0 / 3.0))))
+    right_w = g * half * density * 2.0 * u
+    return np.concatenate([left_s, right_s]), np.concatenate([left_w, right_w])
+
+
 def scaled_k2(cfg, s):
     """cfg with beta4 -> s*beta4 and beta1 -> beta1 - 2*(s - 1)*beta4*U0:
     k1 is unchanged and k2 scaled by s."""
@@ -875,6 +892,32 @@ class TestRowScaling:
             cfg = config(temperature_uk * 1e-6)
             assert t2_star(scaled_k2(cfg, 1.25)) / t2_star(cfg) == pytest.approx(
                 1.0601, abs=1e-4)
+
+    def test_separable_rule_moments(self):
+        s, w = separable_s_rule()
+        assert (w.sum(), w @ s, w @ s**2) == pytest.approx((1.0, 0.5, 4 / 15),
+                                                           abs=1e-14)
+
+    def test_separable_limit_t2_star_at_magic(self):
+        # each S_j scales k2 by 1 + S_j/2; T2* at the vertex scales as
+        # 1/(beta4*theta**2), so the ratio does not depend on temperature
+        s, w = separable_s_rule()
+        for temperature_uk in (8, 16, 17):
+            cfg = config(temperature_uk * 1e-6)
+
+            def envelope(t):
+                p1, p2, x_end, den = cfg._row(t)
+                rows = [(p1, p2 * (1.0 + sj / 2.0), x_end, den) for sj in s]
+                return abs(sum(wj * num for wj, (num, _) in
+                               zip(w, ramsey._integrals(rows)))) / den
+
+            kernel = t2_star(cfg)
+            lo, hi = 0.5 * kernel, kernel
+            assert envelope(lo) > 1.0 / math.e > envelope(hi)
+            for _ in range(20):
+                mid = 0.5 * (lo + hi)
+                lo, hi = (mid, hi) if envelope(mid) > 1.0 / math.e else (lo, mid)
+            assert 0.5 * (lo + hi) / kernel == pytest.approx(0.9120, abs=2e-4)
 
 
 def test_laguerre_table():
