@@ -25,6 +25,7 @@ from dataclasses import dataclass, replace
 from .dls import TrapCoefficients, _check_depth, dls, hz_from_kelvin, magic_depth
 from .errors import (
     InvalidArgumentError,
+    MagicTrapError,
     NumericalFailureError,
     UnphysicalConfigurationError,
 )
@@ -43,6 +44,12 @@ T2_STAR_HORIZON_S = 1e4
 #: at Z = 25, 6e-9 at |Z| = 16, arg Z = 15 degrees)
 SEGMENT_Z_MAX = 40.0
 SEGMENT_IM_Z = 8.0
+#: most values in one array of an _integrals pass (64 kB of complex): a
+#: larger batch goes in blocks of whole ends, so that its arrays stay in
+#: cache and below malloc's mmap threshold. Unblocked, the 201-point traces
+#: of the quadrature benchmark made about 3400 page faults per pass over its
+#: 72 ops, and their timings spread twice as wide from run to run
+BLOCK_VALUES = 4096
 #: 32-point Gauss-Laguerre rule for the weight exp(-s) on [0, inf), from
 #: the roots of L_32 polished to 60 digits (numpy's laggauss agrees to 1e-13)
 LAGUERRE_NODES = (
@@ -201,11 +208,12 @@ def _integrals(rows):
 
     One pass classifies each row's two ends, tagged with its index:
     descent ends into one list, segment ends into the group of the row's
-    panel count. All descent ends then share one numpy pass, each group one
-    quadrature.integrate pass, and a row sums its values in the order of
-    its ends, then adds its half-Gaussians. Each step is elementwise or
-    reduces within one end, and a row's panel count is its own and never
-    refined, so a row's result does not depend on the rest of the batch.
+    panel count. The descent ends then go through numpy, and each group
+    through quadrature.integrate, in blocks of BLOCK_VALUES, and a row sums
+    its values in the order of its ends, then adds its half-Gaussians. Each
+    step is elementwise or reduces within one end, and a row's panel count
+    is its own and never refined, so a row's result does not depend on the
+    rest of the batch or on how it is cut into blocks.
     """
     import numpy as np
 
@@ -254,30 +262,32 @@ def _integrals(rows):
         # each row on its own (a matrix product rounds a row differently
         # with the number of rows)
         nodes, weights = _laguerre_rule()
-        owners, ends = zip(*descents)
-        a, inv_z, k, w = np.array(ends).T
-        r = 1.0 - inv_z[:, None] * nodes
-        np.sqrt(r, out=r)
-        h = nodes / (1.0 + r)
-        h *= k[:, None]
-        h += a[:, None]
-        h *= h
-        h /= r
-        h *= weights
-        for i, value in zip(owners, (w * np.add.reduce(h, axis=1)).tolist()):
-            sums[i][0] += value
+        for block in _blocks(descents, len(nodes)):
+            owners, ends = zip(*block)
+            a, inv_z, k, w = np.array(ends).T
+            r = 1.0 - inv_z[:, None] * nodes
+            np.sqrt(r, out=r)
+            h = nodes / (1.0 + r)
+            h *= k[:, None]
+            h += a[:, None]
+            h *= h
+            h /= r
+            h *= weights
+            for i, value in zip(owners, (w * np.add.reduce(h, axis=1)).tolist()):
+                sums[i][0] += value
     for panels, segments in by_panels.items():
-        owners, ends = zip(*segments)
-        a, span, z, w = np.array(ends).T[:, :, None]
+        for block in _blocks(segments, 15 * panels):
+            owners, ends = zip(*block)
+            a, span, z, w = np.array(ends).T[:, :, None]
 
-        def integrand(tau):
-            # on x = a + tau*span, q(x) = q(a) - Z*tau*(2 - tau)
-            x = a + span * tau
-            return w * x * x * np.exp(z * (tau * (tau - 2.0)))
+            def integrand(tau):
+                # on x = a + tau*span, q(x) = q(a) - Z*tau*(2 - tau)
+                x = a + span * tau
+                return w * x * x * np.exp(z * (tau * (tau - 2.0)))
 
-        values = integrate(integrand, panels=panels)
-        for i, value in zip(owners, values.tolist()):
-            sums[i][0] += value
+            values = integrate(integrand, panels=panels)
+            for i, value in zip(owners, values.tolist()):
+                sums[i][0] += value
     out = []
     for num, (p1, p2, x_end, den), saddle in sums:
         if saddle is not None:
@@ -293,6 +303,13 @@ def _integrals(rows):
     return out
 
 
+def _blocks(ends, width):
+    """ends in consecutive blocks of at most BLOCK_VALUES // width (at
+    least one), width being the values one end takes in a pass's arrays."""
+    step = max(1, BLOCK_VALUES // width)
+    return [ends[i:i + step] for i in range(0, len(ends), step)]
+
+
 def _half_gaussian(c1, c2, x_star, valley):
     """H(v): the integral of x**2/2 * exp(c1*x + c2*x**2) from the saddle
     x* straight into valley v = +1 (direction exp(1j*pi/4)) or -1."""
@@ -303,18 +320,30 @@ def _half_gaussian(c1, c2, x_star, valley):
     return 0.5 * scale * (valley * even - x_star / c2)
 
 
-def ramsey_population(config: TrapFieldConfig, t_s: float) -> float:
+def ramsey_population(config: TrapFieldConfig, t_s: float, *,
+                      _integral=None) -> float:
     """Thermally averaged Ramsey population at free-evolution time t; times
-    thermal.truncation_mass it is the literal truncated-density average."""
+    thermal.truncation_mass it is the literal truncated-density average.
+
+    _integral, private, is the (num, den) of _integrals for this time,
+    already computed: ramsey_trace passes its batched values in, so that
+    its points still run through here one by one, the unit the benchmark's
+    tracer pins under parallel.ordered_map. It goes with parallel.py once
+    the tracer no longer needs those spans."""
     t_s = float(t_s)  # the carrier too is Python float arithmetic
-    num, den = _integrals((config._row(t_s),))[0]
+    num, den = _integral or _integrals((config._row(t_s),))[0]
+    phase = _carrier_phase(config, t_s)
+    value = 0.5 * (1.0 + (cmath.exp(1j * phase) * num).real / den)
+    # |num| <= den holds for the exact integrals; clip only their round-off
+    return float(min(1.0, max(0.0, value)))
+
+
+def _carrier_phase(config, t_s):
     phase = t_s * config._carrier_rate
     if not math.isfinite(phase):
         raise NumericalFailureError("Ramsey carrier phase is not finite",
                                     diagnostics={"phase": phase})
-    value = 0.5 * (1.0 + (cmath.exp(1j * phase) * num).real / den)
-    # |num| <= den holds for the exact integrals; clip only their round-off
-    return float(min(1.0, max(0.0, value)))
+    return phase
 
 
 def visibility(config: TrapFieldConfig, t_s: float) -> float:
@@ -476,8 +505,25 @@ def coherence_vs_depth(base: TrapFieldConfig, ratios, t1_s: float,
 
 
 def ramsey_trace(config: TrapFieldConfig, times_s) -> RamseyTrace:
+    """ramsey_population at each time, from one _integrals pass over all of
+    them. A bad time raises what its scalar call raises, the first in time
+    order: each point's row and carrier checks run in order, and the pass
+    over the rows before the failure (and its own row, when its carrier
+    failed) runs first, as the scalar calls would have run it."""
     times = tuple(float(t) for t in times_s)
-    pops = ordered_map(lambda t: ramsey_population(config, t), times)
+    rows, failure = [], None
+    for t in times:
+        try:
+            rows.append(config._row(t))
+            _carrier_phase(config, t)
+        except MagicTrapError as exc:
+            failure = exc
+            break
+    integrals = _integrals(rows)
+    if failure is not None:
+        raise failure
+    pops = ordered_map(lambda point: ramsey_population(config, point[0], _integral=point[1]),
+                       zip(times, integrals))
     return RamseyTrace(times, tuple(pops))
 
 

@@ -1,6 +1,7 @@
-"""Domain contract of the unit and shift functions: over an edge-value grid,
-each call returns finite floats or raises a coded MagicTrapError, never a
-bare exception, inf or NaN."""
+"""Domain contract of the unit and shift functions and of the Ramsey
+sweeps: over an edge-value grid, each call returns finite floats (in [0, 1]
+for a sweep) or raises a coded MagicTrapError, never a bare exception, inf
+or NaN."""
 import itertools
 import math
 
@@ -17,6 +18,13 @@ from magictrap.dls import (
     zero_crossing_field,
 )
 from magictrap.errors import MagicTrapError
+from magictrap.ramsey import (
+    TrapFieldConfig,
+    ramsey_population,
+    ramsey_trace,
+    visibility,
+    visibility_curve,
+)
 
 EDGES = (0.0, -0.0, 5e-324, 1.0, -1.0, 1e300, -1e300, 1e308, -1e308,
          math.inf, -math.inf, math.nan)
@@ -89,3 +97,31 @@ def test_unit_conversions():
             if result is not None:
                 assert math.isfinite(value), (function.__name__, value)
                 assert_finite(result, function.__name__, value)
+
+
+def test_sweeps_with_one_edge_time():
+    # each sweep either returns its scalar calls' values or raises the
+    # error of the first scalar call that raises
+    coeffs = TrapCoefficients(3.47e-4, -0.99e-4, 4.6e-12)
+    cfg = TrapFieldConfig(coeffs, 3.115, magic_depth(coeffs, 3.115), 17e-6, 37.0)
+    for edge in EDGES:
+        times = [0.05, edge, 0.3]
+        for sweep, scalar, field in ((ramsey_trace, ramsey_population, "population"),
+                                     (visibility_curve, visibility, "visibility")):
+            expected = outcome_or_error(lambda: [scalar(cfg, t) for t in times])
+            got = outcome_or_error(lambda: list(getattr(sweep(cfg, times), field)))
+            assert got == expected, (sweep.__name__, edge)
+            if type(got) is list:
+                for value in got:
+                    assert_finite(value, sweep.__name__, edge)
+                    assert 0.0 <= value <= 1.0, (sweep.__name__, edge, value)
+
+
+def outcome_or_error(call):
+    """call(), or the class, message and diagnostics of the coded error it
+    raises."""
+    try:
+        return call()
+    except MagicTrapError as exc:
+        assert exc.code != MagicTrapError.code
+        return type(exc), str(exc), repr(exc.diagnostics)

@@ -524,20 +524,49 @@ class TestCoherenceCurve:
         assert curve[0][0] == 1.0
         assert curve[0][1] == pytest.approx(0.2303, rel=2e-3)
 
-    def test_sweeps_equal_their_scalar_calls(self):
-        # unsorted inputs, so a reordered sweep cannot pass
-        cfg = config(17e-6, ratio=0.8, detuning_hz=50.0)
-        times = [0.3, 0.0, 1.7, 0.05, 0.3]
-        trace = ramsey_trace(cfg, times)
-        assert trace.times_s == tuple(times)
-        assert trace.population == tuple(ramsey_population(cfg, t) for t in times)
-        curve = visibility_curve(cfg, times)
-        assert curve.times_s == tuple(times)
-        assert curve.visibility == tuple(visibility(cfg, t) for t in times)
+    def test_sweeps_equal_their_scalar_calls(self, monkeypatch):
+        # unsorted inputs, so a reordered sweep cannot pass. Each 201-point
+        # case runs the even grid points up, the odd ones down and one
+        # repeated; together they batch t = 0, rows with both ends on
+        # descent paths and rows with a segment end, the (30 uK, 1.5) ones
+        # in two panel counts, and panel groups cut into several blocks.
+        grid = np.linspace(0.0, 0.4, 200).tolist()
+        cases = [(config(17e-6, ratio=0.8, detuning_hz=50.0), [0.3, 0.0, 1.7, 0.05, 0.3])]
+        cases += [(config(temperature_uk * 1e-6, ratio=ratio, detuning_hz=50.0),
+                   grid[::2] + grid[::-2] + [grid[57]])
+                  for temperature_uk in (2, 30) for ratio in (0.5, 1.5)]
+        panels = integrate_spy(monkeypatch)
+        blocked = False
+        for cfg, times in cases:
+            panels.clear()
+            trace = ramsey_trace(cfg, times)
+            batched = set(panels)
+            blocked |= len(panels) > len(batched)
+            assert trace.times_s == tuple(times)
+            assert trace.population == tuple(ramsey_population(cfg, t) for t in times)
+            curve = visibility_curve(cfg, times)
+            assert curve.times_s == tuple(times)
+            assert curve.visibility == tuple(visibility(cfg, t) for t in times)
+        assert len(batched) >= 2  # the (30 uK, 1.5) trace
+        assert blocked  # a group past ramsey.BLOCK_VALUES went in blocks
         ratios = [1.2, 0.8, 1.0]
         assert coherence_vs_depth(config(17e-6), ratios, 4.0, 0.3) == [
             (r, combine_coherence(4.0, 0.3, t2_star(config(17e-6, ratio=r))))
             for r in ratios]
+
+    @pytest.mark.parametrize("times", [[0.1, 1e10, 1e308], [0.1, 1e10, math.nan], [1e10]])
+    def test_trace_raises_the_first_failing_point(self, times):
+        # at 1e10 s only the carrier of a 1e300 Hz detuning overflows; a
+        # later time that fails its own row check must not win
+        cfg = config(17e-6, detuning_hz=1e300)
+        with pytest.raises(NumericalFailureError) as info:
+            ramsey_trace(cfg, times)
+        assert str(info.value) == "Ramsey carrier phase is not finite"
+        assert info.value.diagnostics == {"phase": math.inf}
+        with pytest.raises(NumericalFailureError) as scalar:
+            for t in times:
+                ramsey_population(cfg, t)
+        assert scalar.value.diagnostics == info.value.diagnostics
 
     def test_coarse_grid_peaks_at_magic(self):
         # grid step far above the thermal-skew shift: vertex wins
