@@ -58,11 +58,15 @@ def _config_from_args(args, coeffs):
 def _grid(start, stop, points):
     """``np.linspace(start, stop, points).tolist()`` bit for bit: start + i·step,
     or i/div·delta where the step underflows to 0; the last of 2+ is stop.
-    Raises invalid-argument unless 1 <= points <= MAX_GRID_POINTS, so each
-    curve command builds its grid before it reads a file."""
+    Raises invalid-argument unless 1 <= points <= MAX_GRID_POINTS and
+    stop - start is finite (which takes both bounds finite), so each curve
+    command builds its grid before it reads a file."""
     if not 1 <= points <= MAX_GRID_POINTS:
         raise InvalidArgumentError(
             f"--points must be between 1 and {MAX_GRID_POINTS}, got {points}")
+    if not math.isfinite(stop - start):
+        raise InvalidArgumentError(
+            f"grid bounds and their span must be finite, got {start} to {stop}")
     div = max(points - 1, 1)
     step = (stop - start) / div
     grid = [start + (i * step if step else i / div * (stop - start))
@@ -193,12 +197,10 @@ def _cmd_t2star(args):
 
 
 def _cmd_coherence_curve(args):
-    # positive, finite bounds also keep the span finite
-    for bound in (args.ratio_min, args.ratio_max):
-        if not 0 < bound < math.inf:
-            raise InvalidArgumentError(
-                f"ratio bounds must be positive and finite, got {bound}")
     ratios = _grid(args.ratio_min, args.ratio_max, args.points)
+    if not min(args.ratio_min, args.ratio_max) > 0:
+        raise InvalidArgumentError(
+            f"ratio bounds must be positive, got {args.ratio_min} to {args.ratio_max}")
     coeffs = datafiles.read_coefficients(args.coeffs)
     u_magic = magic_depth(coeffs, args.b_field)
     # coherence_vs_depth sets each depth to ratio * U_M, and rejects a U_M

@@ -162,23 +162,11 @@ class RamseyTrace:
     times_s: tuple
     population: tuple
 
-    def __post_init__(self):
-        if len(self.times_s) != len(self.population):
-            raise InvalidArgumentError("times and population must match in length")
-        if any(p < 0 or p > 1 for p in self.population):
-            raise InvalidArgumentError("populations must lie in [0, 1]")
-
 
 @dataclass(frozen=True)
 class VisibilityCurve:
     times_s: tuple
     visibility: tuple
-
-    def __post_init__(self):
-        if len(self.times_s) != len(self.visibility):
-            raise InvalidArgumentError("times and visibility must match in length")
-        if any(v < 0 or v > 1 for v in self.visibility):
-            raise InvalidArgumentError("visibility must lie in [0, 1]")
 
 
 def _integrals(rows):
@@ -190,7 +178,9 @@ def _integrals(rows):
     k2 = pi*beta4*theta**2/2, so that (p1 + p2*x)*x, x = E/theta, is the phase
     2*pi*t*(dls(U) - dls(U0)) from the trap bottom and num/den the thermal
     average of its phasor. |num| <= den up to round-off, which the callers
-    clip.
+    clip. Rows come from _row, so X >= 1.5 and p2 >= 0 (beta4 >= 0, t >= 0):
+    there num/den is good to an absolute 1e-10. Outside that domain no
+    bound holds: the row (0.5, -0.1, 10) returns |num|/den = 5.7.
 
     The integrand is entire, so the integral is G(0) - G(X), G(a) being the
     integral from a to the saddle x* = -c1/(2*c2), along any path. With
@@ -505,11 +495,12 @@ def coherence_vs_depth(base: TrapFieldConfig, ratios, t1_s: float,
 
 
 def ramsey_trace(config: TrapFieldConfig, times_s) -> RamseyTrace:
-    """ramsey_population at each time, from one _integrals pass over all of
-    them. A bad time raises what its scalar call raises, the first in time
-    order: each point's row and carrier checks run in order, and the pass
-    over the rows before the failure (and its own row, when its carrier
-    failed) runs first, as the scalar calls would have run it."""
+    """ramsey_population at each time, one clipped value per time (so
+    RamseyTrace checks nothing), from one _integrals pass over all of them.
+    A bad time raises what its scalar call raises, the first in time order:
+    each point's row and carrier checks run in order, and the pass over the
+    rows before the failure (and its own row, when its carrier failed) runs
+    first, as the scalar calls would have run it."""
     times = tuple(float(t) for t in times_s)
     rows, failure = [], None
     for t in times:
@@ -528,6 +519,8 @@ def ramsey_trace(config: TrapFieldConfig, times_s) -> RamseyTrace:
 
 
 def visibility_curve(config: TrapFieldConfig, times_s) -> VisibilityCurve:
+    """visibility at each time, one clipped value per time (so
+    VisibilityCurve checks nothing), from one _integrals pass over them."""
     times = tuple(float(t) for t in times_s)
     vis = [_envelope(num, den) for num, den in _integrals([config._row(t) for t in times])]
     return VisibilityCurve(times, tuple(vis))

@@ -133,9 +133,12 @@ def coherence_budget(tl: TransferTimeline, post_transfer_temperature_k: float,
     tau_static combines T1/T2' with T2* of the register trap at its own
     (pre-transfer) temperature; tau_mobile does the same at the
     post-transfer temperature. The register trap is the first Hold
-    segment's configuration (the first segment if no Hold exists).
-    Measured T2* values can be passed in to supersede the model on either
-    side. The model T2* of every distinct trap the report needs is solved
+    segment's configuration (the first segment if no Hold exists). The
+    fractional loss 1 - tau_mobile/tau_static is 0 for equal times, both
+    infinite included, and an invalid-argument where it is not finite
+    (an infinite tau_mobile against a finite tau_static). Measured T2*
+    values can be passed in to supersede the model on either side. The
+    model T2* of every distinct trap the report needs is solved
     together, in lockstep, once per trap.
     """
     if not math.isfinite(post_transfer_temperature_k):
@@ -159,7 +162,7 @@ def coherence_budget(tl: TransferTimeline, post_transfer_temperature_k: float,
     per_segment = []
     for seg, model_t2 in zip(tl.segments, model_t2_star):
         used = seg.t2_override_s if seg.t2_override_s is not None else model_t2
-        factor = math.exp(-seg.duration_s / used) if seg.duration_s > 0 else 1.0
+        factor = math.exp(-seg.duration_s / used)  # used > 0: 1.0 at duration 0
         per_segment.append(SegmentBudget(seg.phase, seg.duration_s, used,
                                          model_t2, factor,
                                          seg.t2_override_s is not None))
@@ -177,6 +180,10 @@ def coherence_budget(tl: TransferTimeline, post_transfer_temperature_k: float,
     ts_mobile = t2star_mobile_s if t2star_mobile_s is not None else model_mobile
     tau_static = combine_coherence(tl.t1_s, tl.t2prime_s, ts_static)
     tau_mobile = combine_coherence(tl.t1_s, tl.t2prime_s, ts_mobile)
-    loss = 1.0 - tau_mobile / tau_static
+    loss = 0.0 if tau_mobile == tau_static else 1.0 - tau_mobile / tau_static
+    if not math.isfinite(loss):
+        raise InvalidArgumentError(
+            f"fractional tau loss is not finite for tau_static = {tau_static!r} s, "
+            f"tau_mobile = {tau_mobile!r} s")
     return BudgetReport(tuple(per_segment), retained, tau_static, tau_mobile,
                         loss, ts_static, ts_mobile, notes)

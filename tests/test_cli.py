@@ -15,6 +15,7 @@ import pytest
 from magictrap.cli import _grid, main
 from magictrap.datafiles import depth_hz_from_mk, write_coefficients
 from magictrap.dls import TrapCoefficients
+from magictrap.errors import InvalidArgumentError
 
 
 @pytest.fixture
@@ -343,8 +344,8 @@ class TestScalars:
           "--depth-mk", "nan", "--temp-uk", "17"], "nan"),
         (["beff", "--depth-mk", "inf"], "inf"),
         (["convert", "--mk", "nan"], "nan"),
-        (["dls-curve", "--coeffs", "COEFFS", "--b-field", "3.115",
-          "--depth-mk-max", "nan", "--points", "3"], "nan")])
+        (["ramsey", "--coeffs", "COEFFS", "--b-field", "3.115",
+          "--depth-mk", "nan", "--temp-uk", "17", "--points", "3"], "nan")])
     def test_non_finite_depth_is_named(self, capsys, coeffs_file, argv, value):
         code, out, err = run(capsys, [coeffs_file if a == "COEFFS" else a
                                       for a in argv])
@@ -481,8 +482,14 @@ class TestGridChecks:
         ["dls-curve", "--coeffs", "COEFFS", "--b-field", "3.115",
          "--points", "1000000000"],
         ["dls-curve", "--coeffs", "COEFFS", "--b-field", "3.115", "--points", "0"],
+        ["dls-curve", "--coeffs", "COEFFS", "--b-field", "3.115",
+         "--depth-mk-max", "nan"],
+        ["dls-curve", "--coeffs", "COEFFS", "--b-field", "3.115",
+         "--depth-mk-min=-1e308", "--depth-mk-max", "1e308"],
         ["ramsey", *TRAP, "--points", "1000000000"],
-        ["visibility", *TRAP, "--points", "10001"]],
+        ["ramsey", *TRAP, "--t-max", "inf"],
+        ["visibility", *TRAP, "--points", "10001"],
+        ["visibility", *TRAP, "--t-max", "nan"]],
         ids=lambda argv: " ".join([argv[0], *argv[-2:]]))
     def test_bad_grid_is_rejected_first(self, capsys, no_work, argv):
         code, out, err = run(capsys, ["missing.toml" if a == "COEFFS" else a
@@ -859,6 +866,20 @@ class TestTransferCommand:
         assert lines[0].startswith("phase,duration_s,t2_used_s")
         assert len(lines) == 5
 
+    def test_infinite_tau_gain_is_a_coded_error(self, capsys, coeffs_file,
+                                                tmp_path):
+        # T1 = T2' = T2*_mobile = inf: tau_mobile is infinite, tau_static
+        # 1.9 s, and the loss 1 - inf/1.9 is not a number to print
+        path = tmp_path / "endless.json"
+        doc = json.loads(Path(write_timeline_doc(tmp_path)).read_text())
+        path.write_text(json.dumps(dict(doc, t1_s=math.inf, t2prime_s=math.inf)))
+        code, out, err = run(capsys, [
+            "transfer", "--coeffs", coeffs_file, "--timeline", str(path),
+            "--post-temp-uk", "16", "--t2star-static", "1.9",
+            "--t2star-mobile", "inf"])
+        assert (code, out) == (1, "")
+        assert err.startswith("error: invalid-argument: fractional tau loss")
+
     def test_negative_measured_t2star_rejected_before_any_solve(
             self, capsys, coeffs_file, tmp_path, monkeypatch):
         from magictrap import ramsey
@@ -984,9 +1005,11 @@ def test_a_cold_process_loads_numpy_only_for_array_work(tmp_path):
     (0.0, 5e-324, 4), (5e-324, 2e-323, 3), (0.0, math.inf, 5), (1.0, -math.inf, 1),
     (0.0, math.nan, 3), (-1e308, 1e308, 5)])
 def test_linspace_is_numpys_bit_for_bit(start, stop, num):
-    with np.errstate(over="ignore", invalid="ignore"):  # inf - inf, 1e308 + 1e308
-        expected = np.linspace(start, stop, num).tolist()
-    assert repr(_grid(start, stop, num)) == repr(expected)
+    if not math.isfinite(stop - start):  # where numpy's grid holds inf or nan
+        with pytest.raises(InvalidArgumentError, match="span must be finite"):
+            _grid(start, stop, num)
+        return
+    assert repr(_grid(start, stop, num)) == repr(np.linspace(start, stop, num).tolist())
 
 
 def test_linspace_matches_numpy_on_a_random_sweep():

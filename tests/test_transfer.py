@@ -234,6 +234,11 @@ class TestBudget:
     def test_no_heating_no_loss(self):
         report = coherence_budget(reference_timeline(), 8e-6)
         assert report.fractional_tau_loss == 0.0
+        # infinite tau on both sides: equal, so no loss rather than inf/inf
+        endless = replace(reference_timeline(), t1_s=math.inf, t2prime_s=math.inf)
+        report = coherence_budget(endless, 8e-6, t2star_static_s=math.inf,
+                                  t2star_mobile_s=math.inf)
+        assert (report.tau_static_s, report.fractional_tau_loss) == (math.inf, 0.0)
 
     def test_split_invariance(self):
         base = reference_timeline()
