@@ -68,13 +68,19 @@ def least_squares(fun, x0):
     FTOL the actual and the predicted relative cost reduction of a trial
     step, and XTOL its D-scaled length relative to the D-scaled x. It
     stops unconverged after NFEV_PER_PARAMETER * (n + 1) evaluations.
+    A start whose cost or Jacobian is not finite is an invalid-argument.
     """
     import numpy as np
 
     x = np.array(x0, dtype=float)
     r, jac = fun(x)
     nfev, success = 1, False
-    cost = 0.5 * float(r @ r)
+    with np.errstate(over="ignore"):
+        cost = 0.5 * float(r @ r)
+    if not (math.isfinite(cost) and np.isfinite(jac).all()):
+        raise InvalidArgumentError("least-squares start is past float range: "
+                                   "its cost or Jacobian is not finite",
+                                   diagnostics={"cost": cost})
     jtj, grad = jac.T @ jac, jac.T @ r
     diag = jtj.diagonal()
     scale = np.where(diag > 0, diag, 1.0)  # MINPACK's unit scale for a zero column
@@ -363,11 +369,16 @@ def _spectrum_peak(t, y, span, dt):
     spectrum is one product of two 64 x N matrices. Each is filled by
     doubling from its first row, y exp(-2 pi i f_0 t) or 1: six products
     with w64 (or w) squared in between, so 3 N complex exponentials
-    instead of 4096 N, for any sample times."""
+    instead of 4096 N, for any sample times. A dt so small that 0.5/dt is
+    past float range is an invalid-argument."""
     import numpy as np
 
-    f_lo = 0.5 / span
-    freqs = np.linspace(f_lo, 0.5 / dt, 4096)
+    f_lo, f_hi = 0.5 / span, 0.5 / dt
+    if f_hi == math.inf:
+        raise InvalidArgumentError(
+            "median sample step is too small against the span: the "
+            "frequency grid is past float range")
+    freqs = np.linspace(f_lo, f_hi, 4096)
     step = freqs[1] - freqs[0]
     turn = -2j * np.pi * t
     head = np.empty((64, t.size), dtype=complex)

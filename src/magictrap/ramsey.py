@@ -25,7 +25,6 @@ from dataclasses import dataclass, replace
 from .dls import TrapCoefficients, _check_depth, dls, hz_from_kelvin, magic_depth
 from .errors import (
     InvalidArgumentError,
-    MagicTrapError,
     NumericalFailureError,
     UnphysicalConfigurationError,
 )
@@ -497,24 +496,15 @@ def coherence_vs_depth(base: TrapFieldConfig, ratios, t1_s: float,
 def ramsey_trace(config: TrapFieldConfig, times_s) -> RamseyTrace:
     """ramsey_population at each time, one clipped value per time (so
     RamseyTrace checks nothing), from one _integrals pass over all of them.
-    A bad time raises what its scalar call raises, the first in time order:
-    each point's row and carrier checks run in order, and the pass over the
-    rows before the failure (and its own row, when its carrier failed) runs
-    first, as the scalar calls would have run it."""
+    Each point's row and carrier are checked first, in time order, so a bad
+    time raises what its scalar call raises, the first in time order."""
     times = tuple(float(t) for t in times_s)
-    rows, failure = [], None
+    rows = []
     for t in times:
-        try:
-            rows.append(config._row(t))
-            _carrier_phase(config, t)
-        except MagicTrapError as exc:
-            failure = exc
-            break
-    integrals = _integrals(rows)
-    if failure is not None:
-        raise failure
+        rows.append(config._row(t))
+        _carrier_phase(config, t)
     pops = ordered_map(lambda point: ramsey_population(config, point[0], _integral=point[1]),
-                       zip(times, integrals))
+                       zip(times, _integrals(rows)))
     return RamseyTrace(times, tuple(pops))
 
 

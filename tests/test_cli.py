@@ -743,6 +743,19 @@ class TestFits:
         assert err == ("error: invalid-argument: sample times must span a "
                        "finite range\n")
 
+    @pytest.mark.parametrize("time", [1e308, -1e308])
+    def test_fit_ramsey_one_time_past_the_spectrum_grid(self, capsys, tmp_path, time):
+        from magictrap.datafiles import write_table
+        t = np.linspace(0.0, 0.4, 50)
+        p = 0.5 + 0.4 * np.exp(-t / 0.2) * np.cos(2 * np.pi * 40 * t)
+        t[-1 if time > 0 else 0] = time
+        path = tmp_path / "trace.csv"
+        write_table(path, ("t_s", "p"), list(zip(t, p)))
+        code, out, err = run(capsys, ["fit-ramsey", "--input", str(path)])
+        assert (code, out) == (1, "")
+        assert err == ("error: invalid-argument: median sample step is too small "
+                       "against the span: the frequency grid is past float range\n")
+
     @pytest.mark.parametrize("command,column,bad,message", [
         ("fit-ramsey", 0, "nan", "sample times must be finite"),
         ("fit-ramsey", 0, "inf", "sample times must be finite"),

@@ -315,6 +315,17 @@ def test_times_spanning_past_float_range(fit):
         fit(list(zip(t, np.full(50, 0.5))))
 
 
+@pytest.mark.parametrize("index,time", [(-1, 1e308), (0, -1e308), (20, 1e308)])
+def test_one_time_past_the_spectrum_grid(index, time):
+    # the other steps are subnormal in units of the span, so 0.5/dt is inf:
+    # coded before the start point is built from a NaN grid
+    t = np.linspace(0.0, 0.4, 50)
+    p = sinusoid(t, v0=0.8, tau=0.2, delta=40.0)
+    t[index] = time
+    with pytest.raises(InvalidArgumentError, match="frequency grid is past float range"):
+        fit_damped_sinusoid(list(zip(t, p)))
+
+
 def grid_facts(t):
     """The span and the median step that fit_damped_sinusoid passes to its
     start-point helpers."""
@@ -533,6 +544,24 @@ class TestLevenbergMarquardt:
         assert result.cost == pytest.approx(
             0.5 * np.sum((a @ exact - b) ** 2), rel=1e-12)
         np.testing.assert_allclose(result.fun, a @ result.x - b, rtol=0, atol=0)
+
+    @pytest.mark.parametrize("x0", [math.inf, -math.inf, math.nan, 1e200])
+    def test_start_past_float_range(self, x0):
+        # cost inf or NaN at the start: raised after one evaluation, with no
+        # numpy warning (the suite makes warnings errors)
+        calls = []
+
+        def fun(x):
+            calls.append(x)
+            return np.array([x[0] - 1.0, x[0]]), np.ones((2, 1))
+
+        with pytest.raises(InvalidArgumentError, match="^least-squares start is past float range"):
+            fitting.least_squares(fun, [x0])
+        assert len(calls) == 1
+
+    def test_start_with_a_non_finite_jacobian(self):
+        with pytest.raises(InvalidArgumentError, match="^least-squares start is past float range"):
+            fitting.least_squares(lambda x: (x - 1.0, np.full((1, 1), math.nan)), [0.0])
 
     def test_exhausted_evaluations(self, monkeypatch):
         # a cap of (5 + 1) / 3 = 2 evaluations for the fringe's 5 parameters

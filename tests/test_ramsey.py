@@ -24,7 +24,7 @@ from magictrap.ramsey import (
     visibility,
     visibility_curve,
 )
-from magictrap.thermal import sample, truncation_mass
+from magictrap.thermal import _gamma_p, sample, truncation_mass
 
 MEASURED = TrapCoefficients(3.47e-4, -0.99e-4, 4.6e-12)
 B0 = 3.115
@@ -1050,6 +1050,60 @@ class TestKernelRowSweep:
         errors = [abs(num - self.reference(*row)) / den
                   for row, (num, den) in zip(rows, results)]
         assert max(errors) <= 1e-10
+
+
+
+def log_uniform(rng, lo, hi):
+    return lo * (hi / lo) ** rng.random()
+
+
+class TestKernelConfigSweep:
+    """_integrals on rows that TrapFieldConfig._row builds, drawn from
+    valid configs and times: a finite num with |num| <= den up to
+    round-off, so that no valid point raises the kernel's "thermal average
+    is not finite" and a sweep needs only the row and carrier checks."""
+
+    @staticmethod
+    def extreme(rng):
+        # beta4 1e-30 ... 1e-8, |beta1| 1e-8 ... 0.1, beta2 0 or |beta2|
+        # 1e-8 ... 1e-2, |B| <= 10 G, |U_a| 1 ... 1e12 Hz, 1 nK ... 10 mK,
+        # t 1 us ... 1e6 s: almost every row takes descent ends alone
+        beta2 = 0.0
+        if rng.random() < 0.5:
+            beta2 = rng.choice((-1.0, 1.0)) * log_uniform(rng, 1e-8, 1e-2)
+        coeffs = TrapCoefficients(rng.choice((-1.0, 1.0)) * log_uniform(rng, 1e-8, 0.1),
+                                  beta2, log_uniform(rng, 1e-30, 1e-8))
+        cfg = TrapFieldConfig(coeffs, rng.uniform(-10.0, 10.0),
+                              -log_uniform(rng, 1.0, 1e12), log_uniform(rng, 1e-9, 1e-2))
+        return cfg, log_uniform(rng, 1e-6, 1e6)
+
+    @staticmethod
+    def physical(rng):
+        # measured coefficients, 0 ... 3.4 G, U_a 0.1 ... 3.2 U_M,
+        # 0.1 ... 100 uK, t 1e-4 ... 1e4 s: segment ends in several panel counts
+        b_field = rng.uniform(0.0, 3.4)
+        cfg = TrapFieldConfig(MEASURED, b_field,
+                              rng.uniform(0.1, 3.2) * magic_depth(MEASURED, b_field),
+                              log_uniform(rng, 1e-7, 1e-4))
+        return cfg, log_uniform(rng, 1e-4, 1e4)
+
+    def test_valid_rows_stay_bounded(self, monkeypatch):
+        panels = integrate_spy(monkeypatch)
+        rng = np.random.default_rng(20261022)
+        for draw in (self.extreme, self.physical):
+            for _ in range(1000):
+                cfg, t = draw(rng)
+                (num, den), = ramsey._integrals([cfg._row(t)])
+                assert cmath.isfinite(num), (cfg, t)
+                assert abs(num) <= den * (1.0 + 1e-12), (cfg, t, num, den)
+        assert len(set(panels)) >= 3, sorted(set(panels))
+
+    def test_a_row_outside_the_domain_raises(self):
+        # no row that _row builds reaches it: an infinite p1 is past float range
+        with pytest.raises(NumericalFailureError) as info:
+            ramsey._integrals([(math.inf, 0.0, 10.0, _gamma_p(3, 10.0))])
+        assert str(info.value) == "thermal average is not finite"
+        assert info.value.diagnostics == {"phase": math.inf}
 
 
 def test_laguerre_table():
